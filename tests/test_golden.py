@@ -1,0 +1,35 @@
+"""Machine reports for the bundled inputs, compared byte for byte.
+
+Each file under ``tests/golden`` is the stdout of one CLI run with
+``--output machine``. A change that alters any of them must regenerate
+the file on purpose and say why.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from fibresum.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "corollary15.json": ["run", "--config", "corollary15.cfg"],
+    "mcmullen_taubes.json": ["run", "--config", "mcmullen_taubes.cfg"],
+    "solve35.json": ["run", "--config", "solve35.cfg"],
+    "borromean_linking.json": ["linking", "--link", "borromean.lnk", "--axis", "axis.lnk"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_machine_report_matches_golden(golden, tmp_path, monkeypatch):
+    # An empty working directory, so the bundled names resolve to the
+    # files shipped with the package.
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(CASES[golden] + ["--output", "machine"])
+    assert code == 0
+    assert out.getvalue().encode("utf-8") == (GOLDEN / golden).read_bytes()
