@@ -57,11 +57,9 @@ from .intlat import (
     DivisibilityReport,
     IntVector,
     PairingMatrix,
-    SmithDecomposition,
     divisibility_bounds,
     gcd_content,
     rank,
-    smith_normal_form,
 )
 from .linkgeom import (
     PolygonalCurve,

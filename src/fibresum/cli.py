@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from . import construct, linkgeom
 from .config import (
+    TASK_KINDS,
     BuildTask,
     EnumerateTask,
     LinkingTask,
@@ -23,16 +24,11 @@ from .config import (
     Task,
     VerifyTask,
     bundled_path,
+    check_limit,
     parse_config,
     recipe_config_section,
 )
-from .errors import (
-    ConfigError,
-    EnumerationCapError,
-    FibresumError,
-    MathematicalInconsistencyError,
-    RecipeError,
-)
+from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
 from .gompfsum import c1_contributions, check_c1_identities, sum_invariants
 from .reports import ReportBuilder, check_entries
 
@@ -168,14 +164,6 @@ _RUNNERS = {
     LinkingTask: _run_linking,
 }
 
-_TASK_NAMES = {
-    VerifyTask: "verify",
-    BuildTask: "build",
-    EnumerateTask: "enumerate",
-    SolveTask: "solve",
-    LinkingTask: "linking",
-}
-
 
 def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int:
     """Execute the config's tasks in order; returns the exit code.
@@ -185,7 +173,7 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
     stream = stream or sys.stdout
     report = ReportBuilder(seed=config.seed, cap=config.enumeration_cap)
     selected = [
-        t for t in config.tasks if kinds is None or _TASK_NAMES[type(t)] in kinds
+        t for t in config.tasks if kinds is None or TASK_KINDS[type(t)] in kinds
     ]
     code = EXIT_OK
     if not selected:
@@ -201,7 +189,7 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
     except MathematicalInconsistencyError as exc:
         report.note_error(f"mathematical inconsistency: {exc}")
         code = EXIT_INCONSISTENT
-    except (ConfigError, RecipeError, EnumerationCapError, ValueError) as exc:
+    except (FibresumError, ValueError) as exc:
         report.note_error(str(exc))
         code = EXIT_VALIDATION
     if config.output_format == "machine":
@@ -228,9 +216,9 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> None:
     if getattr(args, "output", None):
         config.output_format = args.output
     if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+        config.seed = check_limit("seed", args.seed, path="--seed")
     if getattr(args, "cap", None) is not None:
-        config.enumeration_cap = args.cap
+        config.enumeration_cap = check_limit("cap", args.cap, path="--cap")
     if getattr(args, "sample", False):
         config.sample_beyond_cap = True
 
@@ -307,9 +295,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _load_config(args)
         kinds = None if args.command == "run" else {args.command}
         return run(config, kinds)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except FibresumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

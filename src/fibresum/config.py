@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from .construct import DEFAULT_ENUMERATION_CAP
 from .errors import ConfigError
 from .fourman import (
     LAGRANGIAN,
@@ -50,15 +51,18 @@ __all__ = [
     "SolveTask",
     "LinkingTask",
     "Task",
+    "TASK_KINDS",
     "parse_config",
     "parse_config_text",
     "bundled_path",
     "DEFAULT_SEED",
-    "DEFAULT_CAP",
 ]
 
 DEFAULT_SEED = 0
-DEFAULT_CAP = 2**20
+
+# Smallest allowed value and the error message, per top-level integer
+# setting; config files and command-line flags share these rules.
+_LIMITS = {"seed": (0, "seed must be nonnegative"), "cap": (1, "cap must be positive")}
 
 BUILTIN_MANIFOLDS = ("T4", "E1")
 
@@ -119,7 +123,7 @@ class RunConfig:
     tasks: list[Task] = field(default_factory=list)
     output_format: str = "table"
     seed: int = DEFAULT_SEED
-    enumeration_cap: int = DEFAULT_CAP
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     sample_beyond_cap: bool = False
     base_dir: Path = field(default_factory=Path.cwd)
     path: str = "<config>"
@@ -235,6 +239,14 @@ def _parse_int(value: str, what: str, path: str, line: int) -> int:
         raise ConfigError(f"{what}: expected an integer, got {value!r}", path=path, line=line) from None
 
 
+def check_limit(key: str, value: int, *, path: str, line: Optional[int] = None) -> int:
+    """Return the value of setting `key` (seed or cap) if it is in range."""
+    least, message = _LIMITS[key]
+    if value < least:
+        raise ConfigError(message, path=path, line=line)
+    return value
+
+
 def _parse_bool(value: str, what: str, path: str, line: int) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1"):
@@ -267,13 +279,11 @@ def parse_config_text(text: str, *, path: str = "<config>", base_dir: Optional[P
 
     for key, value, lineno in top:
         if key == "seed":
-            config.seed = _parse_int(value, "seed", path, lineno)
-            if config.seed < 0:
-                raise ConfigError("seed must be nonnegative", path=path, line=lineno)
+            seed = _parse_int(value, "seed", path, lineno)
+            config.seed = check_limit("seed", seed, path=path, line=lineno)
         elif key == "cap":
-            config.enumeration_cap = _parse_int(value, "cap", path, lineno)
-            if config.enumeration_cap < 1:
-                raise ConfigError("cap must be positive", path=path, line=lineno)
+            cap = _parse_int(value, "cap", path, lineno)
+            config.enumeration_cap = check_limit("cap", cap, path=path, line=lineno)
         elif key == "output":
             if value not in ("table", "machine"):
                 raise ConfigError(f"output must be 'table' or 'machine', got {value!r}", path=path, line=lineno)

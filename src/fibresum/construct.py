@@ -28,6 +28,7 @@ from .gompfsum import (
     recipe_violations,
     sum_c1,
     sum_invariants,
+    with_signs,
 )
 from .intlat import divisibility_bounds, gcd_content, rank
 
@@ -84,16 +85,16 @@ class EnumerationResult:
 
     forms: tuple[FormClass, ...]
     distinct_divisibilities: tuple[int, ...]
-    pi0_lower_bound: int
     inexact_count: int
     divisibility_inconclusive: bool
     flippable_copies: int
     assignments_evaluated: int
     sampled: bool
 
-    def __post_init__(self) -> None:
-        if self.pi0_lower_bound != len(self.distinct_divisibilities):
-            raise ValueError("component bound must count the distinct exact divisibilities")
+    @property
+    def pi0_lower_bound(self) -> int:
+        """Component bound: the number of distinct exact divisibilities."""
+        return len(self.distinct_divisibilities)
 
 
 @dataclass(frozen=True)
@@ -321,8 +322,7 @@ def enumerate_forms(
     exact_c1: set[tuple[int, ...]] = set()
     inexact = 0
     for signs in assignments:
-        gluings = _regroup(recipe, signs)
-        c1 = sum_c1(recipe.base.c1, gluings, table)
+        c1 = sum_c1(recipe.base.c1, with_signs(recipe, signs).gluings, table)
         key = c1.coords
         if key in seen_c1:
             continue
@@ -338,23 +338,12 @@ def enumerate_forms(
     return EnumerationResult(
         forms=tuple(forms),
         distinct_divisibilities=distinct,
-        pi0_lower_bound=len(distinct),
         inexact_count=inexact,
         divisibility_inconclusive=len(exact_c1) > len(distinct),
         flippable_copies=k,
         assignments_evaluated=evaluated,
         sampled=not exhaustive,
     )
-
-
-def _regroup(recipe: SumRecipe, signs_flat: Sequence[int]) -> tuple[Gluing, ...]:
-    gluings = []
-    pos = 0
-    for gluing in recipe.gluings:
-        chunk = tuple(signs_flat[pos : pos + gluing.copies])
-        pos += gluing.copies
-        gluings.append(Gluing(gluing.torus_label, gluing.copies, chunk))
-    return tuple(gluings)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -430,7 +419,7 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
             )
         tz_signs = (1,) * plus + (-1,) * (k - plus)
         signs = (1, 1) + tz_signs + (1,) * (n - 1)
-        c1 = sum_c1(recipe.base.c1, _regroup(recipe, signs), recipe.torus_table)
+        c1 = sum_c1(recipe.base.c1, with_signs(recipe, signs).gluings, recipe.torus_table)
         report = divisibility_bounds(c1, summed.pairing, duals)
         if not report.exact or report.lower != p:
             raise MathematicalInconsistencyError(

@@ -149,9 +149,9 @@ def _require_valid(recipe: SumRecipe) -> None:
         raise RecipeError("; ".join(violations))
 
 
-def _resolve(tori: "Mapping[str, EmbeddedTorus] | Sequence[EmbeddedTorus]") -> dict[str, EmbeddedTorus]:
+def _resolve(tori: "Mapping[str, EmbeddedTorus] | Sequence[EmbeddedTorus]") -> Mapping[str, EmbeddedTorus]:
     if isinstance(tori, Mapping):
-        return dict(tori)
+        return tori
     return {t.label: t for t in tori}
 
 
@@ -194,10 +194,19 @@ def sum_c1(
     gluings: Sequence[Gluing],
     tori: "Mapping[str, EmbeddedTorus] | Sequence[EmbeddedTorus]",
 ) -> IntVector:
-    """First Chern class of the summed structure for the given signs."""
+    """First Chern class of the summed structure for the given signs.
+
+    Each gluing adds its net contribution -(sum of signs)*[T] in one step.
+    """
+    table = _resolve(tori)
     total = c1_base
-    for record in c1_contributions(gluings, tori):
-        total = total + record["net"]
+    for gluing in gluings:
+        torus = table[gluing.torus_label]
+        if -1 in gluing.signs and torus.kind != LAGRANGIAN:
+            raise OrientationError(
+                f"orientation not flippable on {torus.kind} torus {torus.label}"
+            )
+        total = total - sum(gluing.signs) * torus.klass
     return total
 
 

@@ -18,14 +18,9 @@ __all__ = [
     "IntVector",
     "PairingMatrix",
     "DivisibilityReport",
-    "SmithDecomposition",
     "gcd_content",
     "divisibility_bounds",
-    "smith_normal_form",
     "rank",
-    "determinant",
-    "identity_matrix",
-    "matrix_multiply",
 ]
 
 
@@ -228,221 +223,6 @@ def divisibility_bounds(
         if p is not None:
             upper = math.gcd(upper, p)
     return DivisibilityReport(lower=lower, upper=upper, exact=(upper != 0 and lower == upper))
-
-
-# ---------------------------------------------------------------------------
-# Integer matrices: Smith normal form, rank, determinants.
-# ---------------------------------------------------------------------------
-
-Matrix = Sequence[Sequence[int]]
-
-
-def _copy_matrix(matrix: Matrix) -> list[list[int]]:
-    rows = [list(map(int, row)) for row in matrix]
-    if rows:
-        n = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"ragged matrix: row {i} has {len(row)} entries, expected {n}")
-    return rows
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matrix_multiply(a: Matrix, b: Matrix) -> list[list[int]]:
-    ra, rb = _copy_matrix(a), _copy_matrix(b)
-    if ra and rb and len(ra[0]) != len(rb):
-        raise ValueError("matrix shapes do not compose")
-    cols = len(rb[0]) if rb else 0
-    return [
-        [sum(ra[i][k] * rb[k][j] for k in range(len(rb))) for j in range(cols)]
-        for i in range(len(ra))
-    ]
-
-
-def determinant(matrix: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    rows = _copy_matrix(matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """D = left * M * right with unimodular transforms and d1 | d2 | ..."""
-
-    diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
-    shape: tuple[int, int]
-
-    def diagonal_matrix(self) -> list[list[int]]:
-        m, n = self.shape
-        out = [[0] * n for _ in range(m)]
-        for i, d in enumerate(self.diagonal):
-            out[i][i] = d
-        return out
-
-
-def smith_normal_form(matrix: Matrix) -> SmithDecomposition:
-    """Diagonalize an integer matrix by unimodular row and column moves.
-
-    Returns diagonal factors (nonnegative, each dividing the next) along
-    with the left and right transforms, so callers can verify the
-    identity D = U * M * V and |det U| = |det V| = 1 directly.
-    """
-    rows = _copy_matrix(matrix)
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    left = identity_matrix(m)
-    right = identity_matrix(n)
-
-    def row_op(dst: int, src: int, z: int) -> None:
-        for j in range(n):
-            rows[dst][j] += z * rows[src][j]
-        for j in range(m):
-            left[dst][j] += z * left[src][j]
-
-    def col_op(dst: int, src: int, z: int) -> None:
-        for i in range(m):
-            rows[i][dst] += z * rows[i][src]
-        for i in range(n):
-            right[i][dst] += z * right[i][src]
-
-    def row_swap(i1: int, i2: int) -> None:
-        rows[i1], rows[i2] = rows[i2], rows[i1]
-        left[i1], left[i2] = left[i2], left[i1]
-
-    def col_swap(j1: int, j2: int) -> None:
-        for row in rows:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in right:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def row_negate(i: int) -> None:
-        rows[i] = [-x for x in rows[i]]
-        left[i] = [-x for x in left[i]]
-
-    def gcd_row_op(pivot: int, other: int, col: int) -> None:
-        # 2x2 unimodular transform turning rows (pivot, other) so that
-        # entry (other, col) vanishes and (pivot, col) becomes the gcd.
-        a, b = rows[pivot][col], rows[other][col]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            row_op(other, pivot, -(b // a))
-            return
-        g = math.gcd(a, b)
-        x, y = _bezout(a, b)
-        p, q = -(b // g), a // g
-        for j in range(n):
-            ra, rb = rows[pivot][j], rows[other][j]
-            rows[pivot][j] = x * ra + y * rb
-            rows[other][j] = p * ra + q * rb
-        for j in range(m):
-            la, lb = left[pivot][j], left[other][j]
-            left[pivot][j] = x * la + y * lb
-            left[other][j] = p * la + q * lb
-
-    def gcd_col_op(pivot: int, other: int, row_i: int) -> None:
-        a, b = rows[row_i][pivot], rows[row_i][other]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            col_op(other, pivot, -(b // a))
-            return
-        g = math.gcd(a, b)
-        x, y = _bezout(a, b)
-        p, q = -(b // g), a // g
-        for i in range(m):
-            ca, cb = rows[i][pivot], rows[i][other]
-            rows[i][pivot] = x * ca + y * cb
-            rows[i][other] = p * ca + q * cb
-        for i in range(n):
-            ca, cb = right[i][pivot], right[i][other]
-            right[i][pivot] = x * ca + y * cb
-            right[i][other] = p * ca + q * cb
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(rows[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        while True:
-            for i in range(t + 1, m):
-                gcd_row_op(t, i, t)
-            for j in range(t + 1, n):
-                gcd_col_op(t, j, t)
-            if any(rows[i][t] for i in range(t + 1, m)):
-                continue
-            # Column and row at t are clear; enforce the divisibility chain.
-            d = rows[t][t]
-            offender = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if rows[i][j] % d
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            row_op(t, offender[0], 1)
-        if rows[t][t] < 0:
-            row_negate(t)
-        t += 1
-
-    diag = tuple(rows[i][i] for i in range(min(m, n)))
-    return SmithDecomposition(
-        diagonal=diag,
-        left=tuple(tuple(r) for r in left),
-        right=tuple(tuple(r) for r in right),
-        shape=(m, n),
-    )
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """x, y with x*a + y*b = gcd(a, b) >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y = -x, -y
-    return x, y
 
 
 def rank(vectors: Sequence["IntVector | Sequence[int]"]) -> int:

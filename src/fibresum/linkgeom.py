@@ -32,7 +32,6 @@ __all__ = [
     "AUXILIARY",
     "PolygonalCurve",
     "PolygonalLink",
-    "H1Coordinates",
     "linking_number_crossings",
     "linking_number_gauss",
     "linking_number_verified",
@@ -210,13 +209,6 @@ class PolygonalLink:
 
     def surgery_components(self) -> list[PolygonalCurve]:
         return [c for c, r in zip(self.components, self.roles) if r == SURGERY]
-
-
-@dataclass(frozen=True)
-class H1Coordinates:
-    """Coordinates of a loop against the meridian basis of a surgery link."""
-
-    coords: IntVector
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +427,7 @@ def linking_number_verified(
 # ---------------------------------------------------------------------------
 
 
-def h1_coordinates(loop: PolygonalCurve, link: PolygonalLink, *, seed: int = 0) -> H1Coordinates:
+def h1_coordinates(loop: PolygonalCurve, link: PolygonalLink, *, seed: int = 0) -> IntVector:
     """Coordinates of a loop in the basis of meridians of the surgery components.
 
     The coordinate against component i is the linking number of the loop
@@ -445,7 +437,7 @@ def h1_coordinates(loop: PolygonalCurve, link: PolygonalLink, *, seed: int = 0) 
         linking_number_crossings(loop, comp, seed=seed)
         for comp in link.surgery_components()
     ]
-    return H1Coordinates(IntVector(tuple(coords)))
+    return IntVector(tuple(coords))
 
 
 def derive_torus_relation(link: PolygonalLink, axis: PolygonalCurve, *, seed: int = 0) -> IntVector:
@@ -453,7 +445,7 @@ def derive_torus_relation(link: PolygonalLink, axis: PolygonalCurve, *, seed: in
     coordinate torus classes of a 3-component surgery presentation."""
     if len(link.surgery_components()) != 3:
         raise ValueError("torus relation requires a 3-component surgery presentation")
-    return h1_coordinates(axis, link, seed=seed).coords
+    return h1_coordinates(axis, link, seed=seed)
 
 
 # ---------------------------------------------------------------------------

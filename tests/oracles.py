@@ -2,15 +2,15 @@
 
 None of these share code with the package routines they check: the
 linking oracle is direct quadrature of the double line integral, the
-Smith-form oracle is brute-force search over small unimodular
-transforms, and the intersection-pairing oracle multiplies differential
-forms on the four-torus.
+rank oracle is Gauss-Jordan elimination over the rationals (the package
+eliminates fraction-free over the integers), and the intersection-pairing
+oracle multiplies differential forms on the four-torus.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from fractions import Fraction
 
 
 def quadrature_linking(curve_a, curve_b, samples: int = 48) -> float:
@@ -47,44 +47,22 @@ def quadrature_linking(curve_a, curve_b, samples: int = 48) -> float:
     return total / (4.0 * math.pi)
 
 
-def _unimodular_2x2(bound: int):
-    for a, b, c, d in product(range(-bound, bound + 1), repeat=4):
-        if abs(a * d - b * c) == 1:
-            yield ((a, b), (c, d))
-
-
-def _mul_2x2(x, y):
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-    )
-
-
-def brute_force_smith_diagonal_2x2(matrix, bound: int = 2):
-    """Smallest diagonal form reachable by small unimodular transforms.
-
-    Searches U * M * V over unimodular integer matrices with entries in
-    [-bound, bound] for diagonal results with nonnegative entries in a
-    divisibility chain, and returns the lexicographically smallest one.
-    """
-    m = tuple(tuple(int(x) for x in row) for row in matrix)
-    best = None
-    candidates = list(_unimodular_2x2(bound))
-    for u in candidates:
-        um = _mul_2x2(u, m)
-        for v in candidates:
-            r = _mul_2x2(um, v)
-            if r[0][1] or r[1][0]:
-                continue
-            d1, d2 = r[0][0], r[1][1]
-            if d1 < 0 or d2 < 0:
-                continue
-            if d1 == 0 and d2 != 0:
-                continue
-            if d1 != 0 and d2 % d1:
-                continue
-            if best is None or (d1, d2) < best:
-                best = (d1, d2)
-    return best
+def fraction_rank(matrix) -> int:
+    """Rank over the rationals by Gauss-Jordan elimination on Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 # Intersection pairing on the four-torus via products of 2-forms. A

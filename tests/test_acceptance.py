@@ -169,7 +169,7 @@ def test_criterion_5_linking_oracle_equivalence():
             for j in range(i + 1, 3):
                 assert linking_number_crossings(rings.components[i], rings.components[j]) == 0
         axis = borromean_axis()
-        assert h1_coordinates(axis, rings).coords.coords == (1, 1, 1)
+        assert h1_coordinates(axis, rings).coords == (1, 1, 1)
         assert derive_torus_relation(rings, axis).coords == (1, 1, 1)
         checked = 0
         for a, b, expected in _perturbed_configurations(seed=20240117, count=100):

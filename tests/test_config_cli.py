@@ -360,3 +360,38 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "overall" in proc.stdout
+
+
+def test_linking_error_keeps_finished_tasks_in_report(tmp_path, capsys):
+    # Two unit squares 1e-8 apart: embedded, but too close for the
+    # floating-point Gauss integral, so the linking task fails.
+    (tmp_path / "close.lnk").write_text(
+        "0 0 0\n1 0 0\n1 1 0\n0 1 0\n\n"
+        "0 0 1/100000000\n1 0 1/100000000\n1 1 1/100000000\n0 1 1/100000000\n"
+    )
+    (tmp_path / "close.cfg").write_text(
+        "output = machine\n\n[task solve]\nprimes = 3\n\n[task linking]\nlink = close.lnk\n"
+    )
+    assert main(["run", "--config", str(tmp_path / "close.cfg")]) == 2
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert [t["task"] for t in doc["tasks"]] == ["solve", "enumerate"]
+    assert "3" in doc["divisibilities"]
+    assert len(doc["errors"]) == 1
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cap", "0"], "cap must be positive"),
+        (["--seed", "-1"], "seed must be nonnegative"),
+    ],
+)
+def test_cli_flags_follow_config_rules(flags, message, capsys):
+    assert main(["solve", "--primes", "3"] + flags) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert main(["run", "--config", "corollary15.cfg"] + flags) == 2
+    assert message in capsys.readouterr().err

@@ -282,6 +282,11 @@ def test_sign_locality_and_permutation_invariance():
         flipped = list(signs)
         flipped[pick] = -flipped[pick]
         base_c1 = sum_c1(recipe.base.c1, recipe.gluings, table)
+        # The two-step trace is an independent path to the same class.
+        traced = recipe.base.c1
+        for record in c1_contributions(recipe.gluings, table):
+            traced = traced + record["net"]
+        assert base_c1 == traced
         new_c1 = sum_c1(recipe.base.c1, with_signs(recipe, flipped).gluings, table)
         delta = (signs[pick] - flipped[pick]) * table[labels_flat[pick]].klass
         assert new_c1 == base_c1 + delta

@@ -64,7 +64,7 @@ def test_axis_links_each_component_once():
     axis = borromean_axis()
     for comp in rings.components:
         assert linking_number_verified(axis, comp) == 1
-    assert h1_coordinates(axis, rings).coords.coords == (1, 1, 1)
+    assert h1_coordinates(axis, rings).coords == (1, 1, 1)
 
 
 def test_symmetry_and_orientation_reversal():
@@ -104,13 +104,13 @@ def test_meridians_give_standard_basis_vectors():
     for i in range(3):
         coords = h1_coordinates(borromean_meridian(i), rings).coords
         expected = tuple(1 if j == i else 0 for j in range(3))
-        assert coords.coords == expected
+        assert coords == expected
 
 
 def test_far_loop_has_zero_coordinates():
     rings = borromean_rings()
     loop = square_loop((30, 30, 30))
-    assert h1_coordinates(loop, rings).coords.coords == (0, 0, 0)
+    assert h1_coordinates(loop, rings).coords == (0, 0, 0)
 
 
 def test_torus_relation_from_builtin_data():
