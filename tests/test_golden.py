@@ -20,6 +20,16 @@ CASES = {
     "mcmullen_taubes.json": ["run", "--config", "mcmullen_taubes.cfg"],
     "solve35.json": ["run", "--config", "solve35.cfg"],
     "borromean_linking.json": ["linking", "--link", "borromean.lnk", "--axis", "axis.lnk"],
+    # Seeded refinements with perturbed rational vertices, so the exact
+    # geometry works with large denominators.
+    "borromean16_linking.json": [
+        "linking",
+        "--link",
+        str(GOLDEN / "borromean16.lnk"),
+        "--axis",
+        str(GOLDEN / "borromean16-axis.lnk"),
+    ],
+    "hopf32_linking.json": ["linking", "--link", str(GOLDEN / "hopf32.lnk")],
 }
 
 
