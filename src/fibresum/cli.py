@@ -129,17 +129,14 @@ def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) ->
     except (ValueError, FibresumError) as exc:
         raise ConfigError(f"bad link file {task.link}: {exc}", path=config.path) from None
     components = link.surgery_components()
-    matrix = [
-        [
-            0
-            if i == j
-            else linkgeom.linking_number_verified(a, b, seed=config.seed)
-            for j, b in enumerate(components)
-        ]
-        for i, a in enumerate(components)
-    ]
+    # Linking numbers are symmetric: compute each pair once and mirror it.
+    matrix = [[0] * len(components) for _ in components]
+    for i in range(len(components)):
+        for j in range(i + 1, len(components)):
+            matrix[i][j] = matrix[j][i] = linkgeom.linking_number_verified(
+                components[i], components[j], seed=config.seed
+            )
     axis_coords = None
-    relation = None
     if task.axis is not None:
         axis_path = config.resolve_file(task.axis)
         try:
@@ -150,9 +147,9 @@ def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) ->
             linkgeom.linking_number_verified(axis, comp, seed=config.seed)
             for comp in components
         ]
-        if len(components) == 3:
-            relation = list(linkgeom.derive_torus_relation(link, axis, seed=config.seed))
-    report.add_linking(Path(task.link).name, matrix, axis_coords, relation)
+    report.add_linking(Path(task.link).name, matrix, axis_coords)
+    if axis_coords is not None and len(components) == 3:
+        report.add_relation(linkgeom.torus_relation(matrix, axis_coords))
     report.add_check("linking: crossing count agrees with Gauss integral", "pass")
 
 

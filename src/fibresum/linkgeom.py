@@ -1,12 +1,20 @@
 """Polygonal links in 3-space and their linking numbers.
 
 Curves carry exact rational vertices, so embeddedness and disjointness
-are decided exactly. Linking numbers come from two independent routes:
-a signed-crossing count in a generic projection (exact integer output)
-and the Gauss linking integral evaluated as a sum of segment-pair solid
-angles (floating point). The two must agree to 1e-6; disagreement means
-a bug, never a rounding issue, because the solid-angle formula is exact
-up to floating summation error.
+are decided exactly. Each curve also keeps its vertices multiplied by
+the lcm of their denominators, as integers, and a pair of curves is
+compared at the lcm of the two scales. Distances, orientations and
+crossing parameters are then plain integer arithmetic: on integer input
+these predicates are exact without adaptive precision (Shewchuk 1997,
+Discrete Comput. Geom. 18).
+
+Linking numbers come from two independent routes: a signed-crossing
+count in a generic projection (exact integer output) and the Gauss
+linking integral evaluated as a sum of segment-pair solid angles
+(floating point, from the rational vertices; Klenin & Langowski 2000,
+Biopolymers 54). The two must agree to 1e-6; disagreement means a bug,
+never a rounding issue, because the solid-angle formula is exact up to
+floating summation error.
 
 Crossing sign convention: at a projected crossing the sign is the
 orientation of the 2-frame (over-strand tangent, under-strand tangent)
@@ -36,6 +44,7 @@ __all__ = [
     "linking_number_gauss",
     "linking_number_verified",
     "h1_coordinates",
+    "torus_relation",
     "derive_torus_relation",
     "borromean_rings",
     "borromean_axis",
@@ -53,6 +62,9 @@ SURGERY = "surgery"
 AUXILIARY = "auxiliary"
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
+Point = tuple[int, int, int]
+# Start, direction, and the low and high corners of the bounding box.
+_Segment = tuple[Point, Point, Point, Point]
 
 MAX_DIRECTION_ATTEMPTS = 64
 GAUSS_MIN_SEPARATION = 1e-6
@@ -64,19 +76,15 @@ def _vec(p: Sequence) -> Vec3:
     return (Fraction(p[0]), Fraction(p[1]), Fraction(p[2]))
 
 
-def _sub(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 def _add(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def _dot(a: Vec3, b: Vec3) -> Fraction:
+def _dot(a: Point, b: Point) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a: Vec3, b: Vec3) -> Vec3:
+def _cross(a: Point, b: Point) -> Point:
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -84,46 +92,107 @@ def _cross(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-def _is_zero(a: Vec3) -> bool:
+def _is_zero(a: Point) -> bool:
     return a[0] == 0 and a[1] == 0 and a[2] == 0
 
 
-def _segment_distance_squared(p0: Vec3, p1: Vec3, q0: Vec3, q1: Vec3) -> Fraction:
-    """Exact squared distance between two closed segments."""
-    d1 = _sub(p1, p0)
-    d2 = _sub(q1, q0)
-    w = _sub(p0, q0)
-    a = _dot(d1, d1)
-    b = _dot(d1, d2)
-    c = _dot(d2, d2)
-    d = _dot(d1, w)
-    e = _dot(d2, w)
+# ---------------------------------------------------------------------------
+# Exact separation on integer coordinates.
+# ---------------------------------------------------------------------------
 
-    def value(s: Fraction, t: Fraction) -> Fraction:
-        diff = (
-            w[0] + s * d1[0] - t * d2[0],
-            w[1] + s * d1[1] - t * d2[1],
-            w[2] + s * d1[2] - t * d2[2],
+
+def _segments(points: Sequence[Point]) -> list[_Segment]:
+    """The edges of the closed polygon through `points`, in order."""
+    out = []
+    n = len(points)
+    for i in range(n):
+        p, q = points[i], points[(i + 1) % n]
+        out.append(
+            (
+                p,
+                (q[0] - p[0], q[1] - p[1], q[2] - p[2]),
+                (min(p[0], q[0]), min(p[1], q[1]), min(p[2], q[2])),
+                (max(p[0], q[0]), max(p[1], q[1]), max(p[2], q[2])),
+            )
         )
-        return _dot(diff, diff)
+    return out
 
-    def clamp(x: Fraction) -> Fraction:
-        return Fraction(0) if x < 0 else (Fraction(1) if x > 1 else x)
 
-    candidates: list[tuple[Fraction, Fraction]] = []
+def _distance_at(w: Point, d1: Point, d2: Point, den: int, sn: int, tn: int) -> int:
+    """den^2 times the squared length of w + s*d1 - t*d2 at s = sn/den, t = tn/den."""
+    x = den * w[0] + sn * d1[0] - tn * d2[0]
+    y = den * w[1] + sn * d1[1] - tn * d2[1]
+    z = den * w[2] + sn * d1[2] - tn * d2[2]
+    return x * x + y * y + z * z
+
+
+def _clamp(x: int, high: int) -> int:
+    return 0 if x < 0 else (high if x > high else x)
+
+
+def _segment_distance_squared(p0: Point, d1: Point, q0: Point, d2: Point) -> tuple[int, int]:
+    """Exact squared distance between the segments p0 + s*d1 and q0 + t*d2,
+    s and t in [0, 1], as (numerator, denominator).
+
+    The candidates are the unconstrained minimum and the minimum along
+    each of the four sides of the parameter square; with s = sn/D and
+    t = tn/D the value is |D*w + sn*d1 - tn*d2|^2 / D^2. The squared
+    distance is convex in (s, t), so an unconstrained minimum inside the
+    square is the answer on its own. Both directions must be nonzero.
+    """
+    w = (p0[0] - q0[0], p0[1] - q0[1], p0[2] - q0[2])
+    a = d1[0] * d1[0] + d1[1] * d1[1] + d1[2] * d1[2]
+    b = d1[0] * d2[0] + d1[1] * d2[1] + d1[2] * d2[2]
+    c = d2[0] * d2[0] + d2[1] * d2[1] + d2[2] * d2[2]
+    d = d1[0] * w[0] + d1[1] * w[1] + d1[2] * w[2]
+    e = d2[0] * w[0] + d2[1] * w[1] + d2[2] * w[2]
     denom = a * c - b * b
-    if denom != 0:
-        s = (b * e - c * d) / denom
-        t = (a * e - b * d) / denom
-        if 0 <= s <= 1 and 0 <= t <= 1:
-            candidates.append((s, t))
-    for s_end in (Fraction(0), Fraction(1)):
-        t = clamp((e + s_end * b) / c) if c else Fraction(0)
-        candidates.append((s_end, t))
-    for t_end in (Fraction(0), Fraction(1)):
-        s = clamp((t_end * b - d) / a) if a else Fraction(0)
-        candidates.append((s, t_end))
-    return min(value(s, t) for s, t in candidates)
+    if denom:
+        sn = b * e - c * d
+        tn = a * e - b * d
+        if 0 <= sn <= denom and 0 <= tn <= denom:
+            return _distance_at(w, d1, d2, denom, sn, tn), denom * denom
+    # Sides s = 0 and s = 1 share the denominator c, sides t = 0 and
+    # t = 1 share a; the two winners are compared by cross-multiplication.
+    on_s = min(
+        _distance_at(w, d1, d2, c, 0, _clamp(e, c)),
+        _distance_at(w, d1, d2, c, c, _clamp(e + b, c)),
+    )
+    on_t = min(
+        _distance_at(w, d1, d2, a, _clamp(-d, a), 0),
+        _distance_at(w, d1, d2, a, _clamp(b - d, a), a),
+    )
+    if on_s * a * a <= on_t * c * c:
+        return on_s, c * c
+    return on_t, a * a
+
+
+def _closest(pairs: Iterable[tuple[int, _Segment, int, _Segment]]) -> tuple[int, int, Optional[tuple[int, int]]]:
+    """Exact minimum squared distance over indexed segment pairs, as
+    (numerator, denominator); numerator -1 when there are no pairs.
+
+    Stops at the first pair that touches and returns its indices as the
+    third item, else None. A pair whose bounding boxes are already at
+    least the best distance apart is skipped: the box gap bounds the
+    segment distance from below.
+    """
+    best_n, best_d = -1, 1
+    for i, sa, j, sb in pairs:
+        if best_n > 0:
+            lo_a, hi_a, lo_b, hi_b = sa[2], sa[3], sb[2], sb[3]
+            gap = 0
+            for k in (0, 1, 2):
+                g = max(lo_b[k] - hi_a[k], lo_a[k] - hi_b[k])
+                if g > 0:
+                    gap += g * g
+            if gap * best_d >= best_n:
+                continue
+        n, d = _segment_distance_squared(sa[0], sa[1], sb[0], sb[1])
+        if best_n < 0 or n * best_d < best_n * d:
+            if n == 0:
+                return 0, 1, (i, j)
+            best_n, best_d = n, d
+    return best_n, best_d, None
 
 
 @dataclass(frozen=True)
@@ -138,28 +207,37 @@ class PolygonalCurve:
         n = len(verts)
         if n < 3:
             raise EmbeddingError("a closed polygonal curve needs at least 3 vertices")
+        scale = math.lcm(*(x.denominator for v in verts for x in v))
+        points = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts
+        )
+        # The integer kernel's view of the vertices: `_points` is `_scale`
+        # times `vertices`.
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_points", points)
         for i in range(n):
-            if verts[i] == verts[(i + 1) % n]:
+            if points[i] == points[(i + 1) % n]:
                 raise EmbeddingError(f"consecutive vertices {i} and {(i + 1) % n} coincide")
         self._check_embedded()
 
     def _check_embedded(self) -> None:
-        segs = self.segments()
+        segs = _segments(self._points)
         n = len(segs)
         for i in range(n):
             # Adjacent segments share a vertex; reject only a backtrack
             # along the same line, which would self-overlap.
             j = (i + 1) % n
-            u = _sub(segs[i][1], segs[i][0])
-            v = _sub(segs[j][1], segs[j][0])
+            u, v = segs[i][1], segs[j][1]
             if _is_zero(_cross(u, v)) and _dot(u, v) < 0:
                 raise EmbeddingError(f"segments {i} and {j} backtrack along a common line")
-        for i in range(n):
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue
-                if _segment_distance_squared(*segs[i], *segs[j]) == 0:
-                    raise EmbeddingError(f"segments {i} and {j} intersect")
+        touching = _closest(
+            (i, segs[i], j, segs[j])
+            for i in range(n)
+            for j in range(i + 2, n)
+            if not (i == 0 and j == n - 1)
+        )[2]
+        if touching is not None:
+            raise EmbeddingError(f"segments {touching[0]} and {touching[1]} intersect")
 
     def segments(self) -> list[tuple[Vec3, Vec3]]:
         verts = self.vertices
@@ -173,17 +251,35 @@ class PolygonalCurve:
         return PolygonalCurve(tuple(_add(v, off) for v in self.vertices))
 
 
-def _curves_distance_squared(a: PolygonalCurve, b: PolygonalCurve) -> Fraction:
-    return min(
-        _segment_distance_squared(*sa, *sb)
-        for sa in a.segments()
-        for sb in b.segments()
+def _common_points(a: PolygonalCurve, b: PolygonalCurve) -> tuple[tuple[Point, ...], tuple[Point, ...], int]:
+    """Both curves' vertices as integers at the lcm of their scales."""
+    scale = math.lcm(a._scale, b._scale)
+
+    def rescaled(curve: PolygonalCurve) -> tuple[Point, ...]:
+        f = scale // curve._scale
+        if f == 1:
+            return curve._points
+        return tuple((p[0] * f, p[1] * f, p[2] * f) for p in curve._points)
+
+    return rescaled(a), rescaled(b), scale
+
+
+def _separation_squared(a: PolygonalCurve, b: PolygonalCurve) -> tuple[int, int]:
+    """Exact squared distance between two curves, as (numerator, denominator)."""
+    pa, pb, scale = _common_points(a, b)
+    segs_b = list(enumerate(_segments(pb)))
+    num, den, _ = _closest(
+        (i, sa, j, sb) for i, sa in enumerate(_segments(pa)) for j, sb in segs_b
     )
+    return num, den * scale * scale
 
 
-def _require_disjoint(a: PolygonalCurve, b: PolygonalCurve) -> None:
-    if _curves_distance_squared(a, b) == 0:
+def _require_disjoint(a: PolygonalCurve, b: PolygonalCurve) -> tuple[int, int]:
+    """The exact squared separation of two curves; raises if they touch."""
+    num, den = _separation_squared(a, b)
+    if num == 0:
         raise EmbeddingError("link not embedded")
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -228,70 +324,70 @@ def _direction_stream(seed: int) -> Iterable[tuple[int, int, int]]:
             yield d
 
 
-def _projection_frame(d: tuple[int, int, int]) -> tuple[Vec3, Vec3]:
-    dv = _vec(d)
+def _projection_frame(d: tuple[int, int, int]) -> tuple[Point, Point]:
     for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        u = _cross(dv, _vec(axis))
+        u = _cross(d, axis)
         if not _is_zero(u):
-            w = _cross(dv, u)
-            return u, w
+            return u, _cross(d, u)
     raise ValueError("projection direction is zero")
 
 
+def _projected_segments(points: Sequence[Point], u: Point, w: Point, d: Point) -> list[tuple[int, ...]]:
+    """Per edge: projected start, projected direction, start height and
+    height change, in the frame (u, w) and along d."""
+    proj = [(_dot(p, u), _dot(p, w), _dot(p, d)) for p in points]
+    n = len(proj)
+    out = []
+    for i in range(n):
+        x0, y0, h0 = proj[i]
+        x1, y1, h1 = proj[(i + 1) % n]
+        out.append((x0, y0, x1 - x0, y1 - y0, h0, h1 - h0))
+    return out
+
+
 def _signed_crossing_total(a: PolygonalCurve, b: PolygonalCurve, d: tuple[int, int, int]) -> int:
-    dv = _vec(d)
     for curve in (a, b):
-        for p, q in curve.segments():
-            if _is_zero(_cross(_sub(q, p), dv)):
+        for seg in _segments(curve._points):
+            if _is_zero(_cross(seg[1], d)):
                 raise _Degenerate("segment parallel to projection direction")
+    pa, pb, _ = _common_points(a, b)
     u, w = _projection_frame(d)
-
-    def project(p: Vec3) -> tuple[Fraction, Fraction]:
-        return (_dot(p, u), _dot(p, w))
-
-    def height(p: Vec3) -> Fraction:
-        return _dot(p, dv)
-
-    def cross2(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> Fraction:
-        return p[0] * q[1] - p[1] * q[0]
-
+    segs_b = _projected_segments(pb, u, w, d)
     total = 0
-    for p0, p1 in a.segments():
-        a0, a1 = project(p0), project(p1)
-        da = (a1[0] - a0[0], a1[1] - a0[1])
-        ha0, ha1 = height(p0), height(p1)
-        for q0, q1 in b.segments():
-            b0, b1 = project(q0), project(q1)
-            db = (b1[0] - b0[0], b1[1] - b0[1])
-            denom = cross2(da, db)
-            offset = (b0[0] - a0[0], b0[1] - a0[1])
+    for ax, ay, dax, day, ha, dha in _projected_segments(pa, u, w, d):
+        for bx, by, dbx, dby, hb, dhb in segs_b:
+            denom = dax * dby - day * dbx
+            ox, oy = bx - ax, by - ay
             if denom == 0:
                 # Parallel projections never cross transversally; they are
                 # degenerate only when they share a line and the intervals
                 # on it meet (segments on a common spatial line project
                 # collinearly in every direction, so this must not retry).
-                if cross2(da, offset) == 0:
-                    t_b0 = da[0] * offset[0] + da[1] * offset[1]
-                    t_b1 = t_b0 + da[0] * db[0] + da[1] * db[1]
-                    a_span = da[0] * da[0] + da[1] * da[1]
+                if dax * oy - day * ox == 0:
+                    t_b0 = dax * ox + day * oy
+                    t_b1 = t_b0 + dax * dbx + day * dby
+                    a_span = dax * dax + day * day
                     if max(t_b0, t_b1) >= 0 and min(t_b0, t_b1) <= a_span:
                         raise _Degenerate("projected segments overlap on a line")
                 continue
-            t = cross2(offset, db) / denom
-            s = cross2(offset, da) / denom
-            if t <= 0 or t >= 1 or s <= 0 or s >= 1:
-                if 0 <= t <= 1 and 0 <= s <= 1:
+            # The crossing sits at t = tn/denom along a and s = sn/denom
+            # along b; compare with the denominator made positive.
+            tn = ox * dby - oy * dbx
+            sn = ox * day - oy * dax
+            m = denom
+            if m < 0:
+                m, tn, sn = -m, -tn, -sn
+            if tn <= 0 or tn >= m or sn <= 0 or sn >= m:
+                if 0 <= tn <= m and 0 <= sn <= m:
                     raise _Degenerate("projected crossing at a vertex")
                 continue
-            h_a = ha0 + t * (ha1 - ha0)
-            h_b = height(q0) + s * (height(q1) - height(q0))
+            # Heights at the crossing, times m.
+            h_a = ha * m + tn * dha
+            h_b = hb * m + sn * dhb
             if h_a == h_b:
                 raise EmbeddingError("link not embedded")
-            if h_a > h_b:
-                sign_val = cross2(da, db)
-            else:
-                sign_val = cross2(db, da)
-            total += 1 if sign_val > 0 else -1
+            # The over-strand's tangent comes first in the 2-frame.
+            total += 1 if (denom > 0) == (h_a > h_b) else -1
     if total % 2:
         raise _Degenerate("odd signed crossing total")
     return total
@@ -385,9 +481,8 @@ def linking_number_gauss(
     passes the separation guard; near-touching curves are rejected as
     ill-conditioned rather than returning an untrustworthy value.
     """
-    _require_disjoint(a, b)
-    dist2 = _curves_distance_squared(a, b)
-    if float(dist2) < min_separation * min_separation:
+    num, den = _require_disjoint(a, b)
+    if num / den < min_separation * min_separation:
         raise IllConditionedError(
             f"ill-conditioned: curve separation below {min_separation}"
         )
@@ -440,12 +535,35 @@ def h1_coordinates(loop: PolygonalCurve, link: PolygonalLink, *, seed: int = 0) 
     return IntVector(tuple(coords))
 
 
+def torus_relation(matrix: Sequence[Sequence[int]], axis_coords: Sequence[int]) -> IntVector:
+    """The torus relation read off the surgery components' pairwise
+    linking matrix and the axis's linking numbers with them.
+
+    The axis coordinates are coefficients in the basis of meridians only
+    when the meridians form a basis of H1 of the 0-surgery, which is
+    H1 = Z^3 modulo the linking matrix: so the matrix must vanish.
+    """
+    if len(matrix) != 3:
+        raise ValueError("torus relation requires a 3-component surgery presentation")
+    if any(v for row in matrix for v in row):
+        raise ValueError(
+            "torus relation undefined: the surgery components link each other, "
+            "so their meridians are not a basis of H1 of the 0-surgery"
+        )
+    return IntVector(tuple(axis_coords))
+
+
 def derive_torus_relation(link: PolygonalLink, axis: PolygonalCurve, *, seed: int = 0) -> IntVector:
     """Coefficients of the axis torus class in the basis of the three
     coordinate torus classes of a 3-component surgery presentation."""
-    if len(link.surgery_components()) != 3:
+    comps = link.surgery_components()
+    if len(comps) != 3:
         raise ValueError("torus relation requires a 3-component surgery presentation")
-    return h1_coordinates(axis, link, seed=seed)
+    matrix = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            matrix[i][j] = matrix[j][i] = linking_number_crossings(comps[i], comps[j], seed=seed)
+    return torus_relation(matrix, h1_coordinates(axis, link, seed=seed).coords)
 
 
 # ---------------------------------------------------------------------------

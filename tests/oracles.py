@@ -2,7 +2,9 @@
 
 None of these share code with the package routines they check: the
 linking oracle is direct quadrature of the double line integral, the
-rank oracle is Gauss-Jordan elimination over the rationals (the package
+segment-distance and crossing oracles redo the package's exact geometry
+on Fractions straight from the rational vertices (the package clears
+denominators and works on integers), the rank oracle is Gauss-Jordan elimination over the rationals (the package
 eliminates fraction-free over the integers), and the intersection-pairing
 oracle multiplies differential forms on the four-torus.
 """
@@ -45,6 +47,147 @@ def quadrature_linking(curve_a, curve_b, samples: int = 48) -> float:
                         samples * samples
                     )
     return total / (4.0 * math.pi)
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _edges(vertices):
+    return [(vertices[i], vertices[(i + 1) % len(vertices)]) for i in range(len(vertices))]
+
+
+def fraction_segment_distance_squared(p0, p1, q0, q1) -> Fraction:
+    """Exact squared distance between two closed segments: the least of the
+    unconstrained minimum (when inside the parameter square) and the
+    clamped minima along the four sides."""
+    p0, p1, q0, q1 = (tuple(Fraction(x) for x in v) for v in (p0, p1, q0, q1))
+    d1 = _sub(p1, p0)
+    d2 = _sub(q1, q0)
+    w = _sub(p0, q0)
+    a = _dot(d1, d1)
+    b = _dot(d1, d2)
+    c = _dot(d2, d2)
+    d = _dot(d1, w)
+    e = _dot(d2, w)
+
+    def value(s, t):
+        diff = tuple(w[k] + s * d1[k] - t * d2[k] for k in range(3))
+        return _dot(diff, diff)
+
+    def clamp(x):
+        return Fraction(0) if x < 0 else (Fraction(1) if x > 1 else x)
+
+    candidates = []
+    denom = a * c - b * b
+    if denom != 0:
+        s = (b * e - c * d) / denom
+        t = (a * e - b * d) / denom
+        if 0 <= s <= 1 and 0 <= t <= 1:
+            candidates.append((s, t))
+    for s_end in (Fraction(0), Fraction(1)):
+        t = clamp((e + s_end * b) / c) if c else Fraction(0)
+        candidates.append((s_end, t))
+    for t_end in (Fraction(0), Fraction(1)):
+        s = clamp((t_end * b - d) / a) if a else Fraction(0)
+        candidates.append((s, t_end))
+    return min(value(s, t) for s, t in candidates)
+
+
+def fraction_curves_distance_squared(vertices_a, vertices_b) -> Fraction:
+    """Exact squared distance between two closed polygons, pair by pair."""
+    return min(
+        fraction_segment_distance_squared(*ea, *eb)
+        for ea in _edges(vertices_a)
+        for eb in _edges(vertices_b)
+    )
+
+
+def fraction_first_self_touch(vertices):
+    """The first pair (i, j) of non-adjacent edges of a closed polygon at
+    distance 0, in row order, or None."""
+    edges = _edges(vertices)
+    n = len(edges)
+    for i in range(n):
+        for j in range(i + 2, n):
+            if (i, j) != (0, n - 1) and fraction_segment_distance_squared(*edges[i], *edges[j]) == 0:
+                return (i, j)
+    return None
+
+
+def fraction_crossing_total(vertices_a, vertices_b, d):
+    """Signed crossing total of two closed polygons viewed along d, on
+    Fractions with divisions, or the reason the projection is unusable:
+    "segment parallel to projection direction", "projected segments
+    overlap on a line", "projected crossing at a vertex", "odd signed
+    crossing total", or "link not embedded" for two strands at one point.
+
+    The projection plane is spanned by u = d x e_k for the first unit
+    vector e_k not parallel to d, and w = d x u; at a crossing the sign
+    is the orientation of (over tangent, under tangent) in that plane.
+    """
+    va = [tuple(Fraction(x) for x in v) for v in vertices_a]
+    vb = [tuple(Fraction(x) for x in v) for v in vertices_b]
+    d = tuple(Fraction(x) for x in d)
+    for vertices in (va, vb):
+        for p, q in _edges(vertices):
+            if _cross(_sub(q, p), d) == (0, 0, 0):
+                return "segment parallel to projection direction"
+    for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        u = _cross(d, axis)
+        if u != (0, 0, 0):
+            break
+    w = _cross(d, u)
+
+    def project(p):
+        return (_dot(p, u), _dot(p, w))
+
+    def cross2(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+
+    total = 0
+    for p0, p1 in _edges(va):
+        a0, a1 = project(p0), project(p1)
+        da = (a1[0] - a0[0], a1[1] - a0[1])
+        for q0, q1 in _edges(vb):
+            b0, b1 = project(q0), project(q1)
+            db = (b1[0] - b0[0], b1[1] - b0[1])
+            denom = cross2(da, db)
+            offset = (b0[0] - a0[0], b0[1] - a0[1])
+            if denom == 0:
+                if cross2(da, offset) == 0:
+                    t_b0 = da[0] * offset[0] + da[1] * offset[1]
+                    t_b1 = t_b0 + da[0] * db[0] + da[1] * db[1]
+                    if max(t_b0, t_b1) >= 0 and min(t_b0, t_b1) <= da[0] ** 2 + da[1] ** 2:
+                        return "projected segments overlap on a line"
+                continue
+            t = cross2(offset, db) / denom
+            s = cross2(offset, da) / denom
+            if t <= 0 or t >= 1 or s <= 0 or s >= 1:
+                if 0 <= t <= 1 and 0 <= s <= 1:
+                    return "projected crossing at a vertex"
+                continue
+            h_a = _dot(p0, d) + t * (_dot(p1, d) - _dot(p0, d))
+            h_b = _dot(q0, d) + s * (_dot(q1, d) - _dot(q0, d))
+            if h_a == h_b:
+                return "link not embedded"
+            sign_val = cross2(da, db) if h_a > h_b else cross2(db, da)
+            total += 1 if sign_val > 0 else -1
+    if total % 2:
+        return "odd signed crossing total"
+    return total
 
 
 def fraction_rank(matrix) -> int:

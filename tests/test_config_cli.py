@@ -395,3 +395,66 @@ def test_cli_flags_follow_config_rules(flags, message, capsys):
     assert captured.out == ""
     assert main(["run", "--config", "corollary15.cfg"] + flags) == 2
     assert message in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_linking_computes_each_pair_once(tmp_path, monkeypatch, capsys):
+    from fibresum import linkgeom
+
+    verified = _count_calls(monkeypatch, linkgeom, "linking_number_verified")
+    crossings = _count_calls(monkeypatch, linkgeom, "linking_number_crossings")
+    scans = _count_calls(monkeypatch, linkgeom, "_separation_squared")
+    (tmp_path / "hopf.lnk").write_text(
+        "0 0 0\n2 0 0\n2 2 0\n0 2 0\n\n1 1 1\n1 3 1\n1 3 -1\n1 1 -1\n"
+    )
+    assert main(["linking", "--link", str(tmp_path / "hopf.lnk"), "--output", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["pairwise_linking"] == [
+        ["0", "1"],
+        ["1", "0"],
+    ]
+    assert len(verified) == 1
+    del verified[:], crossings[:], scans[:]
+    # Three pairs of rings, then the axis against each ring; the relation
+    # is read off those numbers, not counted again.
+    assert main(["linking", "--link", "borromean.lnk", "--axis", "axis.lnk"]) == 0
+    assert "torus relation: (1, 1, 1)" in capsys.readouterr().out
+    assert len(verified) == 6
+    assert len(crossings) == 6
+    # Disjointness of the three rings, then one scan for each count and
+    # one for each Gauss guard.
+    assert len(scans) <= 15
+
+
+def test_linking_rejects_relation_for_linked_components(tmp_path, capsys):
+    # A Hopf link plus one far square: three components, but the first two
+    # link, so the meridians are no basis and no relation may be printed.
+    (tmp_path / "hopf3.lnk").write_text(
+        "0 0 0\n2 0 0\n2 2 0\n0 2 0\n\n"
+        "1 1 1\n1 3 1\n1 3 -1\n1 1 -1\n\n"
+        "50 50 0\n52 50 0\n52 52 0\n50 52 0\n"
+    )
+    (tmp_path / "axis.lnk").write_text("-5 -5 3\n5 -5 3\n5 5 3\n-5 5 3\n")
+    argv = ["linking", "--link", str(tmp_path / "hopf3.lnk"), "--axis", str(tmp_path / "axis.lnk")]
+    assert main(argv + ["--output", "machine"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    (task,) = doc["tasks"]
+    assert "relation" not in task
+    assert task["pairwise_linking"] == [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]
+    assert len(task["axis_linking"]) == 3
+    (error,) = doc["errors"]
+    assert "meridians are not a basis" in error
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "torus relation: (" not in out
+    assert "component 0:   0   1   0" in out

@@ -24,8 +24,15 @@ from fibresum.linkgeom import (
     split_link,
     square_loop,
 )
+from fibresum import linkgeom
 from fibresum.config import bundled_path
-from oracles import quadrature_linking
+from oracles import (
+    fraction_crossing_total,
+    fraction_curves_distance_squared,
+    fraction_first_self_touch,
+    fraction_segment_distance_squared,
+    quadrature_linking,
+)
 
 
 def test_hopf_link_is_plus_one_both_ways():
@@ -277,3 +284,161 @@ def test_bundled_link_files_match_builders():
     assert rings.components == borromean_rings().components
     axis = load_link(bundled_path("axis.lnk")).components[0]
     assert axis == borromean_axis()
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction reference in tests/oracles.py.
+# ---------------------------------------------------------------------------
+
+
+def _kernel_separation(a, b):
+    num, den = linkgeom._separation_squared(a, b)
+    return Fraction(num, den)
+
+
+def _kernel_crossings(a, b, d):
+    try:
+        return linkgeom._signed_crossing_total(a, b, d)
+    except (linkgeom._Degenerate, EmbeddingError) as exc:
+        return str(exc)
+
+
+def _random_vertices(rng):
+    # A coarse half-integer grid, so vertices often land on other edges.
+    return [
+        tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(3))
+        for _ in range(rng.randint(3, 8))
+    ]
+
+
+def test_segment_distance_matches_fraction_oracle():
+    rng = random.Random(4711)
+    checked = 0
+    while checked < 2000:
+        p0, p1, q0, q1 = (tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(4))
+        if p0 == p1 or q0 == q1:
+            continue
+        d1 = tuple(x - y for x, y in zip(p1, p0))
+        d2 = tuple(x - y for x, y in zip(q1, q0))
+        num, den = linkgeom._segment_distance_squared(p0, d1, q0, d2)
+        assert Fraction(num, den) == fraction_segment_distance_squared(p0, p1, q0, q1)
+        checked += 1
+
+
+def test_kernel_matches_fraction_oracle_on_random_polygons():
+    rng = random.Random(31337)
+    curves = []
+    self_touching = 0
+    while len(curves) < 60:
+        verts = _random_vertices(rng)
+        try:
+            curves.append(PolygonalCurve(verts))
+        except EmbeddingError as exc:
+            if "intersect" in str(exc):
+                i, j = (int(x) for x in str(exc).split()[1:4:2])
+                assert fraction_first_self_touch(verts) == (i, j)
+                self_touching += 1
+            continue
+        assert fraction_first_self_touch(verts) is None
+    outcomes = set()
+    touching = 0
+    for a, b in zip(curves[::2], curves[1::2]):
+        exact = fraction_curves_distance_squared(a.vertices, b.vertices)
+        assert _kernel_separation(a, b) == exact
+        try:
+            PolygonalLink((a, b))
+        except EmbeddingError:
+            assert exact == 0
+            touching += 1
+        else:
+            assert exact > 0
+        for _ in range(4):
+            d = tuple(rng.randint(-2, 2) for _ in range(3))
+            if d == (0, 0, 0):
+                continue
+            expected = fraction_crossing_total(a.vertices, b.vertices, d)
+            assert _kernel_crossings(a, b, d) == expected
+            outcomes.add(expected if isinstance(expected, str) else "total")
+    # The corpus reaches the interesting branches, not only generic pairs.
+    assert self_touching > 0 and touching > 0
+    assert outcomes == {
+        "total",
+        "segment parallel to projection direction",
+        "projected segments overlap on a line",
+        "projected crossing at a vertex",
+        "link not embedded",
+    }
+
+
+def test_kernel_matches_oracle_on_perturbed_refinements():
+    rng = random.Random(8)
+    rings = borromean_rings()
+    axis = borromean_axis()
+    comps = [perturb_curve(c, rng, denominator=1024, amplitude=16) for c in rings.components]
+    moved_axis = perturb_curve(axis, rng, denominator=999, amplitude=16)
+    for comp in comps:
+        assert _kernel_separation(moved_axis, comp) == fraction_curves_distance_squared(
+            moved_axis.vertices, comp.vertices
+        )
+        d = (3, -7, 11)
+        assert _kernel_crossings(moved_axis, comp, d) == fraction_crossing_total(
+            moved_axis.vertices, comp.vertices, d
+        )
+
+
+SQUARE = PolygonalCurve(((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)))
+
+
+@pytest.mark.parametrize(
+    "other, touching, direction, outcome",
+    [
+        # A vertex on an edge.
+        (((1, 0, 0), (3, 0, 1), (3, 0, -1)), True, (1, 2, 3), None),
+        # Collinear overlap with the edge from (0, 0, 0) to (2, 0, 0).
+        (((1, 0, 0), (3, 0, 0), (3, 1, 1)), True, (1, 2, 3), "projected segments overlap on a line"),
+        # A vertex straight above an edge, viewed from above.
+        (((1, 0, 1), (3, -2, 2), (-1, -2, 2)), False, (0, 0, 1), "projected crossing at a vertex"),
+        # An edge parallel to the viewing direction.
+        (((1, 1, 1), (1, 3, 1), (1, 3, -1), (1, 1, -1)), False, (1, 0, 0), "segment parallel to projection direction"),
+        # Two strands through one point, seen as a crossing.
+        (((1, -1, 0), (1, 1, 0), (5, 7, 9)), True, (0, 0, 1), "link not embedded"),
+    ],
+)
+def test_kernel_matches_oracle_on_built_cases(other, touching, direction, outcome):
+    b = PolygonalCurve(other)
+    exact = fraction_curves_distance_squared(SQUARE.vertices, b.vertices)
+    assert (exact == 0) == touching
+    assert _kernel_separation(SQUARE, b) == exact
+    expected = fraction_crossing_total(SQUARE.vertices, b.vertices, direction)
+    assert _kernel_crossings(SQUARE, b, direction) == expected
+    if outcome is not None:
+        assert expected == outcome
+
+
+def test_self_touching_edges_named_like_the_oracle():
+    for verts in (
+        # The fourth vertex lies on the first edge.
+        ((0, 0, 0), (4, 0, 0), (4, 1, 0), (3, 0, 0), (3, -1, 1)),
+        # Two edges cross at their midpoints in space.
+        ((0, 0, 0), (4, 4, 2), (4, 0, 0), (0, 4, 2)),
+        # A vertex on the first edge, with its two edges on either side.
+        ((0, 0, 0), (4, 0, 0), (4, 2, 0), (2, 0, 0), (0, 2, 0)),
+    ):
+        touch = fraction_first_self_touch(verts)
+        assert touch is not None
+        with pytest.raises(EmbeddingError, match=f"segments {touch[0]} and {touch[1]} intersect"):
+            PolygonalCurve(verts)
+
+
+@pytest.mark.parametrize("micro, ill_conditioned", [(Fraction(999, 1000), True), (Fraction(1001, 1000), False)])
+def test_gauss_guard_at_the_separation_threshold(micro, ill_conditioned):
+    eps = micro / 10**6
+    b = PolygonalCurve(((1, 0, eps), (1, 1, 1), (1, -1, 1)))
+    assert _kernel_separation(SQUARE, b) == eps * eps
+    assert fraction_curves_distance_squared(SQUARE.vertices, b.vertices) == eps * eps
+    if ill_conditioned:
+        with pytest.raises(IllConditionedError, match="ill-conditioned"):
+            linking_number_gauss(SQUARE, b)
+    else:
+        assert abs(linking_number_gauss(SQUARE, b)) < 1e-6
+    assert linking_number_crossings(SQUARE, b) == 0
