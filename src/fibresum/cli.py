@@ -147,9 +147,14 @@ def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) ->
             linkgeom.linking_number_verified(axis, comp, seed=config.seed)
             for comp in components
         ]
-    report.add_linking(Path(task.link).name, matrix, axis_coords)
-    if axis_coords is not None and len(components) == 3:
-        report.add_relation(linkgeom.torus_relation(matrix, axis_coords))
+    relation = None
+    try:
+        if axis_coords is not None and len(components) == 3:
+            relation = list(linkgeom.torus_relation(matrix, axis_coords))
+    finally:
+        # The matrix and the axis numbers are reported even when the
+        # relation is rejected.
+        report.add_linking(Path(task.link).name, matrix, axis_coords, relation)
     report.add_check("linking: crossing count agrees with Gauss integral", "pass")
 
 

@@ -279,6 +279,7 @@ class ReportBuilder:
         name: str,
         matrix: list[list[int]],
         axis_coords: Optional[list[int]],
+        relation: Optional[list[int]],
     ) -> None:
         self.heading(f"linking report ({name})")
         doc: dict = {
@@ -291,12 +292,10 @@ class ReportBuilder:
         if axis_coords is not None:
             doc["axis_linking"] = [_s(v) for v in axis_coords]
             self.line(f"  axis linking: ({', '.join(str(v) for v in axis_coords)})")
+        if relation is not None:
+            doc["relation"] = [_s(v) for v in relation]
+            self.line(f"  torus relation: ({', '.join(str(v) for v in relation)})")
         self.tasks.append(doc)
-
-    def add_relation(self, relation: IntVector) -> None:
-        """Attach the torus relation to the last linking report."""
-        self.tasks[-1]["relation"] = [_s(v) for v in relation]
-        self.line(f"  torus relation: ({', '.join(str(v) for v in relation)})")
 
     # -- final documents ---------------------------------------------------
 

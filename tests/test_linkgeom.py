@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -334,9 +335,9 @@ def test_kernel_matches_fraction_oracle_on_random_polygons():
         try:
             curves.append(PolygonalCurve(verts))
         except EmbeddingError as exc:
-            if "intersect" in str(exc):
-                i, j = (int(x) for x in str(exc).split()[1:4:2])
-                assert fraction_first_self_touch(verts) == (i, j)
+            named = re.fullmatch(r"segments (\d+) and (\d+) intersect", str(exc))
+            if named:
+                assert fraction_first_self_touch(verts) == (int(named[1]), int(named[2]))
                 self_touching += 1
             continue
         assert fraction_first_self_touch(verts) is None
