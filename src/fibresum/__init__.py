@@ -18,7 +18,6 @@ from .construct import (
     check_hypotheses,
     enumerate_forms,
     mcmullen_taubes_recipe,
-    pi0_lower_bound,
     solve_signs,
 )
 from .errors import (

@@ -87,12 +87,7 @@ def _check_forms(name: str, result, manifold, recipe, report: ReportBuilder) -> 
 
 def _run_enumerate(task: EnumerateTask, config: RunConfig, report: ReportBuilder) -> None:
     recipe = config.recipes[task.recipe]
-    result = construct.enumerate_forms(
-        recipe,
-        cap=config.enumeration_cap,
-        sample=config.sample_beyond_cap,
-        seed=config.seed,
-    )
+    result = construct.enumerate_forms(recipe, cap=config.enumeration_cap)
     manifold = result.forms[0].manifold if result.forms else recipe.base
     report.add_enumeration(task.recipe, manifold, result)
     if manifold.simply_connected:
@@ -104,15 +99,10 @@ def _run_solve(task: SolveTask, config: RunConfig, report: ReportBuilder) -> Non
     report.add_solve(result)
     for p in sorted(result.assignments):
         report.add_check(f"solve: prime {p} realized with exact divisibility {p}", "pass")
-    enumeration = construct.enumerate_forms(
-        result.recipe,
-        cap=config.enumeration_cap,
-        sample=config.sample_beyond_cap,
-        seed=config.seed,
-    )
+    enumeration = construct.enumerate_forms(result.recipe, cap=config.enumeration_cap)
     report.add_enumeration(result.recipe.name, result.manifold, enumeration)
     missing = [p for p in task.primes if p not in enumeration.distinct_divisibilities]
-    if missing and not enumeration.sampled:
+    if missing:
         # Every solved assignment was verified directly, so an exhaustive
         # enumeration that misses one is a genuine contradiction.
         raise MathematicalInconsistencyError(
@@ -221,8 +211,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> None:
         config.seed = check_limit("seed", args.seed, path="--seed")
     if getattr(args, "cap", None) is not None:
         config.enumeration_cap = check_limit("cap", args.cap, path="--cap")
-    if getattr(args, "sample", False):
-        config.sample_beyond_cap = True
 
 
 def _synthetic_config(args: argparse.Namespace, tasks: list[Task]) -> RunConfig:
@@ -241,14 +229,19 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, config_required: bool)
     parser.add_argument(
         "--output", choices=("table", "machine"), default=None, help="report format"
     )
-    parser.add_argument("--seed", type=int, default=None, metavar="N", help="random seed")
     parser.add_argument(
-        "--cap", type=int, default=None, metavar="N", help="sign enumeration cap"
+        "--seed",
+        type=int,
+        default=None,
+        metavar="N",
+        help="seed for the projection directions of linking numbers",
     )
     parser.add_argument(
-        "--sample",
-        action="store_true",
-        help="sample sign assignments deterministically when 2^k exceeds the cap",
+        "--cap",
+        type=int,
+        default=None,
+        metavar="N",
+        help="most distinct Chern classes the sign enumeration may hold after a gluing",
     )
 
 

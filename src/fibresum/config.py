@@ -124,7 +124,6 @@ class RunConfig:
     output_format: str = "table"
     seed: int = DEFAULT_SEED
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    sample_beyond_cap: bool = False
     base_dir: Path = field(default_factory=Path.cwd)
     path: str = "<config>"
 
@@ -288,8 +287,6 @@ def parse_config_text(text: str, *, path: str = "<config>", base_dir: Optional[P
             if value not in ("table", "machine"):
                 raise ConfigError(f"output must be 'table' or 'machine', got {value!r}", path=path, line=lineno)
             config.output_format = value
-        elif key == "sample":
-            config.sample_beyond_cap = _parse_bool(value, "sample", path, lineno)
         else:
             raise ConfigError(f"unknown top-level key {key!r}", path=path, line=lineno)
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from random import Random
 from typing import Optional, Sequence
 
 from .errors import EnumerationCapError, MathematicalInconsistencyError, RecipeError
@@ -24,13 +22,12 @@ from .gompfsum import (
     FormClass,
     Gluing,
     SumRecipe,
-    flat_signs,
     recipe_violations,
     sum_c1,
     sum_invariants,
     with_signs,
 )
-from .intlat import divisibility_bounds, gcd_content, rank
+from .intlat import IntVector, divisibility_bounds, gcd_content, rank
 
 __all__ = [
     "HypothesisReport",
@@ -41,7 +38,6 @@ __all__ = [
     "mcmullen_taubes_recipe",
     "enumerate_forms",
     "solve_signs",
-    "pi0_lower_bound",
     "DEFAULT_ENUMERATION_CAP",
 ]
 
@@ -88,8 +84,11 @@ class EnumerationResult:
     inexact_count: int
     divisibility_inconclusive: bool
     flippable_copies: int
-    assignments_evaluated: int
-    sampled: bool
+
+    @property
+    def assignments_covered(self) -> int:
+        """Sign assignments the forms account for, 2^flippable_copies."""
+        return 2**self.flippable_copies
 
     @property
     def pi0_lower_bound(self) -> int:
@@ -254,34 +253,20 @@ def mcmullen_taubes_recipe() -> SumRecipe:
     )
 
 
-def _flippable_positions(recipe: SumRecipe) -> list[int]:
-    table = recipe.torus_table
-    positions: list[int] = []
-    flat_index = 0
-    for gluing in recipe.gluings:
-        torus = table[gluing.torus_label]
-        for _ in range(gluing.copies):
-            if torus.kind == LAGRANGIAN:
-                positions.append(flat_index)
-            flat_index += 1
-    return positions
+def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) -> EnumerationResult:
+    """Every form class of the recipe over all signs on the Lagrangian-glued copies.
 
-
-def enumerate_forms(
-    recipe: SumRecipe,
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    sample: bool = False,
-    seed: int = 0,
-) -> EnumerationResult:
-    """Evaluate every sign assignment on the Lagrangian-glued copies.
-
-    2^k assignments for k flippable copies, exhaustively below the cap;
-    beyond the cap, a deterministic seeded sample of cap assignments is
-    drawn when sampling is enabled, otherwise the enumeration refuses to
-    run. Forms are deduplicated by c1 vector. Only exact divisibility
-    reports feed the component bound; inexact ones are kept in the form
-    list and counted separately.
+    A gluing adds -(sum of its signs)*[T] to c1, so c1 depends only on
+    each gluing's sign sum. One pass over the gluings keeps, per distinct
+    partial c1, the first sign prefix reaching it: a Lagrangian gluing
+    with c copies offers the c+1 blocks +...+-...- (more plus signs
+    first), any other gluing its own signs. Walking the prefixes in
+    insertion order, the forms come out in the order an exhaustive scan
+    of all 2^k assignments (plus before minus) first meets their c1, each
+    with that first assignment's signs. The cap bounds the distinct
+    classes held after any gluing. Only exact divisibility reports feed
+    the component bound; inexact ones are kept in the form list and
+    counted separately.
     """
     violations = recipe_violations(recipe)
     if violations:
@@ -289,60 +274,47 @@ def enumerate_forms(
     manifold = sum_invariants(recipe.base, recipe.gluings, recipe.tori, name=recipe.name)
     table = recipe.torus_table
     duals = [t.dual for t in recipe.tori if t.dual is not None]
-    positions = _flippable_positions(recipe)
-    k = len(positions)
-    base_signs = list(flat_signs(recipe))
 
-    exhaustive = 2**k <= cap
-    if not exhaustive and not sample:
-        raise EnumerationCapError(
-            f"enumeration too large: 2^{k} assignments exceed the cap {cap}"
-        )
-
-    def assignment_signs(bits: tuple[int, ...]) -> tuple[int, ...]:
-        signs = list(base_signs)
-        for pos, s in zip(positions, bits):
-            signs[pos] = s
-        return tuple(signs)
-
-    if exhaustive:
-        assignments = [assignment_signs(bits) for bits in product((1, -1), repeat=k)]
-        evaluated = 2**k
-    else:
-        rng = Random(f"fibresum-enumerate-{seed}")
-        seen_bits = {tuple(base_signs[p] for p in positions)}
-        while len(seen_bits) < cap:
-            seen_bits.add(tuple(rng.choice((1, -1)) for _ in range(k)))
-        assignments = [assignment_signs(bits) for bits in sorted(seen_bits, reverse=True)]
-        evaluated = len(assignments)
+    states: dict[IntVector, tuple[int, ...]] = {recipe.base.c1: ()}
+    flippable = 0
+    for gluing in recipe.gluings:
+        torus = table[gluing.torus_label]
+        if torus.kind == LAGRANGIAN:
+            c = gluing.copies
+            flippable += c
+            blocks = [(1,) * p + (-1,) * (c - p) for p in range(c, -1, -1)]
+        else:
+            blocks = [gluing.signs]
+        steps = [(torus.klass * -sum(block), block) for block in blocks]
+        nxt: dict[IntVector, tuple[int, ...]] = {}
+        for c1, prefix in states.items():
+            for step, block in steps:
+                key = c1 + step
+                if key not in nxt:
+                    nxt[key] = prefix + block
+            if len(nxt) > cap:
+                raise EnumerationCapError(
+                    f"enumeration too large: more than {cap} distinct Chern classes "
+                    f"after gluing {torus.label}"
+                )
+        states = nxt
 
     forms: list[FormClass] = []
-    seen_c1: set[tuple[int, ...]] = set()
     exact_divisibilities: set[int] = set()
-    exact_c1: set[tuple[int, ...]] = set()
-    inexact = 0
-    for signs in assignments:
-        c1 = sum_c1(recipe.base.c1, with_signs(recipe, signs).gluings, table)
-        key = c1.coords
-        if key in seen_c1:
-            continue
-        seen_c1.add(key)
+    exact = 0
+    for c1, signs in states.items():
         report = divisibility_bounds(c1, manifold.pairing, duals)
         forms.append(FormClass(manifold=manifold, signs_flat=signs, c1=c1, divisibility=report))
         if report.exact:
             exact_divisibilities.add(report.lower)
-            exact_c1.add(key)
-        else:
-            inexact += 1
+            exact += 1
     distinct = tuple(sorted(exact_divisibilities))
     return EnumerationResult(
         forms=tuple(forms),
         distinct_divisibilities=distinct,
-        inexact_count=inexact,
-        divisibility_inconclusive=len(exact_c1) > len(distinct),
-        flippable_copies=k,
-        assignments_evaluated=evaluated,
-        sampled=not exhaustive,
+        inexact_count=len(forms) - exact,
+        divisibility_inconclusive=exact > len(distinct),
+        flippable_copies=flippable,
     )
 
 
@@ -360,7 +332,7 @@ def _is_odd_prime(p: int) -> bool:
 def solve_signs(primes: Sequence[int]) -> SolveResult:
     """Realize, for each prime, a form whose c1 divisibility is exactly it.
 
-    With n the product of the given distinct odd primes, the recipe sums
+    With n = p1 * ... * pm for the given distinct odd primes, the recipe sums
     the four-torus with one positive copy along each of Tx and Ty, k
     parallel copies along the Lagrangian Tz, and n-1 copies along the
     diagonal torus Tw. An assignment keeping Ty positive whose Tz signs
@@ -441,15 +413,3 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
         sign_sums=sign_sums,
     )
 
-
-def pi0_lower_bound(forms: Sequence[FormClass]) -> int:
-    """Distinct exact c1 divisibilities over forms on one manifold record.
-
-    Divisibility of c1 is preserved by diffeomorphisms and deformations,
-    so this count bounds the number of components of the moduli space of
-    symplectic forms from below. Inexact reports are ignored.
-    """
-    records = {f.manifold for f in forms}
-    if len(records) > 1:
-        raise ValueError("forms live on different manifold records")
-    return len({f.divisibility.lower for f in forms if f.divisibility.exact})

@@ -46,7 +46,6 @@ class EmbeddedTorus:
     dual: Optional[IntVector] = None
     oriented: bool = True
     parallel_copies_available: bool = False
-    complement_pi1_trivial: bool = False
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,6 @@ def build_e1() -> tuple[FourManifold, EmbeddedTorus]:
         SYMPLECTIC,
         dual=IntVector((0, 1)),
         parallel_copies_available=True,
-        complement_pi1_trivial=True,
     )
     return manifold, fibre
 

@@ -204,8 +204,7 @@ class ReportBuilder:
         self.set_manifold(manifold)
         self.line(
             f"  flippable copies: {result.flippable_copies}, assignments "
-            f"evaluated: {result.assignments_evaluated}"
-            + (" (sampled)" if result.sampled else "")
+            f"covered: {result.assignments_covered}"
         )
         sign_width = max([5] + [len(f.signs_flat) for f in result.forms])
         c1_width = max(
@@ -241,8 +240,7 @@ class ReportBuilder:
                 "inexact_count": _s(result.inexact_count),
                 "divisibility_inconclusive": result.divisibility_inconclusive,
                 "flippable_copies": _s(result.flippable_copies),
-                "assignments_evaluated": _s(result.assignments_evaluated),
-                "sampled": result.sampled,
+                "assignments_covered": _s(result.assignments_covered),
             }
         )
 
@@ -301,7 +299,7 @@ class ReportBuilder:
 
     def machine_document(self) -> dict:
         return {
-            "schema": "fibresum-report/1",
+            "schema": "fibresum-report/2",
             "seed": _s(self.seed),
             "cap": _s(self.cap),
             "manifold": self.manifold,

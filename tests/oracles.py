@@ -5,14 +5,17 @@ linking oracle is direct quadrature of the double line integral, the
 segment-distance and crossing oracles redo the package's exact geometry
 on Fractions straight from the rational vertices (the package clears
 denominators and works on integers), the rank oracle is Gauss-Jordan elimination over the rationals (the package
-eliminates fraction-free over the integers), and the intersection-pairing
-oracle multiplies differential forms on the four-torus.
+eliminates fraction-free over the integers), the intersection-pairing
+oracle multiplies differential forms on the four-torus, and the form
+oracle runs through every sign assignment one copy at a time (the package
+keeps one sign prefix per partial Chern class).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 
 def quadrature_linking(curve_a, curve_b, samples: int = 48) -> float:
@@ -252,3 +255,27 @@ def add_classes(*classes: dict) -> dict:
         for k, v in c.items():
             out[k] = out.get(k, 0) + v
     return {k: v for k, v in out.items() if v}
+
+
+def brute_force_forms(recipe) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(signs_flat, c1 coordinates) of each distinct c1, in first-seen order.
+
+    Every assignment of +1/-1 to the copies glued along Lagrangian tori
+    is tried, plus before minus, the other copies keeping the recipe's
+    signs; each copy with sign e adds -e*[T] to the base c1.
+    """
+    table = {t.label: t for t in recipe.tori}
+    copies = [
+        (table[g.torus_label], sign) for g in recipe.gluings for sign in g.signs
+    ]
+    flippable = [i for i, (torus, _) in enumerate(copies) if torus.kind == "lagrangian"]
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for bits in product((1, -1), repeat=len(flippable)):
+        signs = [sign for _, sign in copies]
+        for i, bit in zip(flippable, bits):
+            signs[i] = bit
+        c1 = list(recipe.base.c1.coords)
+        for (torus, _), sign in zip(copies, signs):
+            c1 = [c - sign * t for c, t in zip(c1, torus.klass.coords)]
+        seen.setdefault(tuple(c1), tuple(signs))
+    return [(signs, c1) for c1, signs in seen.items()]

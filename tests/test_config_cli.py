@@ -297,10 +297,9 @@ def test_cli_missing_config_is_validation_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_sampling_fallback_reachable_from_config_and_flag(capsys):
+def test_config_cap_bounds_chern_classes_and_sample_key_is_gone(tmp_path, capsys):
     text = """
     cap = 16
-    sample = true
 
     [manifold T4]
     builtin = T4
@@ -312,15 +311,31 @@ def test_sampling_fallback_reachable_from_config_and_flag(capsys):
     [task enumerate]
     recipe = wide
     """
+    # 2^8 assignments fall into 9 Chern classes, which fit under the cap.
     config = parse_config_text(text)
+    config.output_format = "machine"
     out = io.StringIO()
     assert run(config, {"enumerate"}, stream=out) == 0
-    assert "(sampled)" in out.getvalue()
-    # Without sampling the same recipe refuses to enumerate.
-    no_sample = parse_config_text(text.replace("sample = true", ""))
+    task = json.loads(out.getvalue())["tasks"][0]
+    assert len(task["forms"]) == 9
+    assert task["assignments_covered"] == "256"
+    # Ty x4 and Tz x4 give 25 classes, more than the cap holds.
+    wider = text.replace("glue = Tz + + + + + + + +", "glue = Ty + + + +\n    glue = Tz + + + +")
     out = io.StringIO()
-    assert run(no_sample, {"enumerate"}, stream=out) == 2
+    assert run(parse_config_text(wider), {"enumerate"}, stream=out) == 2
     assert "enumeration too large" in out.getvalue()
+    path = tmp_path / "sample.cfg"
+    path.write_text(text.replace("cap = 16", "cap = 16\n    sample = true"))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "unknown top-level key 'sample'" in capsys.readouterr().err
+
+
+def test_cli_solve_three_primes_enumerates_every_divisibility(capsys):
+    assert main(["solve", "--primes", "3,5,7", "--output", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["divisibilities"] == ["1", "3", "5", "7", "15", "21", "35", "105"]
+    assert doc["pi0_lower_bound"] == "8"
+    assert doc["errors"] == []
 
 
 def test_cli_solve_input_errors_exit_2(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,13 +8,13 @@ from fibresum.construct import (
     check_hypotheses,
     enumerate_forms,
     mcmullen_taubes_recipe,
-    pi0_lower_bound,
     solve_signs,
 )
 from fibresum.errors import EnumerationCapError, RecipeError
-from fibresum.fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, build_t4
-from fibresum.gompfsum import Gluing, SumRecipe, perform_recipe
-from fibresum.intlat import IntVector
+from fibresum.fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
+from fibresum.gompfsum import Gluing, SumRecipe, perform_recipe, sum_invariants
+from fibresum.intlat import IntVector, PairingMatrix, divisibility_bounds
+from oracles import brute_force_forms
 
 
 def t4_setup():
@@ -136,12 +137,11 @@ def test_enumerate_forms_section_recipe():
     recipe = build_theorem_recipe(manifold, (tz, tx, ty), 3, tw)
     result = enumerate_forms(recipe)
     assert result.flippable_copies == 2
-    assert result.assignments_evaluated == 4
+    assert result.assignments_covered == 4
     torus_parts = {f.c1.coords[:3] for f in result.forms}
     assert torus_parts == {(-3, -3, -3), (-3, -3, -1), (-3, -1, -3), (-3, -1, -1)}
     assert result.distinct_divisibilities == (1, 3)
     assert result.pi0_lower_bound == 2
-    assert not result.sampled
     # Exhaustive and deterministic: a rerun reproduces everything.
     assert enumerate_forms(recipe) == result
 
@@ -165,15 +165,95 @@ def test_enumerate_forms_no_flippable_copies():
     assert result.pi0_lower_bound == 1
 
 
-def test_enumerate_forms_cap_and_sampling():
+def test_enumerate_forms_cap_bounds_chern_classes():
     manifold, tx, ty, tz, tw = t4_setup()
-    recipe = SumRecipe(manifold, (tx, ty, tz, tw), (Gluing("Tz", 8, (1,) * 8),))
+    tori = (tx, ty, tz, tw)
+    # 2^8 assignments but only 9 sign sums, so 9 classes fit under 16.
+    recipe = SumRecipe(manifold, tori, (Gluing("Tz", 8, (1,) * 8),))
+    result = enumerate_forms(recipe, cap=16)
+    assert len(result.forms) == 9
+    assert result.flippable_copies == 8
+    assert result.assignments_covered == 256
+    # Two independent gluings of four copies give 5 * 5 classes.
+    recipe = SumRecipe(
+        manifold, tori, (Gluing("Ty", 4, (1,) * 4), Gluing("Tz", 4, (1,) * 4))
+    )
     with pytest.raises(EnumerationCapError, match="enumeration too large"):
         enumerate_forms(recipe, cap=16)
-    sampled = enumerate_forms(recipe, cap=16, sample=True, seed=5)
-    assert sampled.sampled
-    assert sampled.assignments_evaluated == 16
-    assert sampled == enumerate_forms(recipe, cap=16, sample=True, seed=5)
+    assert len(enumerate_forms(recipe, cap=25).forms) == 25
+
+
+def _random_t4_recipe(rng):
+    """Repeated coordinate and diagonal gluings, at most 10 flippable copies."""
+    manifold, tori = build_t4()
+    gluings = []
+    flippable = 0
+    for _ in range(rng.randint(1, 6)):
+        torus = rng.choice(tori)
+        copies = rng.randint(1, 4)
+        flips = torus.kind == LAGRANGIAN
+        if flippable + copies * flips > 10:
+            continue
+        flippable += copies * flips
+        signs = tuple(rng.choice((1, -1)) if flips else 1 for _ in range(copies))
+        gluings.append(Gluing(torus.label, copies, signs))
+    return SumRecipe(manifold, tori, tuple(gluings))
+
+
+def _random_hyperbolic_recipe(rng):
+    """Simply connected record whose lattice is hyperbolic pairs F_i, G_i,
+    each Lagrangian F_i glued once or twice."""
+    pairs = rng.randint(2, 5)
+    dim = 2 * pairs
+    rows = tuple(
+        tuple(1 if j == (i + pairs) % dim else 0 for j in range(dim)) for i in range(dim)
+    )
+    coeffs = tuple(rng.choice((0, 2, 3, 4, 6, 9, 12)) for _ in range(pairs))
+    manifold = FourManifold(
+        name="M",
+        euler=24,
+        signature=-16,
+        b1=0,
+        b2=22,
+        lattice_basis_labels=tuple(f"F{i}" for i in range(pairs))
+        + tuple(f"G{i}" for i in range(pairs)),
+        pairing=PairingMatrix(rows),
+        c1=IntVector(coeffs + (0,) * pairs),
+        pi1_normally_generated_by_tori=False,
+        simply_connected=True,
+    )
+
+    def unit(i):
+        return IntVector(tuple(int(j == i) for j in range(dim)))
+
+    tori = tuple(
+        EmbeddedTorus(f"F{i}", unit(i), LAGRANGIAN, dual=unit(pairs + i), parallel_copies_available=True)
+        for i in range(pairs)
+    )
+    gluings = []
+    for torus in tori:
+        copies = rng.randint(1, 2)
+        gluings.append(Gluing(torus.label, copies, tuple(rng.choice((1, -1)) for _ in range(copies))))
+    return SumRecipe(manifold, tori, tuple(gluings))
+
+
+def test_enumerate_forms_matches_brute_force_oracle():
+    rng = random.Random(20261018)
+    recipes = [_random_t4_recipe(rng) for _ in range(30)]
+    recipes += [_random_hyperbolic_recipe(rng) for _ in range(15)]
+    recipes += [mcmullen_taubes_recipe(), solve_signs((3,)).recipe]
+    flippable = set()
+    for recipe in recipes:
+        result = enumerate_forms(recipe)
+        expected = brute_force_forms(recipe)
+        assert [(f.signs_flat, f.c1.coords) for f in result.forms] == expected
+        summed = sum_invariants(recipe.base, recipe.gluings, recipe.tori)
+        duals = [t.dual for t in recipe.tori if t.dual is not None]
+        reports = [divisibility_bounds(IntVector(c1), summed.pairing, duals) for _, c1 in expected]
+        assert [f.divisibility for f in result.forms] == reports
+        assert result.distinct_divisibilities == tuple(sorted({r.lower for r in reports if r.exact}))
+        flippable.add(result.flippable_copies)
+    assert min(flippable) == 0 and max(flippable) == 10
 
 
 def test_solve_signs_two_primes_matches_gcd_search_oracle():
@@ -221,18 +301,6 @@ def test_solve_signs_rejects_bad_input():
         solve_signs((2, 3))
     with pytest.raises(ValueError):
         solve_signs((9,))
-
-
-def test_pi0_lower_bound_counts_distinct_exact_values():
-    manifold, tx, ty, tz, tw = t4_setup()
-    recipe = build_theorem_recipe(manifold, (tz, tx, ty), 3, tw)
-    forms = enumerate_forms(recipe).forms
-    assert pi0_lower_bound(forms) == 2
-    mt_forms = enumerate_forms(mcmullen_taubes_recipe()).forms
-    assert pi0_lower_bound(mt_forms) == 1
-    assert pi0_lower_bound(()) == 0
-    with pytest.raises(ValueError, match="different manifold"):
-        pi0_lower_bound(tuple(forms) + tuple(mt_forms))
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 15, 21])

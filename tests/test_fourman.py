@@ -80,7 +80,6 @@ def test_e1_record_values_against_blowup_additivity():
     assert manifold.c1 == fibre.klass
     assert manifold.pairing.pair(fibre.klass, fibre.klass) == 0
     assert manifold.pairing.pair(fibre.klass, fibre.dual) == 1
-    assert fibre.complement_pi1_trivial
     assert validate(manifold, [fibre]) == []
 
 
