@@ -30,6 +30,9 @@ CASES = {
         str(GOLDEN / "borromean16-axis.lnk"),
     ],
     "hopf32_linking.json": ["linking", "--link", str(GOLDEN / "hopf32.lnk")],
+    # A custom record and T4 verify, build and enumerate tasks: covers the
+    # build report's per-gluing copies and its c1 trace.
+    "build.json": ["run", "--config", str(GOLDEN / "build.cfg")],
 }
 
 
