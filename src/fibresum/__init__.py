@@ -28,7 +28,6 @@ from .errors import (
     GenericityError,
     IllConditionedError,
     MathematicalInconsistencyError,
-    OrientationError,
     RecipeError,
 )
 from .fourman import (

@@ -15,17 +15,16 @@ from typing import Optional, Sequence
 
 from . import construct, linkgeom
 from .config import (
-    TASK_KINDS,
-    BuildTask,
     EnumerateTask,
     LinkingTask,
     RunConfig,
     SolveTask,
     Task,
-    VerifyTask,
+    TheoremTask,
     bundled_path,
     check_limit,
     parse_config,
+    parse_int_list,
     recipe_config_section,
 )
 from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
@@ -43,7 +42,7 @@ class _TaskFailure(Exception):
         self.code = code
 
 
-def _run_verify(task: VerifyTask, config: RunConfig, report: ReportBuilder) -> None:
+def _run_verify(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> None:
     manifold = config.manifolds[task.manifold]
     tori = tuple(config.torus(task.manifold, label) for label in task.tori)
     sum_torus = config.torus(task.manifold, task.sum_torus)
@@ -53,14 +52,12 @@ def _run_verify(task: VerifyTask, config: RunConfig, report: ReportBuilder) -> N
         raise _TaskFailure(EXIT_VALIDATION, "hypothesis gate failed")
 
 
-def _run_build(task: BuildTask, config: RunConfig, report: ReportBuilder) -> None:
+def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> None:
     manifold = config.manifolds[task.manifold]
     tori = tuple(config.torus(task.manifold, label) for label in task.tori)
     sum_torus = config.torus(task.manifold, task.sum_torus)
     recipe = construct.build_theorem_recipe(manifold, tori, task.n, sum_torus)
-    summed = sum_invariants(recipe.base, recipe.gluings, recipe.tori, name=recipe.name)
-    trace = c1_contributions(recipe.gluings, recipe.torus_table)
-    report.add_recipe(recipe, summed, trace)
+    report.add_recipe(recipe, sum_invariants(recipe), c1_contributions(recipe))
     snippet = recipe_config_section(recipe, task.manifold)
     report.line("  config section:")
     for line in snippet.rstrip().splitlines():
@@ -112,12 +109,18 @@ def _run_solve(task: SolveTask, config: RunConfig, report: ReportBuilder) -> Non
         _check_forms(result.recipe.name, enumeration, result.manifold, result.recipe, report)
 
 
-def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) -> None:
-    link_path = config.resolve_file(task.link)
+def _load_geometry(config: RunConfig, name: str, loader, what: str):
+    path = config.resolve_file(name)
     try:
-        link = linkgeom.load_link(link_path)
-    except (ValueError, FibresumError) as exc:
-        raise ConfigError(f"bad link file {task.link}: {exc}", path=config.path) from None
+        return loader(path)
+    except (OSError, ValueError, FibresumError) as exc:
+        raise ConfigError(f"bad {what} file {name}: {exc}", path=config.path) from None
+
+
+def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) -> None:
+    link = _load_geometry(config, task.link, linkgeom.load_link, "link")
+    # Read the axis first, so a bad axis file fails before any geometry is computed.
+    axis = None if task.axis is None else _load_geometry(config, task.axis, linkgeom.load_curve, "axis")
     components = link.surgery_components()
     # Linking numbers are symmetric: compute each pair once and mirror it.
     matrix = [[0] * len(components) for _ in components]
@@ -127,12 +130,7 @@ def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) ->
                 components[i], components[j], seed=config.seed
             )
     axis_coords = None
-    if task.axis is not None:
-        axis_path = config.resolve_file(task.axis)
-        try:
-            axis = linkgeom.load_curve(axis_path)
-        except (ValueError, FibresumError) as exc:
-            raise ConfigError(f"bad axis file {task.axis}: {exc}", path=config.path) from None
+    if axis is not None:
         axis_coords = [
             linkgeom.linking_number_verified(axis, comp, seed=config.seed)
             for comp in components
@@ -148,12 +146,13 @@ def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) ->
     report.add_check("linking: crossing count agrees with Gauss integral", "pass")
 
 
+# One runner per task kind.
 _RUNNERS = {
-    VerifyTask: _run_verify,
-    BuildTask: _run_build,
-    EnumerateTask: _run_enumerate,
-    SolveTask: _run_solve,
-    LinkingTask: _run_linking,
+    "verify": _run_verify,
+    "build": _run_build,
+    "enumerate": _run_enumerate,
+    "solve": _run_solve,
+    "linking": _run_linking,
 }
 
 
@@ -165,7 +164,7 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
     stream = stream or sys.stdout
     report = ReportBuilder(seed=config.seed, cap=config.enumeration_cap)
     selected = [
-        t for t in config.tasks if kinds is None or TASK_KINDS[type(t)] in kinds
+        t for t in config.tasks if kinds is None or t.kind in kinds
     ]
     code = EXIT_OK
     if not selected:
@@ -174,7 +173,7 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
         code = EXIT_VALIDATION
     try:
         for task in selected:
-            _RUNNERS[type(task)](task, config, report)
+            _RUNNERS[task.kind](task, config, report)
     except _TaskFailure as exc:
         report.note_error(str(exc))
         code = exc.code
@@ -281,7 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "solve" and args.primes:
-            primes = tuple(int(p) for p in args.primes.replace(",", " ").split())
+            primes = parse_int_list(args.primes, "--primes", None, None)
             config = _synthetic_config(args, [SolveTask(primes)])
             return run(config, {"solve"})
         if args.command == "linking" and args.link:

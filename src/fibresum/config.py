@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from .construct import DEFAULT_ENUMERATION_CAP
-from .errors import ConfigError
+from .errors import ConfigError, RecipeError
 from .fourman import (
     LAGRANGIAN,
     SYMPLECTIC,
@@ -40,18 +40,16 @@ from .fourman import (
     build_t4,
     validate,
 )
-from .gompfsum import Gluing, SumRecipe, recipe_violations
+from .gompfsum import Gluing, SumRecipe
 from .intlat import IntVector, PairingMatrix
 
 __all__ = [
     "RunConfig",
-    "VerifyTask",
-    "BuildTask",
+    "TheoremTask",
     "EnumerateTask",
     "SolveTask",
     "LinkingTask",
     "Task",
-    "TASK_KINDS",
     "parse_config",
     "parse_config_text",
     "bundled_path",
@@ -68,16 +66,11 @@ BUILTIN_MANIFOLDS = ("T4", "E1")
 
 
 @dataclass(frozen=True)
-class VerifyTask:
-    manifold: str
-    tori: tuple[str, ...]
-    sum_torus: str
-    n: int
-    line: int = 0
+class TheoremTask:
+    """The theorem's inputs: `verify` runs the hypothesis gate on them,
+    `build` also synthesizes the recipe."""
 
-
-@dataclass(frozen=True)
-class BuildTask:
+    kind: str
     manifold: str
     tori: tuple[str, ...]
     sum_torus: str
@@ -87,32 +80,28 @@ class BuildTask:
 
 @dataclass(frozen=True)
 class EnumerateTask:
+    kind: ClassVar[str] = "enumerate"
     recipe: str
     line: int = 0
 
 
 @dataclass(frozen=True)
 class SolveTask:
+    kind: ClassVar[str] = "solve"
     primes: tuple[int, ...]
     line: int = 0
 
 
 @dataclass(frozen=True)
 class LinkingTask:
+    kind: ClassVar[str] = "linking"
     link: str
     axis: Optional[str] = None
     line: int = 0
 
 
-Task = Union[VerifyTask, BuildTask, EnumerateTask, SolveTask, LinkingTask]
-
-TASK_KINDS = {
-    VerifyTask: "verify",
-    BuildTask: "build",
-    EnumerateTask: "enumerate",
-    SolveTask: "solve",
-    LinkingTask: "linking",
-}
+# Every task's `kind` is the name of its `[task ...]` section.
+Task = Union[TheoremTask, EnumerateTask, SolveTask, LinkingTask]
 
 
 @dataclass
@@ -231,7 +220,7 @@ def _split_sections(text: str, path: str) -> tuple[list[tuple[str, str, int]], l
     return top, sections
 
 
-def _parse_int(value: str, what: str, path: str, line: int) -> int:
+def _parse_int(value: str, what: str, path: Optional[str], line: Optional[int]) -> int:
     try:
         return int(value)
     except ValueError:
@@ -255,7 +244,8 @@ def _parse_bool(value: str, what: str, path: str, line: int) -> bool:
     raise ConfigError(f"{what}: expected a boolean, got {value!r}", path=path, line=line)
 
 
-def _parse_int_list(value: str, what: str, path: str, line: int) -> tuple[int, ...]:
+def parse_int_list(value: str, what: str, path: Optional[str], line: Optional[int]) -> tuple[int, ...]:
+    """Integers separated by commas or spaces (config values and --primes)."""
     parts = value.replace(",", " ").split()
     return tuple(_parse_int(p, what, path, line) for p in parts)
 
@@ -361,7 +351,7 @@ def _load_manifold(section: _Section, config: RunConfig) -> None:
         raise ConfigError(str(exc), path=path, line=section.line) from None
     c1_value = section.get("c1", path)
     c1 = (
-        IntVector(_parse_int_list(c1_value, "c1", path, section.line))
+        IntVector(parse_int_list(c1_value, "c1", path, section.line))
         if c1_value is not None
         else IntVector.zero(dim)
     )
@@ -414,10 +404,10 @@ def _load_torus(section: _Section, config: RunConfig) -> None:
             path=path,
             line=section.line,
         )
-    klass = IntVector(_parse_int_list(section.require("class", path), "class", path, section.line))
+    klass = IntVector(parse_int_list(section.require("class", path), "class", path, section.line))
     dual_value = section.get("dual", path)
     dual = (
-        IntVector(_parse_int_list(dual_value, "dual", path, section.line))
+        IntVector(parse_int_list(dual_value, "dual", path, section.line))
         if dual_value is not None
         else None
     )
@@ -452,21 +442,18 @@ def _load_recipe(section: _Section, config: RunConfig) -> None:
         label = tokens[0]
         config.torus(manifold_name, label, line=lineno)
         signs = _parse_signs(tokens[1:], path, lineno)
-        gluings.append(Gluing(label, len(signs), signs))
+        gluings.append(Gluing(label, signs))
     if not gluings:
         raise ConfigError(f"recipe {name!r} has no gluings", path=path, line=section.line)
-    recipe = SumRecipe(
-        base=config.manifolds[manifold_name],
-        tori=tuple(config.tori[manifold_name].values()),
-        gluings=tuple(gluings),
-        name=name,
-    )
-    problems = recipe_violations(recipe)
-    if problems:
-        raise ConfigError(
-            f"recipe {name!r} is invalid: " + "; ".join(problems), path=path, line=section.line
+    try:
+        config.recipes[name] = SumRecipe(
+            base=config.manifolds[manifold_name],
+            tori=tuple(config.tori[manifold_name].values()),
+            gluings=tuple(gluings),
+            name=name,
         )
-    config.recipes[name] = recipe
+    except RecipeError as exc:
+        raise ConfigError(f"recipe {name!r} is invalid: {exc}", path=path, line=section.line) from None
 
 
 def _load_task(section: _Section, config: RunConfig) -> None:
@@ -483,15 +470,14 @@ def _load_task(section: _Section, config: RunConfig) -> None:
         sum_label = section.require("sum", path)
         config.torus(manifold_name, sum_label, line=line)
         n = _parse_int(section.require("n", path), "n", path, line)
-        cls = VerifyTask if kind == "verify" else BuildTask
-        config.tasks.append(cls(manifold_name, tori_labels, sum_label, n, line))
+        config.tasks.append(TheoremTask(kind, manifold_name, tori_labels, sum_label, n, line))
     elif kind == "enumerate":
         recipe_name = section.require("recipe", path)
         if recipe_name not in config.recipes:
             raise ConfigError(f"unknown recipe {recipe_name!r}", path=path, line=line)
         config.tasks.append(EnumerateTask(recipe_name, line))
     elif kind == "solve":
-        primes = _parse_int_list(section.require("primes", path), "primes", path, line)
+        primes = parse_int_list(section.require("primes", path), "primes", path, line)
         if not primes:
             raise ConfigError("solve task needs at least one prime", path=path, line=line)
         config.tasks.append(SolveTask(primes, line))

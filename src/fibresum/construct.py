@@ -18,15 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import EnumerationCapError, MathematicalInconsistencyError, RecipeError
 from .fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
-from .gompfsum import (
-    FormClass,
-    Gluing,
-    SumRecipe,
-    recipe_violations,
-    sum_c1,
-    sum_invariants,
-    with_signs,
-)
+from .gompfsum import FormClass, Gluing, SumRecipe, perform_recipe, sum_invariants, with_signs
 from .intlat import IntVector, divisibility_bounds, gcd_content, rank
 
 __all__ = [
@@ -159,9 +151,6 @@ def check_hypotheses(
             f"sum torus {sum_torus.label} carries {tuple(sum_torus.klass)}, "
             f"expected {tuple(expected_sum)}"
         )
-    for torus in list(tori) + [sum_torus]:
-        if not torus.oriented:
-            reasons2.append(f"{torus.label}: missing orientation")
     condition2 = not reasons2
 
     # Condition 3: n | div(c1) but n does not divide 2d.
@@ -228,19 +217,14 @@ def build_theorem_recipe(
             raise RecipeError("hypotheses not satisfied: " + "; ".join(reasons))
     elif n < 2:
         raise ValueError("need n >= 2 to build a recipe")
-    gluings = [Gluing(t.label, 1, (1,)) for t in tori]
-    if n - 1 >= 1:
-        gluings.append(Gluing(sum_torus.label, n - 1, (1,) * (n - 1)))
-    recipe = SumRecipe(
+    gluings = [Gluing(t.label, (1,)) for t in tori]
+    gluings.append(Gluing(sum_torus.label, (1,) * (n - 1)))
+    return SumRecipe(
         base=manifold,
         tori=tuple(tori) + (sum_torus,),
         gluings=tuple(gluings),
         name=name or f"{manifold.name}-n{n}",
     )
-    violations = recipe_violations(recipe)
-    if violations:
-        raise RecipeError("; ".join(violations))
-    return recipe
 
 
 def mcmullen_taubes_recipe() -> SumRecipe:
@@ -268,12 +252,9 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     the component bound; inexact ones are kept in the form list and
     counted separately.
     """
-    violations = recipe_violations(recipe)
-    if violations:
-        raise RecipeError("; ".join(violations))
-    manifold = sum_invariants(recipe.base, recipe.gluings, recipe.tori, name=recipe.name)
+    manifold = sum_invariants(recipe)
     table = recipe.torus_table
-    duals = [t.dual for t in recipe.tori if t.dual is not None]
+    duals = recipe.duals
 
     states: dict[IntVector, tuple[int, ...]] = {recipe.base.c1: ()}
     flippable = 0
@@ -368,10 +349,10 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
 
     manifold, (tx, ty, tz, tw) = build_t4()
     gluings = (
-        Gluing(tx.label, 1, (1,)),
-        Gluing(ty.label, 1, (1,)),
-        Gluing(tz.label, k, (1,) * k),
-        Gluing(tw.label, n - 1, (1,) * (n - 1)),
+        Gluing(tx.label, (1,)),
+        Gluing(ty.label, (1,)),
+        Gluing(tz.label, (1,) * k),
+        Gluing(tw.label, (1,) * (n - 1)),
     )
     recipe = SumRecipe(
         base=manifold,
@@ -379,8 +360,6 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
         gluings=gluings,
         name=f"primes-{'x'.join(str(p) for p in primes)}",
     )
-    summed = sum_invariants(recipe.base, recipe.gluings, recipe.tori, name=recipe.name)
-    duals = [t.dual for t in recipe.tori if t.dual is not None]
 
     assignments: dict[int, tuple[int, ...]] = {}
     for p, s in sign_sums.items():
@@ -391,8 +370,8 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
             )
         tz_signs = (1,) * plus + (-1,) * (k - plus)
         signs = (1, 1) + tz_signs + (1,) * (n - 1)
-        c1 = sum_c1(recipe.base.c1, with_signs(recipe, signs).gluings, recipe.torus_table)
-        report = divisibility_bounds(c1, summed.pairing, duals)
+        _, form = perform_recipe(with_signs(recipe, signs))
+        report = form.divisibility
         if not report.exact or report.lower != p:
             raise MathematicalInconsistencyError(
                 f"assignment for prime {p} yields divisibility "
@@ -406,7 +385,7 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
         assignments[p] = signs
     return SolveResult(
         recipe=recipe,
-        manifold=summed,
+        manifold=sum_invariants(recipe),
         n=n,
         lagrangian_copies=k,
         assignments=assignments,

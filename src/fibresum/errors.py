@@ -23,10 +23,6 @@ class RecipeError(FibresumError):
     """A fibre-sum recipe violates its structural constraints."""
 
 
-class OrientationError(RecipeError):
-    """A sign flip was requested on a torus whose orientation is forced."""
-
-
 class EnumerationCapError(FibresumError):
     """A sign enumeration would exceed the configured assignment cap."""
 

@@ -44,7 +44,6 @@ class EmbeddedTorus:
     klass: IntVector
     kind: str
     dual: Optional[IntVector] = None
-    oriented: bool = True
     parallel_copies_available: bool = False
 
 
@@ -188,8 +187,6 @@ def validate(manifold: FourManifold, tori: Sequence[EmbeddedTorus] = ()) -> list
         seen.add(t)
         if torus.kind not in (SYMPLECTIC, LAGRANGIAN):
             violations.append(f"torus {t}: unknown kind {torus.kind!r}")
-        if not torus.oriented:
-            violations.append(f"torus {t}: must carry an orientation")
         if len(torus.klass) != m.rank:
             violations.append(f"torus {t}: class length {len(torus.klass)} != rank {m.rank}")
             continue

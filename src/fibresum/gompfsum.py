@@ -21,9 +21,9 @@ T^3 splitting hypersurface, giving +12 and -8 per copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import OrientationError, RecipeError
+from .errors import RecipeError
 from .fourman import LAGRANGIAN, EmbeddedTorus, FourManifold
 from .intlat import DivisibilityReport, IntVector, divisibility_bounds
 
@@ -32,7 +32,6 @@ __all__ = [
     "SumRecipe",
     "FormClass",
     "CheckReport",
-    "recipe_violations",
     "sum_c1",
     "c1_contributions",
     "sum_invariants",
@@ -48,28 +47,33 @@ SIGNATURE_PER_COPY = -8
 
 @dataclass(frozen=True)
 class Gluing:
-    """Copies of E(1) glued along one torus, with a sign per copy."""
+    """Copies of E(1) glued along one torus, one sign per copy."""
 
     torus_label: str
-    copies: int
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        if self.copies < 1:
+        if not self.signs:
             raise RecipeError(f"gluing along {self.torus_label}: copies must be positive")
-        if len(self.signs) != self.copies:
-            raise RecipeError(
-                f"gluing along {self.torus_label}: {self.copies} copies need "
-                f"{self.copies} signs, got {len(self.signs)}"
-            )
         if any(s not in (1, -1) for s in self.signs):
             raise RecipeError(f"gluing along {self.torus_label}: signs must be +1 or -1")
+
+    @property
+    def copies(self) -> int:
+        return len(self.signs)
 
 
 @dataclass(frozen=True)
 class SumRecipe:
-    """Ordered gluings of a base manifold with copies of E(1)."""
+    """Ordered gluings of a base manifold with copies of E(1).
+
+    A recipe checks itself when it is built: every torus label is
+    declared once, every class has the base's tracked rank, every gluing
+    names a declared torus, signs flip only on Lagrangian tori, and
+    parallel copies go only where the torus declares them available.
+    Any violation raises one RecipeError listing all of them.
+    """
 
     base: FourManifold
     tori: tuple[EmbeddedTorus, ...]
@@ -79,10 +83,43 @@ class SumRecipe:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tori", tuple(self.tori))
         object.__setattr__(self, "gluings", tuple(self.gluings))
+        violations: list[str] = []
+        table: dict[str, EmbeddedTorus] = {}
+        for torus in self.tori:
+            if torus.label in table:
+                violations.append(f"torus {torus.label}: declared twice")
+            table[torus.label] = torus
+            if len(torus.klass) != self.base.rank:
+                violations.append(
+                    f"torus {torus.label}: class length {len(torus.klass)} != "
+                    f"tracked rank {self.base.rank}"
+                )
+        for gluing in self.gluings:
+            torus = table.get(gluing.torus_label)
+            if torus is None:
+                violations.append(f"gluing references undeclared torus {gluing.torus_label}")
+                continue
+            if -1 in gluing.signs and torus.kind != LAGRANGIAN:
+                violations.append(
+                    f"gluing along {torus.label}: orientation not flippable "
+                    f"({torus.kind} torus)"
+                )
+            if gluing.copies > 1 and not torus.parallel_copies_available:
+                violations.append(
+                    f"gluing along {torus.label}: {gluing.copies} parallel copies "
+                    "requested but none declared available"
+                )
+        if violations:
+            raise RecipeError("; ".join(violations))
 
     @property
     def torus_table(self) -> dict[str, EmbeddedTorus]:
         return {t.label: t for t in self.tori}
+
+    @property
+    def duals(self) -> list[IntVector]:
+        """Declared dual classes, the witnesses for divisibility reports."""
+        return [t.dual for t in self.tori if t.dual is not None]
 
     @property
     def total_copies(self) -> int:
@@ -112,68 +149,18 @@ class CheckReport:
         return not self.failed
 
 
-def recipe_violations(recipe: SumRecipe) -> list[str]:
-    """Structural problems with a recipe (empty list = valid)."""
-    violations: list[str] = []
-    table: dict[str, EmbeddedTorus] = {}
-    for torus in recipe.tori:
-        if torus.label in table:
-            violations.append(f"torus {torus.label}: declared twice")
-        table[torus.label] = torus
-        if len(torus.klass) != recipe.base.rank:
-            violations.append(
-                f"torus {torus.label}: class length {len(torus.klass)} != "
-                f"tracked rank {recipe.base.rank}"
-            )
-    for gluing in recipe.gluings:
-        torus = table.get(gluing.torus_label)
-        if torus is None:
-            violations.append(f"gluing references undeclared torus {gluing.torus_label}")
-            continue
-        if -1 in gluing.signs and torus.kind != LAGRANGIAN:
-            violations.append(
-                f"gluing along {torus.label}: orientation not flippable "
-                f"({torus.kind} torus)"
-            )
-        if gluing.copies > 1 and not torus.parallel_copies_available:
-            violations.append(
-                f"gluing along {torus.label}: {gluing.copies} parallel copies "
-                "requested but none declared available"
-            )
-    return violations
-
-
-def _require_valid(recipe: SumRecipe) -> None:
-    violations = recipe_violations(recipe)
-    if violations:
-        raise RecipeError("; ".join(violations))
-
-
-def _resolve(tori: "Mapping[str, EmbeddedTorus] | Sequence[EmbeddedTorus]") -> Mapping[str, EmbeddedTorus]:
-    if isinstance(tori, Mapping):
-        return tori
-    return {t.label: t for t in tori}
-
-
-def c1_contributions(
-    gluings: Sequence[Gluing],
-    tori: "Mapping[str, EmbeddedTorus] | Sequence[EmbeddedTorus]",
-) -> list[dict]:
+def c1_contributions(recipe: SumRecipe) -> list[dict]:
     """Per-copy Chern contributions in two-step form.
 
     Each record carries the fibre term e*[F] (written in base
     coordinates through the identification [F] = [T]) and the normal
     correction -2*e*[T]; their sum is the net contribution -e*[T].
     """
-    table = _resolve(tori)
+    table = recipe.torus_table
     out: list[dict] = []
-    for gluing in gluings:
+    for gluing in recipe.gluings:
         torus = table[gluing.torus_label]
         for copy_index, sign in enumerate(gluing.signs):
-            if sign == -1 and torus.kind != LAGRANGIAN:
-                raise OrientationError(
-                    f"orientation not flippable on {torus.kind} torus {torus.label}"
-                )
             fibre_term = sign * torus.klass
             normal_term = (-2 * sign) * torus.klass
             out.append(
@@ -189,24 +176,15 @@ def c1_contributions(
     return out
 
 
-def sum_c1(
-    c1_base: IntVector,
-    gluings: Sequence[Gluing],
-    tori: "Mapping[str, EmbeddedTorus] | Sequence[EmbeddedTorus]",
-) -> IntVector:
-    """First Chern class of the summed structure for the given signs.
+def sum_c1(recipe: SumRecipe) -> IntVector:
+    """First Chern class of the summed structure for the recipe's signs.
 
     Each gluing adds its net contribution -(sum of signs)*[T] in one step.
     """
-    table = _resolve(tori)
-    total = c1_base
-    for gluing in gluings:
-        torus = table[gluing.torus_label]
-        if -1 in gluing.signs and torus.kind != LAGRANGIAN:
-            raise OrientationError(
-                f"orientation not flippable on {torus.kind} torus {torus.label}"
-            )
-        total = total - sum(gluing.signs) * torus.klass
+    table = recipe.torus_table
+    total = recipe.base.c1
+    for gluing in recipe.gluings:
+        total = total - sum(gluing.signs) * table[gluing.torus_label].klass
     return total
 
 
@@ -220,14 +198,9 @@ def _dual_block_indices(tori: Iterable[EmbeddedTorus]) -> set[int]:
     return dual_support - klass_support
 
 
-def sum_invariants(
-    base: FourManifold,
-    gluings: Sequence[Gluing],
-    tori: Sequence[EmbeddedTorus],
-    *,
-    name: Optional[str] = None,
-) -> FourManifold:
-    """Invariant record of the sum; identical for every sign assignment.
+def sum_invariants(recipe: SumRecipe) -> FourManifold:
+    """Invariant record of the sum, named after the recipe; identical for
+    every sign assignment.
 
     The record's own c1 is the one computed from the gluings as given
     (sign-flipped variants are carried by FormClass values instead).
@@ -244,36 +217,31 @@ def sum_invariants(
     overcount when gluings kill part of H1, so those two fields are
     best-effort rather than certified.
     """
-    total = sum(g.copies for g in gluings)
+    base = recipe.base
+    total = recipe.total_copies
     if total == 0:
         return base
-    table = _resolve(tori)
-    for gluing in gluings:
-        if gluing.torus_label not in table:
-            raise RecipeError(f"gluing references undeclared torus {gluing.torus_label}")
     euler = base.euler + EULER_PER_COPY * total
     signature = base.signature + SIGNATURE_PER_COPY * total
-    glued = {g.torus_label for g in gluings}
+    glued = {g.torus_label for g in recipe.gluings}
     simply_connected = base.simply_connected or (
         base.pi1_normally_generated_by_tori
-        and all(t.label in glued for t in tori)
+        and all(t.label in glued for t in recipe.tori)
     )
     if simply_connected:
         b1, b2 = 0, euler - 2
     else:
         b1 = base.b1
         b2 = euler - 2 + 2 * b1
-    pairing = base.pairing.masked(_dual_block_indices(tori))
-    c1 = sum_c1(base.c1, gluings, table)
     return FourManifold(
-        name=name or f"{base.name}+{total}xE1",
+        name=recipe.name,
         euler=euler,
         signature=signature,
         b1=b1,
         b2=b2,
         lattice_basis_labels=base.lattice_basis_labels,
-        pairing=pairing,
-        c1=c1,
+        pairing=base.pairing.masked(_dual_block_indices(recipe.tori)),
+        c1=sum_c1(recipe),
         pi1_normally_generated_by_tori=base.pi1_normally_generated_by_tori,
         simply_connected=simply_connected,
     )
@@ -297,18 +265,15 @@ def with_signs(recipe: SumRecipe, signs_flat: Sequence[int]) -> SumRecipe:
     gluings = []
     pos = 0
     for gluing in recipe.gluings:
-        chunk = tuple(signs[pos : pos + gluing.copies])
+        gluings.append(Gluing(gluing.torus_label, signs[pos : pos + gluing.copies]))
         pos += gluing.copies
-        gluings.append(Gluing(gluing.torus_label, gluing.copies, chunk))
     return SumRecipe(recipe.base, recipe.tori, tuple(gluings), recipe.name)
 
 
 def perform_recipe(recipe: SumRecipe) -> tuple[FourManifold, FormClass]:
     """Evaluate a recipe: summed invariants plus the resulting form class."""
-    _require_valid(recipe)
-    manifold = sum_invariants(recipe.base, recipe.gluings, recipe.tori, name=recipe.name)
-    duals = [t.dual for t in recipe.tori if t.dual is not None]
-    report = divisibility_bounds(manifold.c1, manifold.pairing, duals)
+    manifold = sum_invariants(recipe)
+    report = divisibility_bounds(manifold.c1, manifold.pairing, recipe.duals)
     form = FormClass(
         manifold=manifold,
         signs_flat=flat_signs(recipe),

@@ -14,8 +14,8 @@ def test_bundled_corollary_config_parses_to_five_gluings():
     config = parse_config(bundled_path("corollary15.cfg"))
     recipe = config.recipes["cor15"]
     assert recipe.total_copies == 5
-    kinds = [type(t).__name__ for t in config.tasks]
-    assert kinds == ["VerifyTask", "EnumerateTask"]
+    kinds = [(type(t).__name__, t.kind) for t in config.tasks]
+    assert kinds == [("TheoremTask", "verify"), ("EnumerateTask", "enumerate")]
     assert config.seed == 0
 
 
@@ -473,3 +473,46 @@ def test_linking_rejects_relation_for_linked_components(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "torus relation: (" not in out
     assert "component 0:   0   1   0" in out
+
+
+def test_invalid_recipe_in_config_exits_2_with_its_message(tmp_path, capsys):
+    # Tx is symplectic, so its orientation cannot be flipped.
+    (tmp_path / "bad.cfg").write_text(
+        "[manifold T4]\nbuiltin = T4\n\n"
+        "[recipe bad]\nmanifold = T4\nglue = Tx + -\n\n"
+        "[task enumerate]\nrecipe = bad\n"
+    )
+    assert main(["run", "--config", str(tmp_path / "bad.cfg")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'bad.cfg'}:4: recipe 'bad' is invalid: "
+        "gluing along Tx: orientation not flippable (symplectic torus)\n"
+    )
+
+
+def test_cli_solve_rejects_a_non_integer_prime(capsys):
+    assert main(["solve", "--primes", "3,x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --primes: expected an integer, got 'x'\n"
+    assert captured.out == ""
+
+
+def test_cli_linking_unreadable_link_file_exits_2(tmp_path, capsys):
+    assert main(["linking", "--link", str(tmp_path), "--output", "machine"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    (error,) = doc["errors"]
+    assert error.startswith(f"<args>: bad link file {tmp_path}: ")
+    assert doc["tasks"] == []
+
+
+def test_cli_linking_reads_the_axis_file_before_any_linking_number(
+    tmp_path, monkeypatch, capsys
+):
+    from fibresum import linkgeom
+
+    verified = _count_calls(monkeypatch, linkgeom, "linking_number_verified")
+    argv = ["linking", "--link", "borromean.lnk", "--axis", str(tmp_path), "--output", "machine"]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    (error,) = doc["errors"]
+    assert error.startswith(f"<args>: bad axis file {tmp_path}: ")
+    assert verified == []

@@ -157,7 +157,7 @@ def test_enumerate_forms_negative_control():
 def test_enumerate_forms_no_flippable_copies():
     manifold, tx, ty, tz, tw = t4_setup()
     recipe = SumRecipe(
-        manifold, (tx, ty, tz, tw), (Gluing("Tx", 1, (1,)), Gluing("Tw", 1, (1,)))
+        manifold, (tx, ty, tz, tw), (Gluing("Tx", (1,)), Gluing("Tw", (1,)))
     )
     result = enumerate_forms(recipe)
     assert result.flippable_copies == 0
@@ -169,14 +169,14 @@ def test_enumerate_forms_cap_bounds_chern_classes():
     manifold, tx, ty, tz, tw = t4_setup()
     tori = (tx, ty, tz, tw)
     # 2^8 assignments but only 9 sign sums, so 9 classes fit under 16.
-    recipe = SumRecipe(manifold, tori, (Gluing("Tz", 8, (1,) * 8),))
+    recipe = SumRecipe(manifold, tori, (Gluing("Tz", (1,) * 8),))
     result = enumerate_forms(recipe, cap=16)
     assert len(result.forms) == 9
     assert result.flippable_copies == 8
     assert result.assignments_covered == 256
     # Two independent gluings of four copies give 5 * 5 classes.
     recipe = SumRecipe(
-        manifold, tori, (Gluing("Ty", 4, (1,) * 4), Gluing("Tz", 4, (1,) * 4))
+        manifold, tori, (Gluing("Ty", (1,) * 4), Gluing("Tz", (1,) * 4))
     )
     with pytest.raises(EnumerationCapError, match="enumeration too large"):
         enumerate_forms(recipe, cap=16)
@@ -196,7 +196,7 @@ def _random_t4_recipe(rng):
             continue
         flippable += copies * flips
         signs = tuple(rng.choice((1, -1)) if flips else 1 for _ in range(copies))
-        gluings.append(Gluing(torus.label, copies, signs))
+        gluings.append(Gluing(torus.label, signs))
     return SumRecipe(manifold, tori, tuple(gluings))
 
 
@@ -233,7 +233,7 @@ def _random_hyperbolic_recipe(rng):
     gluings = []
     for torus in tori:
         copies = rng.randint(1, 2)
-        gluings.append(Gluing(torus.label, copies, tuple(rng.choice((1, -1)) for _ in range(copies))))
+        gluings.append(Gluing(torus.label, tuple(rng.choice((1, -1)) for _ in range(copies))))
     return SumRecipe(manifold, tori, tuple(gluings))
 
 
@@ -247,9 +247,8 @@ def test_enumerate_forms_matches_brute_force_oracle():
         result = enumerate_forms(recipe)
         expected = brute_force_forms(recipe)
         assert [(f.signs_flat, f.c1.coords) for f in result.forms] == expected
-        summed = sum_invariants(recipe.base, recipe.gluings, recipe.tori)
-        duals = [t.dual for t in recipe.tori if t.dual is not None]
-        reports = [divisibility_bounds(IntVector(c1), summed.pairing, duals) for _, c1 in expected]
+        summed = sum_invariants(recipe)
+        reports = [divisibility_bounds(IntVector(c1), summed.pairing, recipe.duals) for _, c1 in expected]
         assert [f.divisibility for f in result.forms] == reports
         assert result.distinct_divisibilities == tuple(sorted({r.lower for r in reports if r.exact}))
         flippable.add(result.flippable_copies)
@@ -274,7 +273,7 @@ def test_solve_signs_two_primes_matches_gcd_search_oracle():
         recipe = SumRecipe(result.recipe.base, result.recipe.tori, result.recipe.gluings)
         from fibresum.gompfsum import sum_c1, with_signs
 
-        c1 = sum_c1(recipe.base.c1, with_signs(recipe, signs).gluings, recipe.torus_table)
+        c1 = sum_c1(with_signs(recipe, signs))
         from fibresum.intlat import gcd_content
 
         assert gcd_content(c1) == p

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibresum.errors import OrientationError, RecipeError
-from fibresum.fourman import LAGRANGIAN, build_e1, build_t4
+from fibresum.errors import RecipeError
+from fibresum.fourman import LAGRANGIAN, EmbeddedTorus, build_e1, build_t4
 from fibresum.gompfsum import (
     FormClass,
     Gluing,
@@ -14,7 +14,6 @@ from fibresum.gompfsum import (
     check_c1_identities,
     flat_signs,
     perform_recipe,
-    recipe_violations,
     sum_c1,
     sum_invariants,
     with_signs,
@@ -30,42 +29,34 @@ def t4_tables():
 def section_recipe(signs_tz=(1,), tw_copies=2):
     manifold, tori, _ = t4_tables()
     gluings = (
-        Gluing("Tx", 1, (1,)),
-        Gluing("Ty", 1, (1,)),
-        Gluing("Tz", len(signs_tz), tuple(signs_tz)),
-        Gluing("Tw", tw_copies, (1,) * tw_copies),
+        Gluing("Tx", (1,)),
+        Gluing("Ty", (1,)),
+        Gluing("Tz", tuple(signs_tz)),
+        Gluing("Tw", (1,) * tw_copies),
     )
     return SumRecipe(manifold, tori, gluings, name="section")
 
 
 def test_sum_c1_diagonal_recipe():
-    manifold, tori, table = t4_tables()
     recipe = section_recipe()
-    c1 = sum_c1(manifold.c1, recipe.gluings, table)
+    c1 = sum_c1(recipe)
     assert c1.coords == (-3, -3, -3, 0, 0, 0)
 
 
 def test_sum_c1_with_one_flip():
-    manifold, _, table = t4_tables()
     recipe = section_recipe(signs_tz=(-1,))
-    c1 = sum_c1(manifold.c1, recipe.gluings, table)
+    c1 = sum_c1(recipe)
     assert c1.coords == (-3, -3, -1, 0, 0, 0)
 
 
 def test_sum_c1_empty_gluings_is_identity():
-    manifold, _, table = t4_tables()
-    assert sum_c1(manifold.c1, (), table) == manifold.c1
-
-
-def test_sum_c1_rejects_flip_on_symplectic_torus():
-    manifold, _, table = t4_tables()
-    with pytest.raises(OrientationError, match="not flippable"):
-        sum_c1(manifold.c1, (Gluing("Tx", 1, (-1,)),), table)
+    manifold, tori, _ = t4_tables()
+    assert sum_c1(SumRecipe(manifold, tori, ())) == manifold.c1
 
 
 def test_contribution_trace_keeps_two_step_form():
-    _, _, table = t4_tables()
-    records = c1_contributions((Gluing("Tz", 2, (1, -1)),), table)
+    manifold, tori, table = t4_tables()
+    records = c1_contributions(SumRecipe(manifold, tori, (Gluing("Tz", (1, -1)),)))
     assert len(records) == 2
     plus, minus = records
     tz = table["Tz"].klass
@@ -75,9 +66,8 @@ def test_contribution_trace_keeps_two_step_form():
 
 
 def test_sum_invariants_five_copies():
-    manifold, tori, _ = t4_tables()
     recipe = section_recipe()
-    summed = sum_invariants(manifold, recipe.gluings, tori)
+    summed = sum_invariants(recipe)
     # Additivity oracle by hand: e = 0 + 5 * 12, sigma = 0 - 5 * 8.
     assert (summed.euler, summed.signature, summed.b2) == (60, -40, 58)
     assert summed.simply_connected and summed.b1 == 0
@@ -85,20 +75,20 @@ def test_sum_invariants_five_copies():
 
 def test_sum_invariants_zero_gluings_returns_base():
     manifold, tori, _ = t4_tables()
-    assert sum_invariants(manifold, (), tori) == manifold
+    assert sum_invariants(SumRecipe(manifold, tori, ())) == manifold
 
 
 def test_sum_invariants_not_simply_connected_when_a_torus_is_missed():
     manifold, tori, _ = t4_tables()
-    summed = sum_invariants(manifold, (Gluing("Tx", 1, (1,)),), tori)
+    summed = sum_invariants(SumRecipe(manifold, tori, (Gluing("Tx", (1,)),)))
     assert not summed.simply_connected
     assert summed.euler == 12 and summed.signature == -8
 
 
 def test_sum_marks_dual_self_pairings_unknown():
-    manifold, tori, _ = t4_tables()
+    _, tori, _ = t4_tables()
     recipe = section_recipe()
-    summed = sum_invariants(manifold, recipe.gluings, tori)
+    summed = sum_invariants(recipe)
     ux = IntVector((0, 0, 0, 1, 0, 0))
     tx = tori[0].klass
     assert summed.pairing.pair(ux, ux) is None
@@ -108,7 +98,7 @@ def test_sum_marks_dual_self_pairings_unknown():
 
 def test_elliptic_surface_self_sum_gives_k3_record():
     manifold, fibre = build_e1()
-    summed = sum_invariants(manifold, (Gluing("F", 1, (1,)),), (fibre,))
+    summed = sum_invariants(SumRecipe(manifold, (fibre,), (Gluing("F", (1,)),)))
     assert (summed.euler, summed.signature, summed.b2) == (24, -16, 22)
     assert summed.c1.is_zero()
     assert summed.simply_connected
@@ -118,10 +108,10 @@ def test_perform_recipe_theorem_shapes():
     manifold, tori, table = t4_tables()
     for n in (3, 5, 7):
         gluings = (
-            Gluing("Tz", 1, (1,)),
-            Gluing("Tx", 1, (1,)),
-            Gluing("Ty", 1, (1,)),
-            Gluing("Tw", n - 1, (1,) * (n - 1)),
+            Gluing("Tz", (1,)),
+            Gluing("Tx", (1,)),
+            Gluing("Ty", (1,)),
+            Gluing("Tw", (1,) * (n - 1)),
         )
         recipe = SumRecipe(manifold, tori, gluings, name=f"n{n}")
         summed, form = perform_recipe(recipe)
@@ -143,14 +133,47 @@ def test_perform_recipe_zero_copies_returns_base():
     assert form.divisibility.undefined
 
 
-def test_recipe_violations():
-    manifold, tori, _ = t4_tables()
-    bad = SumRecipe(manifold, tori, (Gluing("nope", 1, (1,)),))
-    assert any("undeclared torus" in v for v in recipe_violations(bad))
-    flip = SumRecipe(manifold, tori, (Gluing("Tw", 1, (-1,)),))
-    assert any("not flippable" in v for v in recipe_violations(flip))
-    with pytest.raises(RecipeError):
-        perform_recipe(bad)
+_, _T4_TORI = build_t4()
+_SHORT_TZ = EmbeddedTorus("Tz", IntVector((0, 0, 1)), LAGRANGIAN)
+
+
+@pytest.mark.parametrize(
+    "tori, gluings, message",
+    [
+        (_T4_TORI, (Gluing("nope", (1,)),), "gluing references undeclared torus nope"),
+        (_T4_TORI + _T4_TORI[:1], (), "torus Tx: declared twice"),
+        (_T4_TORI[:2] + (_SHORT_TZ,), (), "torus Tz: class length 3 != tracked rank 6"),
+        (
+            _T4_TORI,
+            (Gluing("Tw", (-1,)),),
+            "gluing along Tw: orientation not flippable (symplectic torus)",
+        ),
+        (
+            _T4_TORI,
+            (Gluing("Tx", (-1,)), Gluing("nope", (1,))),
+            "gluing along Tx: orientation not flippable (symplectic torus); "
+            "gluing references undeclared torus nope",
+        ),
+    ],
+    ids=[
+        "undeclared-torus",
+        "duplicate-label",
+        "class-length",
+        "flip-on-symplectic-torus",
+        "every-violation-joined",
+    ],
+)
+def test_recipe_rejected_at_construction(tori, gluings, message):
+    manifold, _ = build_t4()
+    with pytest.raises(RecipeError) as caught:
+        SumRecipe(manifold, tori, gluings)
+    assert str(caught.value) == message
+
+
+def test_with_signs_rechecks_the_flip_rule():
+    recipe = section_recipe()
+    with pytest.raises(RecipeError, match="not flippable"):
+        with_signs(recipe, (-1,) + flat_signs(recipe)[1:])
 
 
 def test_parallel_copies_need_declaration():
@@ -165,17 +188,19 @@ def test_parallel_copies_need_declaration():
         )
         for t in tori
     )
-    recipe = SumRecipe(manifold, lonely, (Gluing("Tw", 2, (1, 1)),))
-    assert any("parallel copies" in v for v in recipe_violations(recipe))
+    with pytest.raises(RecipeError) as caught:
+        SumRecipe(manifold, lonely, (Gluing("Tw", (1, 1)),))
+    assert str(caught.value) == (
+        "gluing along Tw: 2 parallel copies requested but none declared available"
+    )
 
 
 def test_gluing_constructor_validation():
     with pytest.raises(RecipeError):
-        Gluing("Tx", 0, ())
+        Gluing("Tx", ())
     with pytest.raises(RecipeError):
-        Gluing("Tx", 2, (1,))
-    with pytest.raises(RecipeError):
-        Gluing("Tx", 1, (2,))
+        Gluing("Tx", (2,))
+    assert Gluing("Tx", (1, -1)).copies == 2
 
 
 def test_check_c1_identities_on_section_manifold():
@@ -239,10 +264,10 @@ def test_euler_signature_affine_in_copy_count(a, b):
     total = a + b
     gluings = []
     if a:
-        gluings.append(Gluing("Tx", a, (1,) * a))
+        gluings.append(Gluing("Tx", (1,) * a))
     if b:
-        gluings.append(Gluing("Tw", b, (1,) * b))
-    summed = sum_invariants(manifold, tuple(gluings), tori)
+        gluings.append(Gluing("Tw", (1,) * b))
+    summed = sum_invariants(SumRecipe(manifold, tori, tuple(gluings)))
     assert summed.euler == manifold.euler + 12 * total
     assert summed.signature == manifold.signature - 8 * total
 
@@ -257,9 +282,9 @@ def random_recipe(rng):
         signs = tuple(
             rng.choice((1, -1)) if torus.kind == LAGRANGIAN else 1 for _ in range(copies)
         )
-        gluings.append(Gluing(torus.label, copies, signs))
+        gluings.append(Gluing(torus.label, signs))
     if not any(t.kind == LAGRANGIAN for t in tori for g in gluings if g.torus_label == t.label):
-        gluings.append(Gluing("Tz", 1, (rng.choice((1, -1)),)))
+        gluings.append(Gluing("Tz", (rng.choice((1, -1)),)))
     rng.shuffle(gluings)
     return SumRecipe(manifold, tori, tuple(gluings), name="random")
 
@@ -281,27 +306,25 @@ def test_sign_locality_and_permutation_invariance():
         pick = rng.choice(flippable)
         flipped = list(signs)
         flipped[pick] = -flipped[pick]
-        base_c1 = sum_c1(recipe.base.c1, recipe.gluings, table)
+        base_c1 = sum_c1(recipe)
         # The two-step trace is an independent path to the same class.
         traced = recipe.base.c1
-        for record in c1_contributions(recipe.gluings, table):
+        for record in c1_contributions(recipe):
             traced = traced + record["net"]
         assert base_c1 == traced
-        new_c1 = sum_c1(recipe.base.c1, with_signs(recipe, flipped).gluings, table)
+        new_c1 = sum_c1(with_signs(recipe, flipped))
         delta = (signs[pick] - flipped[pick]) * table[labels_flat[pick]].klass
         assert new_c1 == base_c1 + delta
 
         shuffled = list(recipe.gluings)
         rng.shuffle(shuffled)
         permuted = SumRecipe(recipe.base, recipe.tori, tuple(shuffled), recipe.name)
-        assert sum_invariants(permuted.base, permuted.gluings, permuted.tori) == (
-            sum_invariants(recipe.base, recipe.gluings, recipe.tori)
-        )
-        assert sum_c1(recipe.base.c1, permuted.gluings, table) == base_c1
+        assert sum_invariants(permuted) == sum_invariants(recipe)
+        assert sum_c1(permuted) == base_c1
 
 
 def test_form_class_recompute_bit_exact():
     recipe = section_recipe(signs_tz=(-1,))
     _, form = perform_recipe(recipe)
-    again = sum_c1(recipe.base.c1, with_signs(recipe, form.signs_flat).gluings, recipe.torus_table)
+    again = sum_c1(with_signs(recipe, form.signs_flat))
     assert again == form.c1
