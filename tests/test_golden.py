@@ -33,6 +33,9 @@ CASES = {
     # A custom record and T4 verify, build and enumerate tasks: covers the
     # build report's per-gluing copies and its c1 trace.
     "build.json": ["run", "--config", str(GOLDEN / "build.cfg")],
+    # A small record like the benchmark's `wide` ones: every sign assignment
+    # is a distinct form, and one identity check per dual class is skipped.
+    "wide3.json": ["run", "--config", str(GOLDEN / "wide3.cfg")],
 }
 
 
