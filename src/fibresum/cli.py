@@ -67,17 +67,14 @@ def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> N
 
 def _check_forms(name: str, result, manifold, recipe, report: ReportBuilder) -> None:
     extras = {t.label: t.klass for t in recipe.tori}
-    any_failed = False
-    for form in result.forms:
-        identity = check_c1_identities(manifold, form, extras)
-        label = f"{name} signs {''.join('+' if s > 0 else '-' for s in form.signs_flat)}"
-        report.checks.extend(check_entries(label, identity))
-        if not identity.ok:
-            any_failed = True
-            for msg in identity.failed:
-                report.line(f"  [   fail] {label}: {msg}")
-    summary = "pass" if not any_failed else "fail"
-    report.add_check(f"{name}: c1 identities over all forms", summary)
+    identities = check_c1_identities(manifold, result.forms, extras)
+    report.checks.extend(check_entries(name, result.forms, identities))
+    for form, identity in zip(result.forms, identities):
+        for msg in identity.failed:
+            signs = "".join("+" if s > 0 else "-" for s in form.signs_flat)
+            report.line(f"  [   fail] {name} signs {signs}: {msg}")
+    any_failed = not all(identity.ok for identity in identities)
+    report.add_check(f"{name}: c1 identities over all forms", "fail" if any_failed else "pass")
     if any_failed:
         raise MathematicalInconsistencyError("c1 identity check failed")
 

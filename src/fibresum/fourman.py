@@ -73,11 +73,6 @@ class FourManifold:
     def rank(self) -> int:
         return self.pairing.dim
 
-    def basis_vector(self, index: int) -> IntVector:
-        coords = [0] * self.rank
-        coords[index] = 1
-        return IntVector(tuple(coords))
-
 
 def _e(dim: int, index: int, value: int = 1) -> IntVector:
     coords = [0] * dim

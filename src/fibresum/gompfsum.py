@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import RecipeError
 from .fourman import LAGRANGIAN, EmbeddedTorus, FourManifold
-from .intlat import DivisibilityReport, IntVector, divisibility_bounds
+from .intlat import DivisibilityReport, IntVector, divisibility_bounds, row_pairing
 
 __all__ = [
     "Gluing",
@@ -69,9 +69,10 @@ class SumRecipe:
     """Ordered gluings of a base manifold with copies of E(1).
 
     A recipe checks itself when it is built: every torus label is
-    declared once, every class has the base's tracked rank, every gluing
-    names a declared torus, signs flip only on Lagrangian tori, and
-    parallel copies go only where the torus declares them available.
+    declared once, every class and dual has the base's tracked rank,
+    every gluing names a declared torus, signs flip only on Lagrangian
+    tori, and parallel copies go only where the torus declares them
+    available.
     Any violation raises one RecipeError listing all of them.
     """
 
@@ -92,6 +93,11 @@ class SumRecipe:
             if len(torus.klass) != self.base.rank:
                 violations.append(
                     f"torus {torus.label}: class length {len(torus.klass)} != "
+                    f"tracked rank {self.base.rank}"
+                )
+            if torus.dual is not None and len(torus.dual) != self.base.rank:
+                violations.append(
+                    f"torus {torus.label}: dual length {len(torus.dual)} != "
                     f"tracked rank {self.base.rank}"
                 )
         for gluing in self.gluings:
@@ -285,53 +291,57 @@ def perform_recipe(recipe: SumRecipe) -> tuple[FourManifold, FormClass]:
 
 def check_c1_identities(
     manifold: FourManifold,
-    form: FormClass,
+    forms: Sequence[FormClass],
     extra_classes: "Mapping[str, IntVector] | None" = None,
-) -> CheckReport:
-    """Almost-complex consistency checks on a form class.
+) -> list[CheckReport]:
+    """Almost-complex consistency checks, one report per form class.
 
     Verifies <c1, c1> = 2e + 3*sigma and the characteristic property
     <c1, x> = <x, x> (mod 2) for every tracked basis class, plus any
-    extra named classes. Checks needing untracked pairings are reported
-    as skipped rather than silently dropped.
+    extra named classes; an extra class with a basis class's name and
+    vector is that check, run once. Each form's pairings are read off
+    its one row of basis pairings. Checks needing untracked pairings are
+    reported as skipped rather than silently dropped.
     """
     if not manifold.simply_connected:
         raise ValueError("c1 identity checks require a simply connected record")
-    passed: list[str] = []
-    failed: list[str] = []
-    skipped: list[str] = []
-    c1 = form.c1
-    square = manifold.pairing.pair(c1, c1)
+    pairing = manifold.pairing
+    labels = manifold.lattice_basis_labels
     target = 2 * manifold.euler + 3 * manifold.signature
-    label = f"<c1,c1> = 2e + 3sigma = {target}"
-    if square is None:
-        skipped.append(label + " (pairing untracked)")
-    elif square == target:
-        passed.append(label)
-    else:
-        failed.append(f"<c1,c1> = {square}, expected {target}")
+    square_label = f"<c1,c1> = 2e + 3sigma = {target}"
+    # (name, self-pairing, basis index, None) per basis class and
+    # (name, self-pairing, None, vector) per other extra class.
+    classes = [(name, pairing.entries[j][j], j, None) for j, name in enumerate(labels)]
+    units = {(name, tuple(int(i == j) for i in range(len(labels)))) for j, name in enumerate(labels)}
+    for name, vec in (extra_classes or {}).items():
+        if (name, tuple(vec)) not in units:
+            classes.append((name, pairing.pair(vec, vec), None, vec))
+    parity_labels = [f"parity of <c1, {name}>" for name, *_ in classes]
 
-    classes: list[tuple[str, IntVector]] = [
-        (name, manifold.basis_vector(i))
-        for i, name in enumerate(manifold.lattice_basis_labels)
-    ]
-    if extra_classes:
-        classes.extend(extra_classes.items())
-    for name, vec in classes:
-        self_pairing = manifold.pairing.pair(vec, vec)
-        label = f"parity of <c1, {name}>"
-        if self_pairing is None:
-            skipped.append(label + " (self-pairing untracked)")
-            continue
-        cp = manifold.pairing.pair(c1, vec)
-        if cp is None:
-            skipped.append(label + " (c1 pairing untracked)")
-            continue
-        if (cp - self_pairing) % 2 == 0:
-            passed.append(label)
+    reports = []
+    for form in forms:
+        passed, failed, skipped = [], [], []
+        row = pairing.basis_pairings(form.c1)
+        square = row_pairing(row, form.c1)
+        if square is None:
+            skipped.append(square_label + " (pairing untracked)")
+        elif square == target:
+            passed.append(square_label)
         else:
-            failed.append(
-                f"characteristic parity fails on {name}: "
-                f"<c1, {name}> = {cp}, <{name}, {name}> = {self_pairing}"
-            )
-    return CheckReport(tuple(passed), tuple(failed), tuple(skipped))
+            failed.append(f"<c1,c1> = {square}, expected {target}")
+        for label, (name, self_pairing, j, vec) in zip(parity_labels, classes):
+            if self_pairing is None:
+                skipped.append(label + " (self-pairing untracked)")
+                continue
+            cp = row[j] if vec is None else row_pairing(row, vec)
+            if cp is None:
+                skipped.append(label + " (c1 pairing untracked)")
+            elif (cp - self_pairing) % 2 == 0:
+                passed.append(label)
+            else:
+                failed.append(
+                    f"characteristic parity fails on {name}: "
+                    f"<c1, {name}> = {cp}, <{name}, {name}> = {self_pairing}"
+                )
+        reports.append(CheckReport(tuple(passed), tuple(failed), tuple(skipped)))
+    return reports

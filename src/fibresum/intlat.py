@@ -20,6 +20,7 @@ __all__ = [
     "DivisibilityReport",
     "gcd_content",
     "divisibility_bounds",
+    "row_pairing",
     "rank",
 ]
 
@@ -83,7 +84,7 @@ def _as_coords(v: "IntVector | Sequence[int]") -> tuple[int, ...]:
 
 def gcd_content(v: "IntVector | Sequence[int]") -> int:
     """Largest k such that v = k * w for an integer vector w; 0 for v = 0."""
-    return math.gcd(*_as_coords(v)) if len(_as_coords(v)) else 0
+    return math.gcd(*_as_coords(v))
 
 
 @dataclass(frozen=True)
@@ -120,41 +121,18 @@ class PairingMatrix:
         return cls(tuple((0,) * dim for _ in range(dim)))
 
     def pair(self, u: "IntVector | Sequence[int]", v: "IntVector | Sequence[int]") -> Optional[int]:
-        uc, vc = _as_coords(u), _as_coords(v)
-        if len(uc) != self.dim or len(vc) != self.dim:
-            raise ValueError("vector length does not match pairing dimension")
-        total = 0
-        for i, a in enumerate(uc):
-            if a == 0:
-                continue
-            row = self.entries[i]
-            for j, b in enumerate(vc):
-                if b == 0:
-                    continue
-                e = row[j]
-                if e is None:
-                    return None
-                total += a * e * b
-        return total
+        return row_pairing(self.basis_pairings(u), v)
 
     def basis_pairings(self, v: "IntVector | Sequence[int]") -> tuple[Optional[int], ...]:
-        """Pairings of v against every basis vector, None where untracked."""
+        """Pairings of v against every basis vector, None where untracked;
+        only the rows of v's nonzero coordinates are read."""
         vc = _as_coords(v)
         if len(vc) != self.dim:
             raise ValueError("vector length does not match pairing dimension")
-        out = []
-        for j in range(self.dim):
-            total = 0
-            unknown = False
-            for i, a in enumerate(vc):
-                if a == 0:
-                    continue
-                e = self.entries[i][j]
-                if e is None:
-                    unknown = True
-                    break
-                total += a * e
-            out.append(None if unknown else total)
+        out: list[Optional[int]] = [0] * self.dim
+        for a, row in zip(vc, self.entries):
+            if a:
+                out = [None if o is None or e is None else o + a * e for o, e in zip(out, row)]
         return tuple(out)
 
     def masked(self, unknown_indices: Iterable[int]) -> "PairingMatrix":
@@ -209,20 +187,28 @@ def divisibility_bounds(
     bound, never falsify it.
     """
     coords = _as_coords(c)
-    if len(coords) != pairing.dim:
-        raise ValueError("vector length does not match pairing dimension")
-    if all(a == 0 for a in coords):
-        return DivisibilityReport(lower=0, upper=0, exact=False, undefined=True)
+    row = pairing.basis_pairings(coords)
     lower = math.gcd(*coords)
-    upper = 0
-    for p in pairing.basis_pairings(coords):
-        if p is not None:
-            upper = math.gcd(upper, p)
-    for u in duals:
-        p = pairing.pair(coords, u)
-        if p is not None:
-            upper = math.gcd(upper, p)
+    if lower == 0:
+        return DivisibilityReport(lower=0, upper=0, exact=False, undefined=True)
+    pairings = row + tuple(row_pairing(row, u) for u in duals)
+    upper = math.gcd(*(p for p in pairings if p is not None))
     return DivisibilityReport(lower=lower, upper=upper, exact=(upper != 0 and lower == upper))
+
+
+def row_pairing(row: Sequence[Optional[int]], v: "IntVector | Sequence[int]") -> Optional[int]:
+    """<c, v> from c's basis pairings ``row``, None when a nonzero
+    coordinate of v meets an untracked entry of the row."""
+    vc = _as_coords(v)
+    if len(vc) != len(row):
+        raise ValueError("vector length does not match pairing dimension")
+    total = 0
+    for b, p in zip(vc, row):
+        if b:
+            if p is None:
+                return None
+            total += b * p
+    return total
 
 
 def rank(vectors: Sequence["IntVector | Sequence[int]"]) -> int:

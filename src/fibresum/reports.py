@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .construct import EnumerationResult, HypothesisReport, SolveResult
 from .fourman import FourManifold, form_parity
@@ -62,15 +62,26 @@ def form_doc(f: FormClass) -> dict:
     }
 
 
-def check_entries(name: str, report: CheckReport) -> list[dict]:
-    out = []
-    for msg in report.passed:
-        out.append({"check": f"{name}: {msg}", "status": "pass"})
-    for msg in report.failed:
-        out.append({"check": f"{name}: {msg}", "status": "fail"})
-    for msg in report.skipped:
-        out.append({"check": f"{name}: {msg}", "status": "skipped"})
-    return out
+def check_entries(name: str, forms: Sequence[FormClass], reports: Sequence[CheckReport]) -> list[dict]:
+    """Entries for one check report per form, grouped by message.
+
+    Each passed or skipped message is one entry whose detail counts the
+    forms reporting it; each failure keeps its own entry, named by form
+    index and signs.
+    """
+    groups: dict[str, list] = {}
+    failures = []
+    for index, (form, report) in enumerate(zip(forms, reports)):
+        for status, messages in (("pass", report.passed), ("skipped", report.skipped)):
+            for msg in dict.fromkeys(messages):
+                groups.setdefault(msg, [status, 0])[1] += 1
+        for msg in report.failed:
+            label = f"{name} form {index} signs {_sign_string(form.signs_flat)}"
+            failures.append({"check": f"{label}: {msg}", "status": "fail"})
+    return [
+        {"check": f"{name}: {msg}", "status": status, "detail": f"{count} of {len(reports)} forms"}
+        for msg, (status, count) in groups.items()
+    ] + failures
 
 
 def _sign_string(signs) -> str:
@@ -299,7 +310,7 @@ class ReportBuilder:
 
     def machine_document(self) -> dict:
         return {
-            "schema": "fibresum-report/2",
+            "schema": "fibresum-report/3",
             "seed": _s(self.seed),
             "cap": _s(self.cap),
             "manifold": self.manifold,

@@ -6,9 +6,12 @@ segment-distance and crossing oracles redo the package's exact geometry
 on Fractions straight from the rational vertices (the package clears
 denominators and works on integers), the rank oracle is Gauss-Jordan elimination over the rationals (the package
 eliminates fraction-free over the integers), the intersection-pairing
-oracle multiplies differential forms on the four-torus, and the form
+oracle multiplies differential forms on the four-torus, the form
 oracle runs through every sign assignment one copy at a time (the package
-keeps one sign prefix per partial Chern class).
+keeps one sign prefix per partial Chern class), and the divisibility and
+c1 identity oracles pair two vectors entry by entry for every pairing they
+need (the package reads each form's pairings off one row of basis
+pairings).
 """
 
 from __future__ import annotations
@@ -279,3 +282,76 @@ def brute_force_forms(recipe) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
             c1 = [c - sign * t for c, t in zip(c1, torus.klass.coords)]
         seen.setdefault(tuple(c1), tuple(signs))
     return [(signs, c1) for c1, signs in seen.items()]
+
+
+def pairwise_pairing(entries, u, v):
+    """<u, v> summed entry by entry over the nonzero coordinates of both;
+    None as soon as such a pair of coordinates meets an untracked entry."""
+    total = 0
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                if entries[i][j] is None:
+                    return None
+                total += a * entries[i][j] * b
+    return total
+
+
+def _unit(dim, index):
+    return tuple(int(i == index) for i in range(dim))
+
+
+def pairwise_divisibility_bounds(c, entries, duals=()):
+    """(lower, upper, exact, undefined) for c: lower is the gcd of the
+    coordinates, upper the gcd of every tracked pairing of c with a basis
+    vector or a dual class, each paired separately."""
+    c = tuple(c)
+    if not any(c):
+        return 0, 0, False, True
+    lower = math.gcd(*c)
+    upper = 0
+    for v in [_unit(len(c), j) for j in range(len(c))] + [tuple(u) for u in duals]:
+        p = pairwise_pairing(entries, c, v)
+        if p is not None:
+            upper = math.gcd(upper, p)
+    return lower, upper, upper != 0 and lower == upper, False
+
+
+def pairwise_c1_identities(manifold, c1, extra_classes=None):
+    """(passed, failed, skipped) messages of the almost-complex checks on
+    one c1, each pairing computed on its own. An extra class with a basis
+    class's name and vector is the same check and runs once."""
+    entries = manifold.pairing.entries
+    labels = manifold.lattice_basis_labels
+    c1 = tuple(c1)
+    passed, failed, skipped = [], [], []
+    square = pairwise_pairing(entries, c1, c1)
+    target = 2 * manifold.euler + 3 * manifold.signature
+    label = f"<c1,c1> = 2e + 3sigma = {target}"
+    if square is None:
+        skipped.append(label + " (pairing untracked)")
+    elif square == target:
+        passed.append(label)
+    else:
+        failed.append(f"<c1,c1> = {square}, expected {target}")
+    classes = [(name, _unit(len(labels), j)) for j, name in enumerate(labels)]
+    for name, vec in (extra_classes or {}).items():
+        if (name, tuple(vec)) not in classes:
+            classes.append((name, tuple(vec)))
+    for name, vec in classes:
+        self_pairing = pairwise_pairing(entries, vec, vec)
+        label = f"parity of <c1, {name}>"
+        if self_pairing is None:
+            skipped.append(label + " (self-pairing untracked)")
+            continue
+        cp = pairwise_pairing(entries, c1, vec)
+        if cp is None:
+            skipped.append(label + " (c1 pairing untracked)")
+        elif (cp - self_pairing) % 2 == 0:
+            passed.append(label)
+        else:
+            failed.append(
+                f"characteristic parity fails on {name}: "
+                f"<c1, {name}> = {cp}, <{name}, {name}> = {self_pairing}"
+            )
+    return tuple(passed), tuple(failed), tuple(skipped)

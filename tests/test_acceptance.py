@@ -114,8 +114,9 @@ def test_criterion_4_invariant_suite():
                 result = enumerate_forms(source_recipe)
             manifold = result.forms[0].manifold
             extras = {t.label: t.klass for t in source_recipe.tori}
-            for form in result.forms:
-                report = check_c1_identities(manifold, form, extras)
+            reports = check_c1_identities(manifold, result.forms, extras)
+            assert len(reports) == len(result.forms)
+            for report in reports:
                 assert report.ok, report.failed
                 assert any("2e + 3sigma" in msg for msg in report.passed)
         section_manifold = section.forms[0].manifold

@@ -516,3 +516,74 @@ def test_cli_linking_reads_the_axis_file_before_any_linking_number(
     (error,) = doc["errors"]
     assert error.startswith(f"<args>: bad axis file {tmp_path}: ")
     assert verified == []
+
+
+def test_failing_forms_are_named_by_index_and_signs(monkeypatch, capsys):
+    # Bumping c1 by the dual class Ux makes <c1, Tx> and <c1, Tw> odd
+    # against square-zero tori on the corrupted forms only.
+    from dataclasses import replace
+
+    from fibresum import construct
+    from fibresum.intlat import IntVector
+
+    original = construct.enumerate_forms
+
+    def corrupted(recipe, **kwargs):
+        result = original(recipe, **kwargs)
+        bump = IntVector((0, 0, 0, 1, 0, 0))
+        forms = tuple(
+            replace(f, c1=f.c1 + bump) if i in (1, 3) else f for i, f in enumerate(result.forms)
+        )
+        return replace(result, forms=forms)
+
+    monkeypatch.setattr(construct, "enumerate_forms", corrupted)
+    assert main(["enumerate", "--config", "corollary15.cfg", "--output", "machine"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["forms"]) == 4
+    assert doc["errors"] == ["mathematical inconsistency: c1 identity check failed"]
+    expected = set()
+    for i in (1, 3):
+        signs = "".join("+" if s == "1" else "-" for s in doc["forms"][i]["signs"])
+        for torus in ("Tx", "Tw"):
+            expected.add(
+                f"cor15 form {i} signs {signs}: characteristic parity fails on {torus}: "
+                f"<c1, {torus}> = 1, <{torus}, {torus}> = 0"
+            )
+    failed = {c["check"] for c in doc["checks"] if c["status"] == "fail"}
+    assert failed == expected | {"cor15: c1 identities over all forms"}
+    grouped = {c["check"]: c["detail"] for c in doc["checks"] if "detail" in c}
+    assert grouped["cor15: parity of <c1, Tx>"] == "2 of 4 forms"
+    assert grouped["cor15: parity of <c1, Ty>"] == "4 of 4 forms"
+
+
+@pytest.mark.parametrize("copies", [2, 6])
+def test_check_entries_do_not_grow_with_the_forms(copies, tmp_path, capsys):
+    (tmp_path / "t4.cfg").write_text(
+        "[manifold T4]\nbuiltin = T4\n\n[recipe r]\nmanifold = T4\nglue = Tx +\nglue = Ty +\n"
+        f"glue = Tz {' '.join('+' * copies)}\nglue = Tw +\n\n[task enumerate]\nrecipe = r\n"
+    )
+    assert main(["enumerate", "--config", str(tmp_path / "t4.cfg"), "--output", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    forms = 2 * (copies + 1)
+    assert len(doc["forms"]) == forms
+    # Three torus classes, the diagonal torus, three skipped dual classes,
+    # the square identity, and the summary over all forms.
+    assert len(doc["checks"]) == 9
+    assert all(c["detail"] == f"{forms} of {forms} forms" for c in doc["checks"][:8])
+
+
+def test_check_entries_count_forms_not_messages():
+    from types import SimpleNamespace
+
+    from fibresum.gompfsum import CheckReport
+    from fibresum.reports import check_entries
+
+    # A basis label and an extra class may share a name with different
+    # vectors, so one form can report a message twice.
+    forms = [SimpleNamespace(signs_flat=(1, 1)), SimpleNamespace(signs_flat=(1, -1))]
+    reports = [CheckReport(("a", "a"), (), ("s",)), CheckReport(("a",), ("bad",), ())]
+    assert check_entries("r", forms, reports) == [
+        {"check": "r: a", "status": "pass", "detail": "2 of 2 forms"},
+        {"check": "r: s", "status": "skipped", "detail": "1 of 2 forms"},
+        {"check": "r form 1 signs +-: bad", "status": "fail"},
+    ]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibresum.errors import RecipeError
-from fibresum.fourman import LAGRANGIAN, EmbeddedTorus, build_e1, build_t4
+from fibresum.fourman import LAGRANGIAN, EmbeddedTorus, FourManifold, build_e1, build_t4
 from fibresum.gompfsum import (
     FormClass,
     Gluing,
@@ -18,7 +18,8 @@ from fibresum.gompfsum import (
     sum_invariants,
     with_signs,
 )
-from fibresum.intlat import IntVector
+from fibresum.intlat import IntVector, PairingMatrix, divisibility_bounds
+from oracles import pairwise_c1_identities, pairwise_divisibility_bounds, pairwise_pairing
 
 
 def t4_tables():
@@ -135,6 +136,9 @@ def test_perform_recipe_zero_copies_returns_base():
 
 _, _T4_TORI = build_t4()
 _SHORT_TZ = EmbeddedTorus("Tz", IntVector((0, 0, 1)), LAGRANGIAN)
+_SHORT_DUAL_TZ = EmbeddedTorus(
+    "Tz", IntVector((0, 0, 1, 0, 0, 0)), LAGRANGIAN, dual=IntVector((0, 0, 0, 0, 1))
+)
 
 
 @pytest.mark.parametrize(
@@ -143,6 +147,7 @@ _SHORT_TZ = EmbeddedTorus("Tz", IntVector((0, 0, 1)), LAGRANGIAN)
         (_T4_TORI, (Gluing("nope", (1,)),), "gluing references undeclared torus nope"),
         (_T4_TORI + _T4_TORI[:1], (), "torus Tx: declared twice"),
         (_T4_TORI[:2] + (_SHORT_TZ,), (), "torus Tz: class length 3 != tracked rank 6"),
+        (_T4_TORI[:2] + (_SHORT_DUAL_TZ,), (), "torus Tz: dual length 5 != tracked rank 6"),
         (
             _T4_TORI,
             (Gluing("Tw", (-1,)),),
@@ -159,6 +164,7 @@ _SHORT_TZ = EmbeddedTorus("Tz", IntVector((0, 0, 1)), LAGRANGIAN)
         "undeclared-torus",
         "duplicate-label",
         "class-length",
+        "dual-length",
         "flip-on-symplectic-torus",
         "every-violation-joined",
     ],
@@ -206,7 +212,7 @@ def test_gluing_constructor_validation():
 def test_check_c1_identities_on_section_manifold():
     recipe = section_recipe()
     summed, form = perform_recipe(recipe)
-    report = check_c1_identities(summed, form, {t.label: t.klass for t in recipe.tori})
+    (report,) = check_c1_identities(summed, [form], {t.label: t.klass for t in recipe.tori})
     assert report.ok
     assert any("<c1,c1> = 2e + 3sigma" in msg for msg in report.passed)
     assert any("parity of <c1, Tx>" in msg for msg in report.passed)
@@ -225,7 +231,7 @@ def test_check_c1_identities_catches_corruption():
         c1=form.c1 + IntVector((0, 0, 0, 1, 0, 0)),
         divisibility=form.divisibility,
     )
-    report = check_c1_identities(summed, corrupted)
+    (report,) = check_c1_identities(summed, [corrupted])
     assert not report.ok
     assert any("parity" in msg and "Tx" in msg for msg in report.failed)
 
@@ -244,7 +250,7 @@ def test_check_c1_identities_catches_corruption_on_full_pairing():
         c1=corrupted_c1,
         divisibility=divisibility_bounds(corrupted_c1, manifold.pairing, [fibre.dual]),
     )
-    report = check_c1_identities(manifold, corrupted)
+    (report,) = check_c1_identities(manifold, [corrupted])
     assert not report.ok
     assert any("parity" in msg and "S" in msg for msg in report.failed)
 
@@ -254,7 +260,73 @@ def test_check_c1_identities_requires_simply_connected():
     recipe = SumRecipe(manifold, tori, (), name="empty")
     _, form = perform_recipe(recipe)
     with pytest.raises(ValueError):
-        check_c1_identities(manifold, form)
+        check_c1_identities(manifold, [form])
+
+
+def _random_checked_record(rng):
+    """A simply connected record on a random symmetric pairing with
+    scattered untracked entries and one untracked block, several random
+    c1 vectors (the first one usually meeting the square target), duals
+    and extra classes."""
+    dim = rng.randint(1, 6)
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, 3, None))
+    pairing = PairingMatrix(tuple(map(tuple, rows))).masked(
+        rng.sample(range(dim), rng.randint(0, dim))
+    )
+    labels = tuple(f"B{j}" for j in range(dim))
+
+    def vector():
+        return IntVector(tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(dim)))
+
+    c1s = [vector() for _ in range(rng.randint(1, 5))]
+    square = pairwise_pairing(pairing.entries, c1s[0], c1s[0])
+    # euler = -s and signature = s put the target 2e + 3sigma at s.
+    s = rng.randint(-6, 6) if square is None or rng.random() < 0.3 else square
+    manifold = FourManifold(
+        name="random", euler=-s, signature=s, b1=0, b2=dim, lattice_basis_labels=labels,
+        pairing=pairing, c1=c1s[0], pi1_normally_generated_by_tori=True, simply_connected=True,
+    )
+    extras = {}
+    for k in range(rng.randint(0, 3)):
+        j = rng.randrange(dim)
+        kind = rng.choice(("basis", "basis name", "new"))
+        if kind == "basis":
+            extras[labels[j]] = IntVector(tuple(int(i == j) for i in range(dim)))
+        else:
+            extras[labels[j] if kind == "basis name" else f"X{k}"] = vector()
+    duals = [vector() for _ in range(rng.randint(0, 3))]
+    return manifold, c1s, duals, extras
+
+
+def test_row_kernel_matches_pairwise_oracle():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(400):
+        manifold, c1s, duals, extras = _random_checked_record(rng)
+        forms = []
+        for c1 in c1s:
+            report = divisibility_bounds(c1, manifold.pairing, duals)
+            got = (report.lower, report.upper, report.exact, report.undefined)
+            assert got == pairwise_divisibility_bounds(c1, manifold.pairing.entries, duals)
+            forms.append(FormClass(manifold, (), c1, report))
+        reports = check_c1_identities(manifold, forms, extras)
+        assert len(reports) == len(forms)
+        for c1, report in zip(c1s, reports):
+            expected = pairwise_c1_identities(manifold, c1, extras)
+            assert (report.passed, report.failed, report.skipped) == expected
+            outcomes |= {msg[msg.index("("):] for msg in report.skipped}
+            outcomes |= {"fail"} if report.failed else set()
+            outcomes |= {"square pass"} if any("2e + 3sigma" in m for m in report.passed) else set()
+    assert outcomes == {
+        "(pairing untracked)",
+        "(self-pairing untracked)",
+        "(c1 pairing untracked)",
+        "fail",
+        "square pass",
+    }
 
 
 @given(st.integers(0, 6), st.integers(0, 6))

@@ -74,6 +74,17 @@ def test_pairing_unknown_entries_propagate_only_when_touched():
     assert pairing.pair(IntVector((1, 0)), IntVector((1, 0))) == 0
 
 
+def test_pairings_reject_vectors_of_the_wrong_length():
+    # A short vector must raise, not be cut to a shorter pairing.
+    pairing = PairingMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="pairing dimension"):
+        pairing.pair(IntVector((1, 0, 0)), IntVector((1, 0)))
+    with pytest.raises(ValueError, match="pairing dimension"):
+        pairing.pair(IntVector((1, 0)), IntVector((1, 0, 0)))
+    with pytest.raises(ValueError, match="pairing dimension"):
+        divisibility_bounds(IntVector((2, 0, 0)), pairing, [IntVector((0, 1))])
+
+
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.data())
 @settings(max_examples=80, deadline=None)
 def test_divisibility_lower_divides_upper(vec, data):
