@@ -29,7 +29,7 @@ from .config import (
 )
 from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
 from .gompfsum import c1_contributions, check_c1_identities, sum_invariants
-from .reports import ReportBuilder, check_entries
+from .reports import ReportBuilder
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,7 +68,7 @@ def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> N
 def _check_forms(name: str, result, manifold, recipe, report: ReportBuilder) -> None:
     extras = {t.label: t.klass for t in recipe.tori}
     identities = check_c1_identities(manifold, result.forms, extras)
-    report.checks.extend(check_entries(name, result.forms, identities))
+    report.add_form_checks(name, result.forms, identities)
     for form, identity in zip(result.forms, identities):
         for msg in identity.failed:
             signs = "".join("+" if s > 0 else "-" for s in form.signs_flat)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import EnumerationCapError, MathematicalInconsistencyError, RecipeError
@@ -256,7 +257,9 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     table = recipe.torus_table
     duals = recipe.duals
 
-    states: dict[IntVector, tuple[int, ...]] = {recipe.base.c1: ()}
+    # Partial Chern classes are plain coordinate tuples during the pass;
+    # only the final classes become IntVectors.
+    states: dict[tuple[int, ...], tuple[int, ...]] = {recipe.base.c1.coords: ()}
     flippable = 0
     for gluing in recipe.gluings:
         torus = table[gluing.torus_label]
@@ -266,11 +269,11 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
             blocks = [(1,) * p + (-1,) * (c - p) for p in range(c, -1, -1)]
         else:
             blocks = [gluing.signs]
-        steps = [(torus.klass * -sum(block), block) for block in blocks]
-        nxt: dict[IntVector, tuple[int, ...]] = {}
+        steps = [(tuple(-sum(block) * t for t in torus.klass.coords), block) for block in blocks]
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         for c1, prefix in states.items():
             for step, block in steps:
-                key = c1 + step
+                key = tuple(map(add, c1, step))
                 if key not in nxt:
                     nxt[key] = prefix + block
             if len(nxt) > cap:
@@ -283,7 +286,8 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     forms: list[FormClass] = []
     exact_divisibilities: set[int] = set()
     exact = 0
-    for c1, signs in states.items():
+    for coords, signs in states.items():
+        c1 = IntVector(coords)
         report = divisibility_bounds(c1, manifold.pairing, duals)
         forms.append(FormClass(manifold=manifold, signs_flat=signs, c1=c1, divisibility=report))
         if report.exact:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -20,7 +21,6 @@ __all__ = [
     "DivisibilityReport",
     "gcd_content",
     "divisibility_bounds",
-    "row_pairing",
     "rank",
 ]
 
@@ -75,11 +75,21 @@ class IntVector:
     def support(self) -> frozenset[int]:
         return frozenset(i for i, a in enumerate(self.coords) if a != 0)
 
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int], ...]:
+        """(index, coordinate) of each nonzero coordinate, computed once:
+        duals and extra classes are paired with every form."""
+        return tuple((i, a) for i, a in enumerate(self.coords) if a)
+
 
 def _as_coords(v: "IntVector | Sequence[int]") -> tuple[int, ...]:
     if isinstance(v, IntVector):
         return v.coords
     return tuple(int(c) for c in v)
+
+
+def _terms_of(v: "IntVector | Sequence[int]") -> tuple[tuple[int, int], ...]:
+    return (v if isinstance(v, IntVector) else IntVector(v))._terms
 
 
 def gcd_content(v: "IntVector | Sequence[int]") -> int:
@@ -111,6 +121,16 @@ class PairingMatrix:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"pairing matrix not symmetric at ({i},{j})")
+        # Per row, its nonzero tracked entries (j, e) and its untracked
+        # columns, so basis_pairings touches only what contributes.
+        sparse = tuple(
+            (
+                tuple((j, e) for j, e in enumerate(row) if e),
+                tuple(j for j, e in enumerate(row) if e is None),
+            )
+            for row in rows
+        )
+        object.__setattr__(self, "_sparse_rows", sparse)
 
     @property
     def dim(self) -> int:
@@ -125,14 +145,21 @@ class PairingMatrix:
 
     def basis_pairings(self, v: "IntVector | Sequence[int]") -> tuple[Optional[int], ...]:
         """Pairings of v against every basis vector, None where untracked;
-        only the rows of v's nonzero coordinates are read."""
-        vc = _as_coords(v)
-        if len(vc) != self.dim:
+        only the nonzero entries of the rows of v's nonzero coordinates are
+        read. Entry j is None iff some nonzero coordinate's row has an
+        untracked entry in column j."""
+        if len(v) != self.dim:
             raise ValueError("vector length does not match pairing dimension")
         out: list[Optional[int]] = [0] * self.dim
-        for a, row in zip(vc, self.entries):
-            if a:
-                out = [None if o is None or e is None else o + a * e for o, e in zip(out, row)]
+        untracked: list[int] = []
+        sparse = self._sparse_rows
+        for i, a in _terms_of(v):
+            tracked, unknown = sparse[i]
+            for j, e in tracked:
+                out[j] += a * e
+            untracked += unknown
+        for j in untracked:
+            out[j] = None
         return tuple(out)
 
     def masked(self, unknown_indices: Iterable[int]) -> "PairingMatrix":
@@ -186,9 +213,8 @@ def divisibility_bounds(
     Untracked pairings are skipped, which can only weaken the upper
     bound, never falsify it.
     """
-    coords = _as_coords(c)
-    row = pairing.basis_pairings(coords)
-    lower = math.gcd(*coords)
+    row = pairing.basis_pairings(c)
+    lower = math.gcd(*_as_coords(c))
     if lower == 0:
         return DivisibilityReport(lower=0, upper=0, exact=False, undefined=True)
     pairings = row + tuple(row_pairing(row, u) for u in duals)
@@ -199,15 +225,14 @@ def divisibility_bounds(
 def row_pairing(row: Sequence[Optional[int]], v: "IntVector | Sequence[int]") -> Optional[int]:
     """<c, v> from c's basis pairings ``row``, None when a nonzero
     coordinate of v meets an untracked entry of the row."""
-    vc = _as_coords(v)
-    if len(vc) != len(row):
+    if len(v) != len(row):
         raise ValueError("vector length does not match pairing dimension")
     total = 0
-    for b, p in zip(vc, row):
-        if b:
-            if p is None:
-                return None
-            total += b * p
+    for j, b in _terms_of(v):
+        p = row[j]
+        if p is None:
+            return None
+        total += b * p
     return total
 
 

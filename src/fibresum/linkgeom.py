@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -215,6 +216,9 @@ class PolygonalCurve:
         # times `vertices`.
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_points", points)
+        # Separations proved against other curves, by the other curve's id:
+        # (weak reference to it, squared separation). See _require_disjoint.
+        object.__setattr__(self, "_apart", {})
         for i in range(n):
             if points[i] == points[(i + 1) % n]:
                 raise EmbeddingError(f"consecutive vertices {i} and {(i + 1) % n} coincide")
@@ -275,10 +279,21 @@ def _separation_squared(a: PolygonalCurve, b: PolygonalCurve) -> tuple[int, int]
 
 
 def _require_disjoint(a: PolygonalCurve, b: PolygonalCurve) -> tuple[int, int]:
-    """The exact squared separation of two curves; raises if they touch."""
+    """The exact squared separation of two curves; raises if they touch.
+
+    A proved separation is recorded on both curves, so a pair is scanned
+    once: a link's components are proved apart when the link is built,
+    and the crossing count and the Gauss guard of a pair share one scan.
+    The curves are immutable, so the recorded value cannot go stale.
+    """
+    known = a._apart.get(id(b))
+    if known is not None and known[0]() is b:
+        return known[1]
     num, den = _separation_squared(a, b)
     if num == 0:
         raise EmbeddingError("link not embedded")
+    a._apart[id(b)] = (weakref.ref(b), (num, den))
+    b._apart[id(a)] = (weakref.ref(a), (num, den))
     return num, den
 
 

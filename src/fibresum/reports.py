@@ -17,7 +17,9 @@ from .fourman import FourManifold, form_parity
 from .gompfsum import CheckReport, FormClass, SumRecipe
 from .intlat import DivisibilityReport, IntVector
 
-__all__ = ["ReportBuilder", "vector_doc", "manifold_doc", "form_doc"]
+# The per-form document helpers stay out of `__all__`: they are kernels
+# of the builder, called once per form, not entry points.
+__all__ = ["ReportBuilder", "manifold_doc"]
 
 
 def _s(x: int) -> str:
@@ -62,28 +64,6 @@ def form_doc(f: FormClass) -> dict:
     }
 
 
-def check_entries(name: str, forms: Sequence[FormClass], reports: Sequence[CheckReport]) -> list[dict]:
-    """Entries for one check report per form, grouped by message.
-
-    Each passed or skipped message is one entry whose detail counts the
-    forms reporting it; each failure keeps its own entry, named by form
-    index and signs.
-    """
-    groups: dict[str, list] = {}
-    failures = []
-    for index, (form, report) in enumerate(zip(forms, reports)):
-        for status, messages in (("pass", report.passed), ("skipped", report.skipped)):
-            for msg in dict.fromkeys(messages):
-                groups.setdefault(msg, [status, 0])[1] += 1
-        for msg in report.failed:
-            label = f"{name} form {index} signs {_sign_string(form.signs_flat)}"
-            failures.append({"check": f"{label}: {msg}", "status": "fail"})
-    return [
-        {"check": f"{name}: {msg}", "status": status, "detail": f"{count} of {len(reports)} forms"}
-        for msg, (status, count) in groups.items()
-    ] + failures
-
-
 def _sign_string(signs) -> str:
     return "".join("+" if s > 0 else "-" for s in signs)
 
@@ -102,6 +82,8 @@ class ReportBuilder:
     tasks: list[dict] = field(default_factory=list)
     table_lines: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
+    # Index in `forms` of the last enumeration's first form.
+    _first_form: int = field(default=0, init=False, repr=False)
 
     # -- table helpers ----------------------------------------------------
 
@@ -126,6 +108,28 @@ class ReportBuilder:
             entry["detail"] = detail
         self.checks.append(entry)
         self.line(f"  [{status:>7}] {name}" + (f" ({detail})" if detail else ""))
+
+    def add_form_checks(self, name: str, forms: Sequence[FormClass], reports: Sequence[CheckReport]) -> None:
+        """Check entries for one check report per form of the last
+        enumeration, grouped by message.
+
+        Each passed or skipped message is one entry whose detail counts the
+        forms reporting it; each failure keeps its own entry, named by the
+        form's index in `forms` and its signs.
+        """
+        groups: dict[str, list] = {}
+        failures = []
+        for index, (form, report) in enumerate(zip(forms, reports), self._first_form):
+            for status, messages in (("pass", report.passed), ("skipped", report.skipped)):
+                for msg in dict.fromkeys(messages):
+                    groups.setdefault(msg, [status, 0])[1] += 1
+            for msg in report.failed:
+                label = f"{name} form {index} signs {_sign_string(form.signs_flat)}"
+                failures.append({"check": f"{label}: {msg}", "status": "fail"})
+        self.checks += [
+            {"check": f"{name}: {msg}", "status": status, "detail": f"{count} of {len(reports)} forms"}
+            for msg, (status, count) in groups.items()
+        ] + failures
 
     def add_hypothesis_report(self, task_name: str, report: HypothesisReport) -> None:
         self.heading(f"hypothesis report ({task_name})")
@@ -218,19 +222,19 @@ class ReportBuilder:
             f"covered: {result.assignments_covered}"
         )
         sign_width = max([5] + [len(f.signs_flat) for f in result.forms])
-        c1_width = max(
-            [2] + [len("(" + ", ".join(str(c) for c in f.c1) + ")") for f in result.forms]
-        )
+        c1_texts = ["(" + ", ".join(str(c) for c in f.c1) + ")" for f in result.forms]
+        c1_width = max([2] + [len(text) for text in c1_texts])
         self.line(f"  {'signs':<{sign_width}} {'c1':<{c1_width}} divisibility")
-        for f in result.forms:
+        for f, c1_text in zip(result.forms, c1_texts):
             d = f.divisibility
             div_text = (
                 "undefined"
                 if d.undefined
                 else (f"{d.lower}" if d.exact else f"{d.lower}..{d.upper or 'unconstrained'}")
             )
-            c1_text = "(" + ", ".join(str(c) for c in f.c1) + ")"
-            self.line(f"  {_sign_string(f.signs_flat):<{sign_width}} {c1_text:<{c1_width}} {div_text}")
+            self.table_lines.append(
+                f"  {_sign_string(f.signs_flat):<{sign_width}} {c1_text:<{c1_width}} {div_text}"
+            )
         divs = [_s(d) for d in result.distinct_divisibilities]
         self.line(f"  distinct exact divisibilities: {{{', '.join(divs)}}}")
         self.line(f"  pi0 lower bound: {result.pi0_lower_bound}")
@@ -238,14 +242,16 @@ class ReportBuilder:
             self.line(f"  inexact divisibility reports: {result.inexact_count} (excluded)")
         if result.divisibility_inconclusive:
             self.line("  note: divisibility inconclusive (distinct c1 vectors share a value)")
-        self.forms = [form_doc(f) for f in result.forms]
+        # Each form is written once, in `forms`; the task names its slice.
+        self._first_form = len(self.forms)
+        self.forms += [form_doc(f) for f in result.forms]
         self.divisibilities = divs
         self.pi0_lower_bound = _s(result.pi0_lower_bound)
         self.tasks.append(
             {
                 "task": "enumerate",
                 "name": name,
-                "forms": self.forms,
+                "form_range": [_s(self._first_form), _s(len(self.forms))],
                 "divisibilities": divs,
                 "pi0_lower_bound": self.pi0_lower_bound,
                 "inexact_count": _s(result.inexact_count),
@@ -310,7 +316,7 @@ class ReportBuilder:
 
     def machine_document(self) -> dict:
         return {
-            "schema": "fibresum-report/3",
+            "schema": "fibresum-report/4",
             "seed": _s(self.seed),
             "cap": _s(self.cap),
             "manifold": self.manifold,

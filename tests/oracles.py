@@ -11,7 +11,9 @@ oracle runs through every sign assignment one copy at a time (the package
 keeps one sign prefix per partial Chern class), and the divisibility and
 c1 identity oracles pair two vectors entry by entry for every pairing they
 need (the package reads each form's pairings off one row of basis
-pairings).
+pairings), and the dense pairing-row oracles walk every column of every
+row they touch (the package keeps each row's nonzero and untracked
+entries and visits only those).
 """
 
 from __future__ import annotations
@@ -355,3 +357,26 @@ def pairwise_c1_identities(manifold, c1, extra_classes=None):
                 f"<c1, {name}> = {cp}, <{name}, {name}> = {self_pairing}"
             )
     return tuple(passed), tuple(failed), tuple(skipped)
+
+
+def dense_basis_pairings(entries, v):
+    """Pairings of v against every basis vector: each row selected by a
+    nonzero coordinate of v is added column by column, and a column turns
+    None once any such row leaves it untracked."""
+    out = [0] * len(entries)
+    for a, row in zip(v, entries):
+        if a:
+            out = [None if o is None or e is None else o + a * e for o, e in zip(out, row)]
+    return tuple(out)
+
+
+def dense_row_pairing(row, v):
+    """<c, v> from c's basis pairings ``row``, walking every coordinate of
+    v; None when a nonzero coordinate meets an untracked entry."""
+    total = 0
+    for b, p in zip(v, row):
+        if b:
+            if p is None:
+                return None
+            total += b * p
+    return total

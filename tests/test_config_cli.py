@@ -2,12 +2,15 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fibresum.cli import main, run
 from fibresum.config import bundled_path, parse_config, parse_config_text
 from fibresum.errors import ConfigError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_bundled_corollary_config_parses_to_five_gluings():
@@ -316,8 +319,10 @@ def test_config_cap_bounds_chern_classes_and_sample_key_is_gone(tmp_path, capsys
     config.output_format = "machine"
     out = io.StringIO()
     assert run(config, {"enumerate"}, stream=out) == 0
-    task = json.loads(out.getvalue())["tasks"][0]
-    assert len(task["forms"]) == 9
+    doc = json.loads(out.getvalue())
+    task = doc["tasks"][0]
+    first, stop = (int(i) for i in task["form_range"])
+    assert len(doc["forms"][first:stop]) == 9
     assert task["assignments_covered"] == "256"
     # Ty x4 and Tz x4 give 25 classes, more than the cap holds.
     wider = text.replace("glue = Tz + + + + + + + +", "glue = Ty + + + +\n    glue = Tz + + + +")
@@ -556,6 +561,39 @@ def test_failing_forms_are_named_by_index_and_signs(monkeypatch, capsys):
     assert grouped["cor15: parity of <c1, Ty>"] == "4 of 4 forms"
 
 
+def test_enumerate_tasks_slice_forms_and_failures_use_the_forms_index(monkeypatch, capsys):
+    # build.cfg enumerates two recipes; corrupt the second recipe's form 1
+    # as above, so its failures must name it by its index in forms[].
+    from dataclasses import replace
+
+    from fibresum import construct
+    from fibresum.intlat import IntVector
+
+    original = construct.enumerate_forms
+
+    def corrupted(recipe, **kwargs):
+        result = original(recipe, **kwargs)
+        if recipe.name != "mixed":
+            return result
+        bump = IntVector((0, 0, 0, 1, 0, 0))
+        forms = tuple(replace(f, c1=f.c1 + bump) if i == 1 else f for i, f in enumerate(result.forms))
+        return replace(result, forms=forms)
+
+    monkeypatch.setattr(construct, "enumerate_forms", corrupted)
+    assert main(["run", "--config", str(GOLDEN / "build.cfg"), "--output", "machine"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    tasks = [t for t in doc["tasks"] if t["task"] == "enumerate"]
+    assert [t["name"] for t in tasks] == ["fibres", "mixed"]
+    ranges = [tuple(int(i) for i in t["form_range"]) for t in tasks]
+    assert ranges == [(0, 3), (3, len(doc["forms"]))]
+    assert len(doc["forms"]) > 4
+    signs = "".join("+" if s == "1" else "-" for s in doc["forms"][4]["signs"])
+    failed = {c["check"] for c in doc["checks"] if c["status"] == "fail"}
+    failed.discard("mixed: c1 identities over all forms")
+    assert failed
+    assert all(f.startswith(f"mixed form 4 signs {signs}: ") for f in failed)
+
+
 @pytest.mark.parametrize("copies", [2, 6])
 def test_check_entries_do_not_grow_with_the_forms(copies, tmp_path, capsys):
     (tmp_path / "t4.cfg").write_text(
@@ -576,13 +614,15 @@ def test_check_entries_count_forms_not_messages():
     from types import SimpleNamespace
 
     from fibresum.gompfsum import CheckReport
-    from fibresum.reports import check_entries
+    from fibresum.reports import ReportBuilder
 
     # A basis label and an extra class may share a name with different
     # vectors, so one form can report a message twice.
     forms = [SimpleNamespace(signs_flat=(1, 1)), SimpleNamespace(signs_flat=(1, -1))]
     reports = [CheckReport(("a", "a"), (), ("s",)), CheckReport(("a",), ("bad",), ())]
-    assert check_entries("r", forms, reports) == [
+    builder = ReportBuilder(seed=0, cap=0)
+    builder.add_form_checks("r", forms, reports)
+    assert builder.checks == [
         {"check": "r: a", "status": "pass", "detail": "2 of 2 forms"},
         {"check": "r: s", "status": "skipped", "detail": "1 of 2 forms"},
         {"check": "r form 1 signs +-: bad", "status": "fail"},

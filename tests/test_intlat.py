@@ -11,8 +11,9 @@ from fibresum.intlat import (
     divisibility_bounds,
     gcd_content,
     rank,
+    row_pairing,
 )
-from oracles import fraction_rank
+from oracles import dense_basis_pairings, dense_row_pairing, fraction_rank
 
 
 def test_gcd_content_examples():
@@ -94,6 +95,53 @@ def test_divisibility_lower_divides_upper(vec, data):
     report = divisibility_bounds(IntVector(tuple(vec)), PairingMatrix(tuple(map(tuple, sym))))
     if report.upper and not report.undefined:
         assert report.upper % report.lower == 0
+
+
+def _random_pairing(rng, n):
+    """A symmetric pairing whose rows are sparse, dense or all zero, with
+    an untracked block between a random set of indices."""
+    density = rng.choice((0.15, 0.5, 1.0))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < density:
+                rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+    for i in rng.sample(range(n), rng.randint(0, n // 2)):
+        for j in range(n):
+            rows[i][j] = rows[j][i] = 0
+    pairing = PairingMatrix(tuple(map(tuple, rows)))
+    return pairing.masked(rng.sample(range(n), rng.randint(0, n)))
+
+
+def _random_vector(rng, n, untracked):
+    """Mostly zero coordinates; when there are untracked indices, about
+    half the vectors are nonzero on one of them."""
+    v = [rng.randint(-4, 4) if rng.random() < 0.4 else 0 for _ in range(n)]
+    if untracked and rng.random() < 0.5:
+        v[rng.choice(untracked)] = rng.choice((-2, -1, 1, 3))
+    return v
+
+
+def test_sparse_pairing_rows_match_the_dense_oracle():
+    rng = random.Random(2718)
+    seen_none = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        pairing = _random_pairing(rng, n)
+        untracked = [i for i in range(n) if None in pairing.entries[i]]
+        c = _random_vector(rng, n, untracked)
+        others = [_random_vector(rng, n, untracked) for _ in range(3)]
+        for cv in (c, IntVector(tuple(c))):
+            row = pairing.basis_pairings(cv)
+            assert row == dense_basis_pairings(pairing.entries, c)
+            seen_none += None in row
+            for u in others:
+                expected = dense_row_pairing(row, u)
+                assert row_pairing(row, u) == expected
+                assert row_pairing(row, IntVector(tuple(u))) == expected
+                assert pairing.pair(cv, u) == expected
+    # The untracked rule is exercised, not only the tracked sums.
+    assert seen_none > 100
 
 
 def test_rank_examples():

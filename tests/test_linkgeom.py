@@ -243,6 +243,25 @@ def test_link_validation_rejects_touching_components():
         PolygonalLink((a, touching))
 
 
+def test_linking_job_scans_each_pair_once(monkeypatch, tmp_path, capsys):
+    # Three link pairs proved apart when the link is built, then three
+    # axis pairs: the crossing counts and Gauss guards rescan none of them.
+    from fibresum.cli import main
+
+    calls = []
+    original = linkgeom._separation_squared
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(linkgeom, "_separation_squared", counted)
+    monkeypatch.chdir(tmp_path)
+    assert main(["linking", "--link", "borromean.lnk", "--axis", "axis.lnk"]) == 0
+    assert "axis linking: (1, 1, 1)" in capsys.readouterr().out
+    assert len(calls) == 6
+
+
 def test_ill_conditioned_guard():
     a = PolygonalCurve(((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)))
     # Hovers a hair above a's first edge without touching it.
