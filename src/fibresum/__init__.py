@@ -59,19 +59,40 @@ from .intlat import (
     gcd_content,
     rank,
 )
-from .linkgeom import (
-    PolygonalCurve,
-    PolygonalLink,
-    borromean_axis,
-    borromean_rings,
-    derive_torus_relation,
-    h1_coordinates,
-    hopf_link,
-    linking_number_crossings,
-    linking_number_gauss,
-    linking_number_verified,
-    load_link,
-    split_link,
+
+# The geometry layer loads on first use (PEP 562), so a job that never
+# computes a linking number does not import it, or `fractions` and
+# `decimal` with it.
+_LINKGEOM_NAMES = (
+    "PolygonalCurve", "PolygonalLink", "borromean_axis", "borromean_rings",
+    "derive_torus_relation", "h1_coordinates", "hopf_link", "linking_number_crossings",
+    "linking_number_gauss", "linking_number_verified", "load_link", "split_link",
 )
+
+__all__ = [
+    "EnumerationResult", "HypothesisReport", "SolveResult", "build_theorem_recipe",
+    "check_hypotheses", "enumerate_forms", "mcmullen_taubes_recipe", "solve_signs",
+    "ConfigError", "EmbeddingError", "EnumerationCapError", "FibresumError",
+    "GenericityError", "IllConditionedError", "MathematicalInconsistencyError", "RecipeError",
+    "LAGRANGIAN", "SYMPLECTIC", "EmbeddedTorus", "FourManifold",
+    "build_e1", "build_t4", "form_parity", "validate",
+    "CheckReport", "FormClass", "Gluing", "SumRecipe", "check_c1_identities",
+    "perform_recipe", "sum_c1", "sum_invariants", "with_signs",
+    "DivisibilityReport", "IntVector", "PairingMatrix", "divisibility_bounds", "gcd_content", "rank",
+    *_LINKGEOM_NAMES,
+]
+
+
+def __getattr__(name: str):
+    if name in _LINKGEOM_NAMES:
+        from . import linkgeom
+
+        return getattr(linkgeom, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LINKGEOM_NAMES})
+
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import construct, linkgeom
+from . import construct
 from .config import (
     EnumerateTask,
     LinkingTask,
@@ -29,7 +29,7 @@ from .config import (
 )
 from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
 from .gompfsum import c1_contributions, check_c1_identities, sum_invariants
-from .reports import ReportBuilder
+from .reports import ReportBuilder, _sign_string
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,8 +71,7 @@ def _check_forms(name: str, result, manifold, recipe, report: ReportBuilder) -> 
     report.add_form_checks(name, result.forms, identities)
     for form, identity in zip(result.forms, identities):
         for msg in identity.failed:
-            signs = "".join("+" if s > 0 else "-" for s in form.signs_flat)
-            report.line(f"  [   fail] {name} signs {signs}: {msg}")
+            report.line(f"  [   fail] {name} signs {_sign_string(form.signs_flat)}: {msg}")
     any_failed = not all(identity.ok for identity in identities)
     report.add_check(f"{name}: c1 identities over all forms", "fail" if any_failed else "pass")
     if any_failed:
@@ -115,6 +114,9 @@ def _load_geometry(config: RunConfig, name: str, loader, what: str):
 
 
 def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) -> None:
+    # Imported here, so jobs without geometry never load it.
+    from . import linkgeom
+
     link = _load_geometry(config, task.link, linkgeom.load_link, "link")
     # Read the axis first, so a bad axis file fails before any geometry is computed.
     axis = None if task.axis is None else _load_geometry(config, task.axis, linkgeom.load_curve, "axis")

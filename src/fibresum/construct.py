@@ -156,11 +156,10 @@ def check_hypotheses(
 
     # Condition 3: n | div(c1) but n does not divide 2d.
     reasons3: list[str] = []
-    duals = [t.dual for t in list(tori) + [sum_torus] if t.dual is not None]
     c1_content = gcd_content(manifold.c1)
     if c1_content % n != 0:
         reasons3.append(f"n = {n} does not divide the c1 divisibility {c1_content}")
-    report = divisibility_bounds(tori[0].klass, manifold.pairing, duals)
+    report = divisibility_bounds(tori[0].klass, manifold.pairing)
     d: Optional[int] = None
     n_div_2d: Optional[bool] = None
     if report.undefined:
@@ -255,7 +254,6 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     """
     manifold = sum_invariants(recipe)
     table = recipe.torus_table
-    duals = recipe.duals
 
     # Partial Chern classes are plain coordinate tuples during the pass;
     # only the final classes become IntVectors.
@@ -288,7 +286,7 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     exact = 0
     for coords, signs in states.items():
         c1 = IntVector(coords)
-        report = divisibility_bounds(c1, manifold.pairing, duals)
+        report = divisibility_bounds(c1, manifold.pairing)
         forms.append(FormClass(manifold=manifold, signs_flat=signs, c1=c1, divisibility=report))
         if report.exact:
             exact_divisibilities.add(report.lower)

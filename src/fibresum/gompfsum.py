@@ -123,11 +123,6 @@ class SumRecipe:
         return {t.label: t for t in self.tori}
 
     @property
-    def duals(self) -> list[IntVector]:
-        """Declared dual classes, the witnesses for divisibility reports."""
-        return [t.dual for t in self.tori if t.dual is not None]
-
-    @property
     def total_copies(self) -> int:
         return sum(g.copies for g in self.gluings)
 
@@ -279,7 +274,7 @@ def with_signs(recipe: SumRecipe, signs_flat: Sequence[int]) -> SumRecipe:
 def perform_recipe(recipe: SumRecipe) -> tuple[FourManifold, FormClass]:
     """Evaluate a recipe: summed invariants plus the resulting form class."""
     manifold = sum_invariants(recipe)
-    report = divisibility_bounds(manifold.c1, manifold.pairing, recipe.duals)
+    report = divisibility_bounds(manifold.c1, manifold.pairing)
     form = FormClass(
         manifold=manifold,
         signs_flat=flat_signs(recipe),

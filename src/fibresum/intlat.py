@@ -78,7 +78,7 @@ class IntVector:
     @cached_property
     def _terms(self) -> tuple[tuple[int, int], ...]:
         """(index, coordinate) of each nonzero coordinate, computed once:
-        duals and extra classes are paired with every form."""
+        extra classes are paired with every form."""
         return tuple((i, a) for i, a in enumerate(self.coords) if a)
 
 
@@ -177,10 +177,11 @@ class DivisibilityReport:
     """Two-sided divisibility certificate for a lattice vector.
 
     ``lower`` is witnessed (the vector equals lower times an integral
-    vector in the tracked basis). ``upper`` is the gcd of all declared
-    pairings, 0 meaning no pairing constrains the value. ``exact`` holds
-    when the two agree and are nonzero; ``undefined`` flags the zero
-    vector, whose divisibility is not a number.
+    vector in the tracked basis). ``upper`` is the gcd of the tracked
+    pairings with the basis vectors, 0 meaning no pairing constrains the
+    value. ``exact`` holds when the two agree and are nonzero;
+    ``undefined`` flags the zero vector, whose divisibility is not a
+    number.
     """
 
     lower: int
@@ -199,26 +200,24 @@ class DivisibilityReport:
             raise ValueError("undefined report must be all-zero and inexact")
 
 
-def divisibility_bounds(
-    c: "IntVector | Sequence[int]",
-    pairing: PairingMatrix,
-    duals: Iterable["IntVector | Sequence[int]"] = (),
-) -> DivisibilityReport:
+def divisibility_bounds(c: "IntVector | Sequence[int]", pairing: PairingMatrix) -> DivisibilityReport:
     """Bracket the divisibility of c using its coordinates and pairings.
 
     The lower bound is gcd of the coordinates (with the quotient as an
-    implicit integral witness). The upper bound is the gcd of |<c, u>|
-    over the basis vectors and all supplied dual classes; any integral
-    class that c is a multiple of must divide each of those pairings.
-    Untracked pairings are skipped, which can only weaken the upper
-    bound, never falsify it.
+    implicit integral witness). The upper bound is the gcd of the tracked
+    pairings <c, e_j> with the basis vectors; any integral class that c
+    is a multiple of must divide each of them. Untracked pairings are
+    skipped, which can only weaken the upper bound, never falsify it.
+
+    Pairing c with any other class u adds nothing: a tracked <c, u> is
+    sum u_j <c, e_j> over tracked basis pairings only, so it lies in the
+    ideal they generate and cannot lower their gcd.
     """
     row = pairing.basis_pairings(c)
     lower = math.gcd(*_as_coords(c))
     if lower == 0:
         return DivisibilityReport(lower=0, upper=0, exact=False, undefined=True)
-    pairings = row + tuple(row_pairing(row, u) for u in duals)
-    upper = math.gcd(*(p for p in pairings if p is not None))
+    upper = math.gcd(*(p for p in row if p is not None))
     return DivisibilityReport(lower=lower, upper=upper, exact=(upper != 0 and lower == upper))
 
 

@@ -3,13 +3,16 @@
 The machine document is a single JSON object with stable field names and
 every integer rendered as an exact decimal string, so reports can be
 diffed byte-for-byte in CI. Nothing time- or environment-dependent goes
-in. Table output carries the same numeric content in aligned text.
+in. It is written by a small indent-2 writer whose bytes equal
+``json.dumps(doc, indent=2, sort_keys=True)``; unlike ``json.dumps`` with
+an indent, it escapes every string with the C encoder. Table output
+carries the same numeric content in aligned text.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional, Sequence
 
 from .construct import EnumerationResult, HypothesisReport, SolveResult
@@ -27,7 +30,7 @@ def _s(x: int) -> str:
 
 
 def vector_doc(v: IntVector) -> list[str]:
-    return [_s(c) for c in v]
+    return list(map(str, v.coords))
 
 
 def divisibility_doc(r: DivisibilityReport) -> dict:
@@ -58,7 +61,7 @@ def manifold_doc(m: FourManifold) -> dict:
 
 def form_doc(f: FormClass) -> dict:
     return {
-        "signs": [_s(s) for s in f.signs_flat],
+        "signs": list(map(str, f.signs_flat)),
         "c1": vector_doc(f.c1),
         "divisibility": divisibility_doc(f.divisibility),
     }
@@ -66,6 +69,60 @@ def form_doc(f: FormClass) -> dict:
 
 def _sign_string(signs) -> str:
     return "".join("+" if s > 0 else "-" for s in signs)
+
+
+def _render_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the indent-2 JSON text of ``value`` to ``out``; ``newline``
+    is a line break plus the indent of the line ``value`` starts on.
+
+    Only what reports hold is accepted: str, int, bool, None, lists and
+    tuples, and dicts with str keys (written in sorted key order). Anything
+    else, a non-str key included, raises TypeError.
+    """
+    if isinstance(value, str):
+        out.append(_encode(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(isinstance(item, str) for item in value):
+            out.append("[" + inner + ("," + inner).join(map(_encode, value)) + newline + "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(separator + _encode(key) + ": ")
+            _write(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -329,7 +386,8 @@ class ReportBuilder:
         }
 
     def render_machine(self) -> str:
-        return json.dumps(self.machine_document(), indent=2, sort_keys=True)
+        return _render_json(self.machine_document())
 
     def render_table(self) -> str:
         return "\n".join(self.table_lines)
+

@@ -11,13 +11,16 @@ oracle runs through every sign assignment one copy at a time (the package
 keeps one sign prefix per partial Chern class), and the divisibility and
 c1 identity oracles pair two vectors entry by entry for every pairing they
 need (the package reads each form's pairings off one row of basis
-pairings), and the dense pairing-row oracles walk every column of every
+pairings), the dense pairing-row oracles walk every column of every
 row they touch (the package keeps each row's nonzero and untracked
-entries and visits only those).
+entries and visits only those), and the report oracle is the standard
+library's JSON encoder (the package writes reports with its own
+indent-2 writer).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -380,3 +383,8 @@ def dense_row_pairing(row, v):
                 return None
             total += b * p
     return total
+
+
+def json_report(doc) -> str:
+    """A machine report's text, as ``json.dumps`` writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True)

@@ -627,3 +627,42 @@ def test_check_entries_count_forms_not_messages():
         {"check": "r: s", "status": "skipped", "detail": "1 of 2 forms"},
         {"check": "r form 1 signs +-: bad", "status": "fail"},
     ]
+
+
+def test_jobs_without_geometry_do_not_import_linkgeom(tmp_path):
+    import os
+
+    script = f"""
+import sys
+
+import fibresum
+from fibresum.cli import main
+
+for argv in (
+    ["run", "--config", "corollary15.cfg"],
+    ["run", "--config", {str(GOLDEN / "wide3.cfg")!r}],
+    ["solve", "--primes", "3,5"],
+):
+    assert main(argv) == 0, argv
+assert "fibresum.linkgeom" not in sys.modules
+assert "linking_number_verified" in dir(fibresum)
+assert fibresum.linking_number_verified.__module__ == "fibresum.linkgeom"
+try:
+    fibresum.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute resolved")
+namespace = {{}}
+exec("from fibresum import *", namespace)
+assert namespace["hopf_link"] is fibresum.linkgeom.hopf_link
+print("import check done", file=sys.stderr)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "import check done" in proc.stderr

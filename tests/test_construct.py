@@ -13,8 +13,8 @@ from fibresum.construct import (
 from fibresum.errors import EnumerationCapError, RecipeError
 from fibresum.fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
 from fibresum.gompfsum import Gluing, SumRecipe, perform_recipe, sum_invariants
-from fibresum.intlat import IntVector, PairingMatrix, divisibility_bounds
-from oracles import brute_force_forms
+from fibresum.intlat import IntVector, PairingMatrix
+from oracles import brute_force_forms, pairwise_divisibility_bounds
 
 
 def t4_setup():
@@ -248,9 +248,13 @@ def test_enumerate_forms_matches_brute_force_oracle():
         expected = brute_force_forms(recipe)
         assert [(f.signs_flat, f.c1.coords) for f in result.forms] == expected
         summed = sum_invariants(recipe)
-        reports = [divisibility_bounds(IntVector(c1), summed.pairing, recipe.duals) for _, c1 in expected]
-        assert [f.divisibility for f in result.forms] == reports
-        assert result.distinct_divisibilities == tuple(sorted({r.lower for r in reports if r.exact}))
+        # The oracle also pairs c1 with every declared dual class.
+        duals = [t.dual for t in recipe.tori if t.dual is not None]
+        reports = [pairwise_divisibility_bounds(c1, summed.pairing.entries, duals) for _, c1 in expected]
+        got = [(f.divisibility.lower, f.divisibility.upper, f.divisibility.exact, f.divisibility.undefined)
+               for f in result.forms]
+        assert got == reports
+        assert result.distinct_divisibilities == tuple(sorted({lower for lower, _, exact, _ in reports if exact}))
         flippable.add(result.flippable_copies)
     assert min(flippable) == 0 and max(flippable) == 10
 

