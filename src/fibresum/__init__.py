@@ -64,9 +64,9 @@ from .intlat import (
 # computes a linking number does not import it, or `fractions` and
 # `decimal` with it.
 _LINKGEOM_NAMES = (
-    "PolygonalCurve", "PolygonalLink", "borromean_axis", "borromean_rings",
-    "derive_torus_relation", "h1_coordinates", "hopf_link", "linking_number_crossings",
-    "linking_number_gauss", "linking_number_verified", "load_link", "split_link",
+    "PolygonalCurve", "PolygonalLink", "borromean_axis", "borromean_rings", "hopf_link",
+    "linking_number_crossings", "linking_number_gauss", "linking_number_verified",
+    "linking_numbers", "load_link", "split_link",
 )
 
 __all__ = [

@@ -65,9 +65,9 @@ def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> N
     report.tasks[-1]["config_section"] = snippet
 
 
-def _check_forms(name: str, result, manifold, recipe, report: ReportBuilder) -> None:
+def _check_forms(name: str, result, recipe, report: ReportBuilder) -> None:
     extras = {t.label: t.klass for t in recipe.tori}
-    identities = check_c1_identities(manifold, result.forms, extras)
+    identities = check_c1_identities(result.manifold, result.forms, extras)
     report.add_form_checks(name, result.forms, identities)
     for form, identity in zip(result.forms, identities):
         for msg in identity.failed:
@@ -81,10 +81,9 @@ def _check_forms(name: str, result, manifold, recipe, report: ReportBuilder) -> 
 def _run_enumerate(task: EnumerateTask, config: RunConfig, report: ReportBuilder) -> None:
     recipe = config.recipes[task.recipe]
     result = construct.enumerate_forms(recipe, cap=config.enumeration_cap)
-    manifold = result.forms[0].manifold if result.forms else recipe.base
-    report.add_enumeration(task.recipe, manifold, result)
-    if manifold.simply_connected:
-        _check_forms(task.recipe, result, manifold, recipe, report)
+    report.add_enumeration(task.recipe, result)
+    if result.manifold.simply_connected:
+        _check_forms(task.recipe, result, recipe, report)
 
 
 def _run_solve(task: SolveTask, config: RunConfig, report: ReportBuilder) -> None:
@@ -93,7 +92,7 @@ def _run_solve(task: SolveTask, config: RunConfig, report: ReportBuilder) -> Non
     for p in sorted(result.assignments):
         report.add_check(f"solve: prime {p} realized with exact divisibility {p}", "pass")
     enumeration = construct.enumerate_forms(result.recipe, cap=config.enumeration_cap)
-    report.add_enumeration(result.recipe.name, result.manifold, enumeration)
+    report.add_enumeration(result.recipe.name, enumeration)
     missing = [p for p in task.primes if p not in enumeration.distinct_divisibilities]
     if missing:
         # Every solved assignment was verified directly, so an exhaustive
@@ -101,8 +100,8 @@ def _run_solve(task: SolveTask, config: RunConfig, report: ReportBuilder) -> Non
         raise MathematicalInconsistencyError(
             f"enumeration lost solved divisibilities: {missing}"
         )
-    if result.manifold.simply_connected:
-        _check_forms(result.recipe.name, enumeration, result.manifold, result.recipe, report)
+    if enumeration.manifold.simply_connected:
+        _check_forms(result.recipe.name, enumeration, result.recipe, report)
 
 
 def _load_geometry(config: RunConfig, name: str, loader, what: str):
@@ -120,23 +119,10 @@ def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) ->
     link = _load_geometry(config, task.link, linkgeom.load_link, "link")
     # Read the axis first, so a bad axis file fails before any geometry is computed.
     axis = None if task.axis is None else _load_geometry(config, task.axis, linkgeom.load_curve, "axis")
-    components = link.surgery_components()
-    # Linking numbers are symmetric: compute each pair once and mirror it.
-    matrix = [[0] * len(components) for _ in components]
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            matrix[i][j] = matrix[j][i] = linkgeom.linking_number_verified(
-                components[i], components[j], seed=config.seed
-            )
-    axis_coords = None
-    if axis is not None:
-        axis_coords = [
-            linkgeom.linking_number_verified(axis, comp, seed=config.seed)
-            for comp in components
-        ]
+    matrix, axis_coords = linkgeom.linking_numbers(link, axis, seed=config.seed)
     relation = None
     try:
-        if axis_coords is not None and len(components) == 3:
+        if axis_coords is not None and len(matrix) == 3:
             relation = list(linkgeom.torus_relation(matrix, axis_coords))
     finally:
         # The matrix and the axis numbers are reported even when the

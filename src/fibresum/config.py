@@ -75,21 +75,18 @@ class TheoremTask:
     tori: tuple[str, ...]
     sum_torus: str
     n: int
-    line: int = 0
 
 
 @dataclass(frozen=True)
 class EnumerateTask:
     kind: ClassVar[str] = "enumerate"
     recipe: str
-    line: int = 0
 
 
 @dataclass(frozen=True)
 class SolveTask:
     kind: ClassVar[str] = "solve"
     primes: tuple[int, ...]
-    line: int = 0
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class LinkingTask:
     kind: ClassVar[str] = "linking"
     link: str
     axis: Optional[str] = None
-    line: int = 0
 
 
 # Every task's `kind` is the name of its `[task ...]` section.
@@ -470,21 +466,21 @@ def _load_task(section: _Section, config: RunConfig) -> None:
         sum_label = section.require("sum", path)
         config.torus(manifold_name, sum_label, line=line)
         n = _parse_int(section.require("n", path), "n", path, line)
-        config.tasks.append(TheoremTask(kind, manifold_name, tori_labels, sum_label, n, line))
+        config.tasks.append(TheoremTask(kind, manifold_name, tori_labels, sum_label, n))
     elif kind == "enumerate":
         recipe_name = section.require("recipe", path)
         if recipe_name not in config.recipes:
             raise ConfigError(f"unknown recipe {recipe_name!r}", path=path, line=line)
-        config.tasks.append(EnumerateTask(recipe_name, line))
+        config.tasks.append(EnumerateTask(recipe_name))
     elif kind == "solve":
         primes = parse_int_list(section.require("primes", path), "primes", path, line)
         if not primes:
             raise ConfigError("solve task needs at least one prime", path=path, line=line)
-        config.tasks.append(SolveTask(primes, line))
+        config.tasks.append(SolveTask(primes))
     elif kind == "linking":
         link = section.require("link", path)
         axis = section.get("axis", path)
-        config.tasks.append(LinkingTask(link, axis, line))
+        config.tasks.append(LinkingTask(link, axis))
     else:
         raise ConfigError(
             f"unknown task kind {kind!r} (verify, build, enumerate, solve, linking)",

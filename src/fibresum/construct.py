@@ -70,8 +70,10 @@ class HypothesisReport:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """All form classes of a recipe over the flippable sign assignments."""
+    """All form classes of a recipe over the flippable sign assignments,
+    on the one summed manifold they share."""
 
+    manifold: FourManifold
     forms: tuple[FormClass, ...]
     distinct_divisibilities: tuple[int, ...]
     inexact_count: int
@@ -287,12 +289,13 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     for coords, signs in states.items():
         c1 = IntVector(coords)
         report = divisibility_bounds(c1, manifold.pairing)
-        forms.append(FormClass(manifold=manifold, signs_flat=signs, c1=c1, divisibility=report))
+        forms.append(FormClass(signs_flat=signs, c1=c1, divisibility=report))
         if report.exact:
             exact_divisibilities.add(report.lower)
             exact += 1
     distinct = tuple(sorted(exact_divisibilities))
     return EnumerationResult(
+        manifold=manifold,
         forms=tuple(forms),
         distinct_divisibilities=distinct,
         inexact_count=len(forms) - exact,

@@ -131,7 +131,6 @@ class SumRecipe:
 class FormClass:
     """One symplectic structure on the summed manifold."""
 
-    manifold: FourManifold
     signs_flat: tuple[int, ...]
     c1: IntVector
     divisibility: DivisibilityReport
@@ -275,12 +274,7 @@ def perform_recipe(recipe: SumRecipe) -> tuple[FourManifold, FormClass]:
     """Evaluate a recipe: summed invariants plus the resulting form class."""
     manifold = sum_invariants(recipe)
     report = divisibility_bounds(manifold.c1, manifold.pairing)
-    form = FormClass(
-        manifold=manifold,
-        signs_flat=flat_signs(recipe),
-        c1=manifold.c1,
-        divisibility=report,
-    )
+    form = FormClass(signs_flat=flat_signs(recipe), c1=manifold.c1, divisibility=report)
     return manifold, form
 
 

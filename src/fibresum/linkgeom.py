@@ -33,20 +33,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmbeddingError, GenericityError, IllConditionedError
+from .errors import EmbeddingError, GenericityError, IllConditionedError, MathematicalInconsistencyError
 from .intlat import IntVector
 
 __all__ = [
-    "SURGERY",
-    "AUXILIARY",
     "PolygonalCurve",
     "PolygonalLink",
     "linking_number_crossings",
     "linking_number_gauss",
     "linking_number_verified",
-    "h1_coordinates",
+    "linking_numbers",
     "torus_relation",
-    "derive_torus_relation",
     "borromean_rings",
     "borromean_axis",
     "borromean_meridian",
@@ -59,9 +56,6 @@ __all__ = [
     "load_curve",
 ]
 
-SURGERY = "surgery"
-AUXILIARY = "auxiliary"
-
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Point = tuple[int, int, int]
 # Start, direction, and the low and high corners of the bounding box.
@@ -69,16 +63,15 @@ _Segment = tuple[Point, Point, Point, Point]
 
 MAX_DIRECTION_ATTEMPTS = 64
 GAUSS_MIN_SEPARATION = 1e-6
+# linking_number_verified accepts a Gauss integral closer than this to
+# the crossing count.
+_GAUSS_TOLERANCE = 1e-6
 
 
 def _vec(p: Sequence) -> Vec3:
     if len(p) != 3:
         raise ValueError(f"expected a 3-vector, got {len(p)} coordinates")
     return (Fraction(p[0]), Fraction(p[1]), Fraction(p[2]))
-
-
-def _add(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def _dot(a: Point, b: Point) -> int:
@@ -243,16 +236,8 @@ class PolygonalCurve:
         if touching is not None:
             raise EmbeddingError(f"segments {touching[0]} and {touching[1]} intersect")
 
-    def segments(self) -> list[tuple[Vec3, Vec3]]:
-        verts = self.vertices
-        return [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
-
     def reversed(self) -> "PolygonalCurve":
         return PolygonalCurve(tuple(reversed(self.vertices)))
-
-    def translated(self, offset: Sequence) -> "PolygonalCurve":
-        off = _vec(offset)
-        return PolygonalCurve(tuple(_add(v, off) for v in self.vertices))
 
 
 def _common_points(a: PolygonalCurve, b: PolygonalCurve) -> tuple[tuple[Point, ...], tuple[Point, ...], int]:
@@ -299,27 +284,16 @@ def _require_disjoint(a: PolygonalCurve, b: PolygonalCurve) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PolygonalLink:
-    """Disjoint closed curves with per-component roles."""
+    """Disjoint closed curves."""
 
     components: tuple[PolygonalCurve, ...]
-    roles: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
-        roles = tuple(self.roles) if self.roles else (SURGERY,) * len(comps)
-        if len(roles) != len(comps):
-            raise ValueError("one role per component required")
-        for r in roles:
-            if r not in (SURGERY, AUXILIARY):
-                raise ValueError(f"unknown component role {r!r}")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "roles", roles)
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
                 _require_disjoint(comps[i], comps[j])
-
-    def surgery_components(self) -> list[PolygonalCurve]:
-        return [c for c, r in zip(self.components, self.roles) if r == SURGERY]
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +458,7 @@ def _segment_pair_solid_angle(p0, p1, q0, q1) -> float:
     return 2.0 * (math.atan2(triple, d1) + math.atan2(triple, d2))
 
 
-def linking_number_gauss(
-    a: PolygonalCurve,
-    b: PolygonalCurve,
-    *,
-    min_separation: float = GAUSS_MIN_SEPARATION,
-) -> float:
+def linking_number_gauss(a: PolygonalCurve, b: PolygonalCurve) -> float:
     """Gauss linking integral via exact segment-pair solid angles.
 
     The result is within 1e-6 of an integer for any pair of curves that
@@ -497,9 +466,9 @@ def linking_number_gauss(
     ill-conditioned rather than returning an untrustworthy value.
     """
     num, den = _require_disjoint(a, b)
-    if num / den < min_separation * min_separation:
+    if num / den < GAUSS_MIN_SEPARATION * GAUSS_MIN_SEPARATION:
         raise IllConditionedError(
-            f"ill-conditioned: curve separation below {min_separation}"
+            f"ill-conditioned: curve separation below {GAUSS_MIN_SEPARATION}"
         )
     fa = [_float(v) for v in a.vertices]
     fb = [_float(v) for v in b.vertices]
@@ -513,19 +482,11 @@ def linking_number_gauss(
     return total / (4.0 * math.pi)
 
 
-def linking_number_verified(
-    a: PolygonalCurve,
-    b: PolygonalCurve,
-    *,
-    seed: int = 0,
-    tolerance: float = 1e-6,
-) -> int:
+def linking_number_verified(a: PolygonalCurve, b: PolygonalCurve, *, seed: int = 0) -> int:
     """Crossing-count linking number, cross-checked against the Gauss integral."""
-    from .errors import MathematicalInconsistencyError
-
     exact = linking_number_crossings(a, b, seed=seed)
     approx = linking_number_gauss(a, b)
-    if abs(approx - exact) >= tolerance:
+    if abs(approx - exact) >= _GAUSS_TOLERANCE:
         raise MathematicalInconsistencyError(
             f"linking oracles disagree: crossings {exact}, integral {approx!r}"
         )
@@ -533,21 +494,28 @@ def linking_number_verified(
 
 
 # ---------------------------------------------------------------------------
-# Surgery-presentation homology coordinates.
+# Linking matrix and the torus relation.
 # ---------------------------------------------------------------------------
 
 
-def h1_coordinates(loop: PolygonalCurve, link: PolygonalLink, *, seed: int = 0) -> IntVector:
-    """Coordinates of a loop in the basis of meridians of the surgery components.
+def linking_numbers(
+    link: PolygonalLink, axis: Optional[PolygonalCurve] = None, *, seed: int = 0
+) -> tuple[list[list[int]], Optional[list[int]]]:
+    """The link's symmetric pairwise linking matrix, and the axis's linking
+    numbers with each component (None without an axis), all verified.
 
-    The coordinate against component i is the linking number of the loop
-    with that component.
+    Linking numbers are symmetric, so each pair is computed once and
+    mirrored. The axis numbers are its coordinates in the basis of the
+    components' meridians.
     """
-    coords = [
-        linking_number_crossings(loop, comp, seed=seed)
-        for comp in link.surgery_components()
-    ]
-    return IntVector(tuple(coords))
+    comps = link.components
+    matrix = [[0] * len(comps) for _ in comps]
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            matrix[i][j] = matrix[j][i] = linking_number_verified(comps[i], comps[j], seed=seed)
+    if axis is None:
+        return matrix, None
+    return matrix, [linking_number_verified(axis, comp, seed=seed) for comp in comps]
 
 
 def torus_relation(matrix: Sequence[Sequence[int]], axis_coords: Sequence[int]) -> IntVector:
@@ -566,19 +534,6 @@ def torus_relation(matrix: Sequence[Sequence[int]], axis_coords: Sequence[int]) 
             "so their meridians are not a basis of H1 of the 0-surgery"
         )
     return IntVector(tuple(axis_coords))
-
-
-def derive_torus_relation(link: PolygonalLink, axis: PolygonalCurve, *, seed: int = 0) -> IntVector:
-    """Coefficients of the axis torus class in the basis of the three
-    coordinate torus classes of a 3-component surgery presentation."""
-    comps = link.surgery_components()
-    if len(comps) != 3:
-        raise ValueError("torus relation requires a 3-component surgery presentation")
-    matrix = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            matrix[i][j] = matrix[j][i] = linking_number_crossings(comps[i], comps[j], seed=seed)
-    return torus_relation(matrix, h1_coordinates(axis, link, seed=seed).coords)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +556,7 @@ def borromean_rings() -> PolygonalLink:
     c1 = _curve((2, -1, 0), (2, 1, 0), (-2, 1, 0), (-2, -1, 0))
     c2 = _curve((0, 2, -1), (0, 2, 1), (0, -2, 1), (0, -2, -1))
     c3 = _curve((-1, 0, 2), (1, 0, 2), (1, 0, -2), (-1, 0, -2))
-    return PolygonalLink((c1, c2, c3), (SURGERY, SURGERY, SURGERY))
+    return PolygonalLink((c1, c2, c3))
 
 
 def borromean_axis(shift: Fraction | int = 0) -> PolygonalCurve:
@@ -641,14 +596,14 @@ def hopf_link() -> PolygonalLink:
     """Two interlocked squares with linking number +1."""
     a = _curve((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0))
     b = _curve((1, 1, 1), (1, 3, 1), (1, 3, -1), (1, 1, -1))
-    return PolygonalLink((a, b), (SURGERY, SURGERY))
+    return PolygonalLink((a, b))
 
 
 def split_link() -> PolygonalLink:
     """Two distant squares with linking number 0."""
     a = _curve((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0))
     b = _curve((11, 1, 1), (11, 3, 1), (11, 3, -1), (11, 1, -1))
-    return PolygonalLink((a, b), (SURGERY, SURGERY))
+    return PolygonalLink((a, b))
 
 
 def square_loop(center: Sequence, half: Fraction | int = 1) -> PolygonalCurve:
@@ -689,7 +644,7 @@ def perturb_curve(
 # ---------------------------------------------------------------------------
 
 
-def parse_link_text(text: str, roles: Optional[Sequence[str]] = None) -> PolygonalLink:
+def parse_link_text(text: str) -> PolygonalLink:
     blocks: list[list[Vec3]] = []
     current: list[Vec3] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -710,16 +665,17 @@ def parse_link_text(text: str, roles: Optional[Sequence[str]] = None) -> Polygon
         blocks.append(current)
     if not blocks:
         raise ValueError("no components in link data")
-    curves = tuple(PolygonalCurve(tuple(block)) for block in blocks)
-    role_tuple = tuple(roles) if roles is not None else (SURGERY,) * len(curves)
-    return PolygonalLink(curves, role_tuple)
+    return PolygonalLink(tuple(PolygonalCurve(tuple(block)) for block in blocks))
 
 
-def load_link(path, roles: Optional[Sequence[str]] = None) -> PolygonalLink:
+def load_link(path) -> PolygonalLink:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_link_text(fh.read(), roles)
+        return parse_link_text(fh.read())
 
 
 def load_curve(path) -> PolygonalCurve:
-    """First component of a link file, for axis and meridian inputs."""
-    return load_link(path).components[0]
+    """The one curve of a file in the link format, for axis and meridian inputs."""
+    components = load_link(path).components
+    if len(components) != 1:
+        raise ValueError(f"expected one curve, got {len(components)}")
+    return components[0]

@@ -271,9 +271,9 @@ class ReportBuilder:
             f"parity: {form_parity(manifold)}"
         )
 
-    def add_enumeration(self, name: str, manifold: FourManifold, result: EnumerationResult) -> None:
+    def add_enumeration(self, name: str, result: EnumerationResult) -> None:
         self.heading(f"enumeration {name}")
-        self.set_manifold(manifold)
+        self.set_manifold(result.manifold)
         self.line(
             f"  flippable copies: {result.flippable_copies}, assignments "
             f"covered: {result.assignments_covered}"

@@ -31,13 +31,13 @@ from fibresum.linkgeom import (
     PolygonalLink,
     borromean_axis,
     borromean_rings,
-    derive_torus_relation,
-    h1_coordinates,
     hopf_link,
     linking_number_crossings,
     linking_number_gauss,
+    linking_numbers,
     perturb_curve,
     split_link,
+    torus_relation,
 )
 
 LINKING_TOLERANCE = 1e-6
@@ -81,8 +81,7 @@ def test_criterion_2_two_prime_solver():
         result = enumerate_forms(solution.recipe)
         assert {3, 5, 15} <= set(result.distinct_divisibilities)
         assert result.pi0_lower_bound >= 3
-        manifolds = {f.manifold for f in result.forms}
-        assert manifolds == {solution.manifold}
+        assert result.manifold == solution.manifold
         for p, signs in solution.assignments.items():
             c1 = sum_c1(with_signs(solution.recipe, signs))
             matching = [f for f in result.forms if f.c1 == c1]
@@ -112,14 +111,14 @@ def test_criterion_4_invariant_suite():
         for source_recipe, result in batches:
             if result is None:
                 result = enumerate_forms(source_recipe)
-            manifold = result.forms[0].manifold
+            manifold = result.manifold
             extras = {t.label: t.klass for t in source_recipe.tori}
             reports = check_c1_identities(manifold, result.forms, extras)
             assert len(reports) == len(result.forms)
             for report in reports:
                 assert report.ok, report.failed
                 assert any("2e + 3sigma" in msg for msg in report.passed)
-        section_manifold = section.forms[0].manifold
+        section_manifold = section.manifold
         assert (
             section_manifold.euler,
             section_manifold.signature,
@@ -163,8 +162,8 @@ def test_criterion_5_linking_oracle_equivalence():
             for j in range(i + 1, 3):
                 assert linking_number_crossings(rings.components[i], rings.components[j]) == 0
         axis = borromean_axis()
-        assert h1_coordinates(axis, rings).coords == (1, 1, 1)
-        assert derive_torus_relation(rings, axis).coords == (1, 1, 1)
+        assert linking_numbers(rings, axis)[1] == [1, 1, 1]
+        assert torus_relation(*linking_numbers(rings, axis)).coords == (1, 1, 1)
         checked = 0
         for a, b, expected in _perturbed_configurations(seed=20240117, count=100):
             exact = linking_number_crossings(a, b)

@@ -523,6 +523,24 @@ def test_cli_linking_reads_the_axis_file_before_any_linking_number(
     assert verified == []
 
 
+def test_cli_linking_rejects_an_axis_file_with_two_curves(tmp_path, monkeypatch, capsys):
+    from fibresum import linkgeom
+
+    # Two far-apart squares: the second curve must not be silently dropped.
+    (tmp_path / "axes.lnk").write_text(
+        "40 40 0\n42 40 0\n42 42 0\n40 42 0\n\n50 50 0\n52 50 0\n52 52 0\n50 52 0\n"
+    )
+    verified = _count_calls(monkeypatch, linkgeom, "linking_number_verified")
+    axis = str(tmp_path / "axes.lnk")
+    argv = ["linking", "--link", "borromean.lnk", "--axis", axis, "--output", "machine"]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    (error,) = doc["errors"]
+    assert error == f"<args>: bad axis file {axis}: expected one curve, got 2"
+    assert doc["tasks"] == []
+    assert verified == []
+
+
 def test_failing_forms_are_named_by_index_and_signs(monkeypatch, capsys):
     # Bumping c1 by the dual class Ux makes <c1, Tx> and <c1, Tw> odd
     # against square-zero tori on the corrupted forms only.

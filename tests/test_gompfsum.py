@@ -226,7 +226,6 @@ def test_check_c1_identities_catches_corruption():
     recipe = section_recipe()
     summed, form = perform_recipe(recipe)
     corrupted = FormClass(
-        manifold=summed,
         signs_flat=form.signs_flat,
         c1=form.c1 + IntVector((0, 0, 0, 1, 0, 0)),
         divisibility=form.divisibility,
@@ -245,7 +244,6 @@ def test_check_c1_identities_catches_corruption_on_full_pairing():
 
     corrupted_c1 = manifold.c1 + fibre.klass
     corrupted = FormClass(
-        manifold=manifold,
         signs_flat=(),
         c1=corrupted_c1,
         divisibility=divisibility_bounds(corrupted_c1, manifold.pairing),
@@ -312,7 +310,7 @@ def test_row_kernel_matches_pairwise_oracle():
             report = divisibility_bounds(c1, manifold.pairing)
             got = (report.lower, report.upper, report.exact, report.undefined)
             assert got == pairwise_divisibility_bounds(c1, manifold.pairing.entries, duals)
-            forms.append(FormClass(manifold, (), c1, report))
+            forms.append(FormClass((), c1, report))
         reports = check_c1_identities(manifold, forms, extras)
         assert len(reports) == len(forms)
         for c1, report in zip(c1s, reports):

@@ -6,24 +6,22 @@ import pytest
 
 from fibresum.errors import EmbeddingError, IllConditionedError
 from fibresum.linkgeom import (
-    AUXILIARY,
-    SURGERY,
     PolygonalCurve,
     PolygonalLink,
     borromean_axis,
     borromean_meridian,
     borromean_rings,
-    derive_torus_relation,
-    h1_coordinates,
     hopf_link,
     linking_number_crossings,
     linking_number_gauss,
     linking_number_verified,
+    linking_numbers,
     load_link,
     parse_link_text,
     perturb_curve,
     split_link,
     square_loop,
+    torus_relation,
 )
 from fibresum import linkgeom
 from fibresum.config import bundled_path
@@ -72,7 +70,7 @@ def test_axis_links_each_component_once():
     axis = borromean_axis()
     for comp in rings.components:
         assert linking_number_verified(axis, comp) == 1
-    assert h1_coordinates(axis, rings).coords == (1, 1, 1)
+    assert linking_numbers(rings, axis)[1] == [1, 1, 1]
 
 
 def test_symmetry_and_orientation_reversal():
@@ -110,37 +108,56 @@ def test_projection_invariance_over_20_directions():
 def test_meridians_give_standard_basis_vectors():
     rings = borromean_rings()
     for i in range(3):
-        coords = h1_coordinates(borromean_meridian(i), rings).coords
-        expected = tuple(1 if j == i else 0 for j in range(3))
+        coords = linking_numbers(rings, borromean_meridian(i))[1]
+        expected = [1 if j == i else 0 for j in range(3)]
         assert coords == expected
 
 
 def test_far_loop_has_zero_coordinates():
     rings = borromean_rings()
     loop = square_loop((30, 30, 30))
-    assert h1_coordinates(loop, rings).coords == (0, 0, 0)
+    assert linking_numbers(rings, loop)[1] == [0, 0, 0]
 
 
 def test_torus_relation_from_builtin_data():
     rings = borromean_rings()
-    assert derive_torus_relation(rings, borromean_axis()).coords == (1, 1, 1)
-    assert derive_torus_relation(rings, borromean_meridian(0)).coords == (1, 0, 0)
+    assert torus_relation(*linking_numbers(rings, borromean_axis())).coords == (1, 1, 1)
+    assert torus_relation(*linking_numbers(rings, borromean_meridian(0))).coords == (1, 0, 0)
 
 
 def test_two_parallel_axis_copies():
     rings = borromean_rings()
     first = borromean_axis()
     second = borromean_axis(Fraction(1, 8))
-    assert derive_torus_relation(rings, first).coords == (1, 1, 1)
-    assert derive_torus_relation(rings, second).coords == (1, 1, 1)
+    assert torus_relation(*linking_numbers(rings, first)).coords == (1, 1, 1)
+    assert torus_relation(*linking_numbers(rings, second)).coords == (1, 1, 1)
     assert linking_number_crossings(first, second) == 0
     # The parallel copies really are disjoint from everything.
-    PolygonalLink(rings.components + (first, second), (SURGERY,) * 3 + (AUXILIARY,) * 2)
+    PolygonalLink(rings.components + (first, second))
 
 
 def test_relation_requires_three_surgery_components():
-    with pytest.raises(ValueError):
-        derive_torus_relation(hopf_link(), borromean_axis())
+    with pytest.raises(ValueError, match="3-component"):
+        torus_relation([[0, 0], [0, 0]], [1, 1])
+
+
+def test_linking_numbers_on_perturbed_borromean_rings():
+    rng = random.Random(515)
+    rings = borromean_rings()
+    axis = borromean_axis()
+    for _ in range(5):
+        link = PolygonalLink(tuple(perturb_curve(c, rng) for c in rings.components))
+        moved_axis = perturb_curve(axis, rng)
+        matrix, axis_coords = linking_numbers(link, moved_axis, seed=rng.randrange(100))
+        comps = link.components
+        for i in range(3):
+            assert matrix[i][i] == 0
+            for j in range(3):
+                assert matrix[i][j] == matrix[j][i]
+                if i != j:
+                    assert matrix[i][j] == linking_number_crossings(comps[i], comps[j])
+        assert axis_coords == [linking_number_crossings(moved_axis, c) for c in comps]
+        assert axis_coords == [1, 1, 1]
 
 
 def test_oracle_agreement_on_perturbed_corpus():
@@ -287,7 +304,6 @@ def test_parse_link_text_rationals_and_comments():
         parse_link_text(text)
     link = parse_link_text("0 0 0\n1 0 0\n0 1 0\n\n5 5 5\n6 5 5\n5 6 5\n")
     assert len(link.components) == 2
-    assert link.roles == (SURGERY, SURGERY)
 
 
 def test_parse_link_text_errors():
