@@ -17,7 +17,6 @@ from .construct import (
     build_theorem_recipe,
     check_hypotheses,
     enumerate_forms,
-    mcmullen_taubes_recipe,
     solve_signs,
 )
 from .errors import (
@@ -46,10 +45,8 @@ from .gompfsum import (
     Gluing,
     SumRecipe,
     check_c1_identities,
-    perform_recipe,
     sum_c1,
     sum_invariants,
-    with_signs,
 )
 from .intlat import (
     DivisibilityReport,
@@ -64,20 +61,19 @@ from .intlat import (
 # computes a linking number does not import it, or `fractions` and
 # `decimal` with it.
 _LINKGEOM_NAMES = (
-    "PolygonalCurve", "PolygonalLink", "borromean_axis", "borromean_rings", "hopf_link",
-    "linking_number_crossings", "linking_number_gauss", "linking_number_verified",
-    "linking_numbers", "load_link", "split_link",
+    "PolygonalCurve", "PolygonalLink", "linking_number_crossings", "linking_number_gauss",
+    "linking_number_verified", "linking_numbers", "load_link",
 )
 
 __all__ = [
     "EnumerationResult", "HypothesisReport", "SolveResult", "build_theorem_recipe",
-    "check_hypotheses", "enumerate_forms", "mcmullen_taubes_recipe", "solve_signs",
+    "check_hypotheses", "enumerate_forms", "solve_signs",
     "ConfigError", "EmbeddingError", "EnumerationCapError", "FibresumError",
     "GenericityError", "IllConditionedError", "MathematicalInconsistencyError", "RecipeError",
     "LAGRANGIAN", "SYMPLECTIC", "EmbeddedTorus", "FourManifold",
     "build_e1", "build_t4", "form_parity", "validate",
-    "CheckReport", "FormClass", "Gluing", "SumRecipe", "check_c1_identities",
-    "perform_recipe", "sum_c1", "sum_invariants", "with_signs",
+    "CheckReport", "FormClass", "Gluing", "SumRecipe", "check_c1_identities", "sum_c1",
+    "sum_invariants",
     "DivisibilityReport", "IntVector", "PairingMatrix", "divisibility_bounds", "gcd_content", "rank",
     *_LINKGEOM_NAMES,
 ]

@@ -28,8 +28,8 @@ from .config import (
     recipe_config_section,
 )
 from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
-from .gompfsum import c1_contributions, check_c1_identities, sum_invariants
-from .reports import ReportBuilder, _sign_string
+from .gompfsum import check_c1_identities, sum_invariants
+from .reports import ReportBuilder
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -57,21 +57,13 @@ def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> N
     tori = tuple(config.torus(task.manifold, label) for label in task.tori)
     sum_torus = config.torus(task.manifold, task.sum_torus)
     recipe = construct.build_theorem_recipe(manifold, tori, task.n, sum_torus)
-    report.add_recipe(recipe, sum_invariants(recipe), c1_contributions(recipe))
-    snippet = recipe_config_section(recipe, task.manifold)
-    report.line("  config section:")
-    for line in snippet.rstrip().splitlines():
-        report.line(f"    {line}")
-    report.tasks[-1]["config_section"] = snippet
+    report.add_recipe(recipe, sum_invariants(recipe), recipe_config_section(recipe, task.manifold))
 
 
 def _check_forms(name: str, result, recipe, report: ReportBuilder) -> None:
     extras = {t.label: t.klass for t in recipe.tori}
     identities = check_c1_identities(result.manifold, result.forms, extras)
     report.add_form_checks(name, result.forms, identities)
-    for form, identity in zip(result.forms, identities):
-        for msg in identity.failed:
-            report.line(f"  [   fail] {name} signs {_sign_string(form.signs_flat)}: {msg}")
     any_failed = not all(identity.ok for identity in identities)
     report.add_check(f"{name}: c1 identities over all forms", "fail" if any_failed else "pass")
     if any_failed:
@@ -89,17 +81,11 @@ def _run_enumerate(task: EnumerateTask, config: RunConfig, report: ReportBuilder
 def _run_solve(task: SolveTask, config: RunConfig, report: ReportBuilder) -> None:
     result = construct.solve_signs(task.primes)
     report.add_solve(result)
+    enumeration = construct.enumerate_forms(result.recipe, cap=config.enumeration_cap)
+    result.realized_forms(enumeration)
     for p in sorted(result.assignments):
         report.add_check(f"solve: prime {p} realized with exact divisibility {p}", "pass")
-    enumeration = construct.enumerate_forms(result.recipe, cap=config.enumeration_cap)
     report.add_enumeration(result.recipe.name, enumeration)
-    missing = [p for p in task.primes if p not in enumeration.distinct_divisibilities]
-    if missing:
-        # Every solved assignment was verified directly, so an exhaustive
-        # enumeration that misses one is a genuine contradiction.
-        raise MathematicalInconsistencyError(
-            f"enumeration lost solved divisibilities: {missing}"
-        )
     if enumeration.manifold.simply_connected:
         _check_forms(result.recipe.name, enumeration, result.recipe, report)
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import EnumerationCapError, MathematicalInconsistencyError, RecipeError
 from .fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
-from .gompfsum import FormClass, Gluing, SumRecipe, perform_recipe, sum_invariants, with_signs
+from .gompfsum import FormClass, Gluing, SumRecipe, sum_invariants
 from .intlat import IntVector, divisibility_bounds, gcd_content, rank
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SolveResult",
     "check_hypotheses",
     "build_theorem_recipe",
-    "mcmullen_taubes_recipe",
     "enumerate_forms",
     "solve_signs",
     "DEFAULT_ENUMERATION_CAP",
@@ -93,14 +92,45 @@ class EnumerationResult:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Multi-prime construction: one manifold, one sign assignment per prime."""
+    """Multi-prime construction: one recipe, one sign assignment per prime."""
 
     recipe: SumRecipe
-    manifold: FourManifold
     n: int
     lagrangian_copies: int
     assignments: dict[int, tuple[int, ...]]
     sign_sums: dict[int, int]
+
+    def realized_forms(self, enumeration: EnumerationResult) -> dict[int, FormClass]:
+        """Each prime's form in the enumeration of the recipe: the one
+        carrying that prime's assignment, checked to have exact
+        divisibility p.
+
+        The enumeration lists each form with the first assignment an
+        exhaustive scan meets. Here c1 fixes the Ty sign and the Tz sign
+        sum, and the first assignment with them puts Tz's plus signs
+        first, as the solver does: so each prime's form carries exactly
+        its assignment's signs. A missing form is an inconsistency.
+        """
+        # Comparing, not hashing, the sign vectors: two forms' vectors
+        # differ within the Ty and Tz signs, so a comparison stops early.
+        forms = {
+            p: f
+            for f in enumeration.forms
+            for p, signs in self.assignments.items()
+            if f.signs_flat == signs
+        }
+        for p in self.assignments:
+            if p not in forms:
+                raise MathematicalInconsistencyError(
+                    f"enumeration has no form with the signs solved for prime {p}"
+                )
+            report = forms[p].divisibility
+            if not report.exact or report.lower != p:
+                raise MathematicalInconsistencyError(
+                    f"assignment for prime {p} yields divisibility "
+                    f"{report.lower}..{report.upper} (exact={report.exact})"
+                )
+        return forms
 
 
 def check_hypotheses(
@@ -229,16 +259,6 @@ def build_theorem_recipe(
     )
 
 
-def mcmullen_taubes_recipe() -> SumRecipe:
-    """Four-torus summed along the three coordinate tori and one diagonal
-    copy. The gate rejects n = 2 (2 divides 2d), so this is built as the
-    negative control: distinct forms whose divisibilities all agree."""
-    manifold, (tx, ty, tz, tw) = build_t4()
-    return build_theorem_recipe(
-        manifold, (tz, tx, ty), 2, tw, require_hypotheses=False, name="mcmullen-taubes"
-    )
-
-
 def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) -> EnumerationResult:
     """Every form class of the recipe over all signs on the Lagrangian-glued copies.
 
@@ -325,8 +345,10 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
     sum to s gives c1 = (-n, -n, -(n-1)-s) in torus coordinates, with
     divisibility gcd(n, n-1+s). For each prime the first workable s is
     found by scanning odd s upward from -(n-2); s = p - n + 1 always
-    hits, and every returned assignment is re-verified through the full
-    divisibility report rather than trusted from the arithmetic.
+    hits. No assignment is evaluated here: the recipe's enumeration is
+    the one place a form is computed, and `SolveResult.realized_forms`
+    checks each prime's divisibility there rather than trusting the
+    arithmetic.
     """
     primes = tuple(int(p) for p in primes)
     if not primes:
@@ -373,27 +395,11 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
             raise MathematicalInconsistencyError(
                 f"sign sum {s} is not realizable with {k} copies"
             )
-        tz_signs = (1,) * plus + (-1,) * (k - plus)
-        signs = (1, 1) + tz_signs + (1,) * (n - 1)
-        _, form = perform_recipe(with_signs(recipe, signs))
-        report = form.divisibility
-        if not report.exact or report.lower != p:
-            raise MathematicalInconsistencyError(
-                f"assignment for prime {p} yields divisibility "
-                f"{report.lower}..{report.upper} (exact={report.exact})"
-            )
-        for q in primes:
-            if q != p and report.lower % q == 0:
-                raise MathematicalInconsistencyError(
-                    f"divisibility for prime {p} is also divisible by {q}"
-                )
-        assignments[p] = signs
+        assignments[p] = (1, 1) + (1,) * plus + (-1,) * (k - plus) + (1,) * (n - 1)
     return SolveResult(
         recipe=recipe,
-        manifold=sum_invariants(recipe),
         n=n,
         lagrangian_copies=k,
         assignments=assignments,
         sign_sums=sign_sums,
     )
-

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import RecipeError
 from .fourman import LAGRANGIAN, EmbeddedTorus, FourManifold
-from .intlat import DivisibilityReport, IntVector, divisibility_bounds, row_pairing
+from .intlat import DivisibilityReport, IntVector, row_pairing
 
 __all__ = [
     "Gluing",
@@ -35,9 +35,6 @@ __all__ = [
     "sum_c1",
     "c1_contributions",
     "sum_invariants",
-    "perform_recipe",
-    "flat_signs",
-    "with_signs",
     "check_c1_identities",
 ]
 
@@ -245,37 +242,6 @@ def sum_invariants(recipe: SumRecipe) -> FourManifold:
         pi1_normally_generated_by_tori=base.pi1_normally_generated_by_tori,
         simply_connected=simply_connected,
     )
-
-
-def flat_signs(recipe: SumRecipe) -> tuple[int, ...]:
-    """All per-copy signs in gluing order."""
-    out: list[int] = []
-    for gluing in recipe.gluings:
-        out.extend(gluing.signs)
-    return tuple(out)
-
-
-def with_signs(recipe: SumRecipe, signs_flat: Sequence[int]) -> SumRecipe:
-    """Copy of the recipe with the flat sign vector redistributed."""
-    signs = [int(s) for s in signs_flat]
-    if len(signs) != recipe.total_copies:
-        raise RecipeError(
-            f"sign vector length {len(signs)} != total copies {recipe.total_copies}"
-        )
-    gluings = []
-    pos = 0
-    for gluing in recipe.gluings:
-        gluings.append(Gluing(gluing.torus_label, signs[pos : pos + gluing.copies]))
-        pos += gluing.copies
-    return SumRecipe(recipe.base, recipe.tori, tuple(gluings), recipe.name)
-
-
-def perform_recipe(recipe: SumRecipe) -> tuple[FourManifold, FormClass]:
-    """Evaluate a recipe: summed invariants plus the resulting form class."""
-    manifold = sum_invariants(recipe)
-    report = divisibility_bounds(manifold.c1, manifold.pairing)
-    form = FormClass(signs_flat=flat_signs(recipe), c1=manifold.c1, divisibility=report)
-    return manifold, form
 
 
 def check_c1_identities(

@@ -44,13 +44,6 @@ __all__ = [
     "linking_number_verified",
     "linking_numbers",
     "torus_relation",
-    "borromean_rings",
-    "borromean_axis",
-    "borromean_meridian",
-    "hopf_link",
-    "split_link",
-    "square_loop",
-    "perturb_curve",
     "parse_link_text",
     "load_link",
     "load_curve",
@@ -235,9 +228,6 @@ class PolygonalCurve:
         )[2]
         if touching is not None:
             raise EmbeddingError(f"segments {touching[0]} and {touching[1]} intersect")
-
-    def reversed(self) -> "PolygonalCurve":
-        return PolygonalCurve(tuple(reversed(self.vertices)))
 
 
 def _common_points(a: PolygonalCurve, b: PolygonalCurve) -> tuple[tuple[Point, ...], tuple[Point, ...], int]:
@@ -534,108 +524,6 @@ def torus_relation(matrix: Sequence[Sequence[int]], axis_coords: Sequence[int]) 
             "so their meridians are not a basis of H1 of the 0-surgery"
         )
     return IntVector(tuple(axis_coords))
-
-
-# ---------------------------------------------------------------------------
-# Built-in configurations.
-# ---------------------------------------------------------------------------
-
-
-def _curve(*points: Sequence) -> PolygonalCurve:
-    return PolygonalCurve(tuple(_vec(p) for p in points))
-
-
-def borromean_rings() -> PolygonalLink:
-    """Three mutually perpendicular rectangles forming Borromean rings.
-
-    Each rectangle lies in a coordinate plane with half-widths 2 and 1,
-    long axis threading the next rectangle cyclically. All pairwise
-    distances are at least 1, so exact disjointness checks pass with
-    room for perturbation.
-    """
-    c1 = _curve((2, -1, 0), (2, 1, 0), (-2, 1, 0), (-2, -1, 0))
-    c2 = _curve((0, 2, -1), (0, 2, 1), (0, -2, 1), (0, -2, -1))
-    c3 = _curve((-1, 0, 2), (1, 0, 2), (1, 0, -2), (-1, 0, -2))
-    return PolygonalLink((c1, c2, c3))
-
-
-def borromean_axis(shift: Fraction | int = 0) -> PolygonalCurve:
-    """Closed loop whose near edge runs along the main diagonal.
-
-    Copies are translated by shift * (1, 1, -2), which is perpendicular
-    to the diagonal and not parallel to any edge, so distinct small
-    shifts give disjoint parallel unlinked copies. The return path stays
-    far outside the rings and links nothing.
-    """
-    s = Fraction(shift)
-    return _curve(
-        (-4 + s, -4 + s, -4 - 2 * s),
-        (4 + s, 4 + s, 4 - 2 * s),
-        (28 + s, -20 + s, 4 - 2 * s),
-        (20 + s, -28 + s, -4 - 2 * s),
-    )
-
-
-def borromean_meridian(index: int, *, radius: Fraction | int = Fraction(1, 2)) -> PolygonalCurve:
-    """Small loop encircling component `index` of the built-in rings once,
-    positively, and staying clear of the other two components."""
-    h = Fraction(radius)
-    if index == 0:
-        # Around the x = 2 edge of the first rectangle (edge direction +y).
-        return _curve((2 + h, 0, 0), (2, 0, -h), (2 - h, 0, 0), (2, 0, h))
-    if index == 1:
-        # Around the y = 2 edge of the second rectangle (edge direction +z).
-        return _curve((0, 2 + h, 0), (-h, 2, 0), (0, 2 - h, 0), (h, 2, 0))
-    if index == 2:
-        # Around the z = 2 edge of the third rectangle (edge direction +x).
-        return _curve((0, 0, 2 + h), (0, -h, 2), (0, 0, 2 - h), (0, h, 2))
-    raise ValueError("built-in Borromean rings have components 0, 1, 2")
-
-
-def hopf_link() -> PolygonalLink:
-    """Two interlocked squares with linking number +1."""
-    a = _curve((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0))
-    b = _curve((1, 1, 1), (1, 3, 1), (1, 3, -1), (1, 1, -1))
-    return PolygonalLink((a, b))
-
-
-def split_link() -> PolygonalLink:
-    """Two distant squares with linking number 0."""
-    a = _curve((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0))
-    b = _curve((11, 1, 1), (11, 3, 1), (11, 3, -1), (11, 1, -1))
-    return PolygonalLink((a, b))
-
-
-def square_loop(center: Sequence, half: Fraction | int = 1) -> PolygonalCurve:
-    """Axis-aligned square in a z = const plane, for far-away test loops."""
-    c = _vec(center)
-    h = Fraction(half)
-    return _curve(
-        (c[0] - h, c[1] - h, c[2]),
-        (c[0] + h, c[1] - h, c[2]),
-        (c[0] + h, c[1] + h, c[2]),
-        (c[0] - h, c[1] + h, c[2]),
-    )
-
-
-def perturb_curve(
-    curve: PolygonalCurve,
-    rng: random.Random,
-    *,
-    denominator: int = 256,
-    amplitude: int = 8,
-) -> PolygonalCurve:
-    """Move every vertex by an independent small exact-rational offset."""
-    verts = []
-    for v in curve.vertices:
-        verts.append(
-            (
-                v[0] + Fraction(rng.randint(-amplitude, amplitude), denominator),
-                v[1] + Fraction(rng.randint(-amplitude, amplitude), denominator),
-                v[2] + Fraction(rng.randint(-amplitude, amplitude), denominator),
-            )
-        )
-    return PolygonalCurve(tuple(verts))
 
 
 # ---------------------------------------------------------------------------

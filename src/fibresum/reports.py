@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .construct import EnumerationResult, HypothesisReport, SolveResult
 from .fourman import FourManifold, form_parity
-from .gompfsum import CheckReport, FormClass, SumRecipe
+from .gompfsum import CheckReport, FormClass, SumRecipe, c1_contributions
 from .intlat import DivisibilityReport, IntVector
 
 # The per-form document helpers stay out of `__all__`: they are kernels
@@ -181,8 +181,9 @@ class ReportBuilder:
                 for msg in dict.fromkeys(messages):
                     groups.setdefault(msg, [status, 0])[1] += 1
             for msg in report.failed:
-                label = f"{name} form {index} signs {_sign_string(form.signs_flat)}"
-                failures.append({"check": f"{label}: {msg}", "status": "fail"})
+                signs = _sign_string(form.signs_flat)
+                failures.append({"check": f"{name} form {index} signs {signs}: {msg}", "status": "fail"})
+                self.line(f"  [   fail] {name} signs {signs}: {msg}")
         self.checks += [
             {"check": f"{name}: {msg}", "status": status, "detail": f"{count} of {len(reports)} forms"}
             for msg, (status, count) in groups.items()
@@ -224,7 +225,9 @@ class ReportBuilder:
         )
         self.add_check(f"{task_name}: overall", "pass" if report.overall else "fail")
 
-    def add_recipe(self, recipe: SumRecipe, manifold: FourManifold, contributions: list[dict]) -> None:
+    def add_recipe(self, recipe: SumRecipe, manifold: FourManifold, config_section: str) -> None:
+        """The recipe's gluings, its summed record, its per-copy c1 trace,
+        and `config_section`, the recipe as a loadable config section."""
         self.heading(f"recipe {recipe.name}")
         gluing_docs = []
         for gluing in recipe.gluings:
@@ -248,7 +251,7 @@ class ReportBuilder:
                 "normal_term": vector_doc(c["normal_term"]),
                 "net": vector_doc(c["net"]),
             }
-            for c in contributions
+            for c in c1_contributions(recipe)
         ]
         self.tasks.append(
             {
@@ -258,9 +261,13 @@ class ReportBuilder:
                 "total_copies": _s(recipe.total_copies),
                 "manifold": manifold_doc(manifold),
                 "c1_trace": trace,
+                "config_section": config_section,
             }
         )
         self.set_manifold(manifold)
+        self.line("  config section:")
+        for line in config_section.rstrip().splitlines():
+            self.line(f"    {line}")
 
     def set_manifold(self, manifold: FourManifold) -> None:
         self.manifold = manifold_doc(manifold)

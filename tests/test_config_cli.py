@@ -343,6 +343,35 @@ def test_cli_solve_three_primes_enumerates_every_divisibility(capsys):
     assert doc["errors"] == []
 
 
+def test_cli_solve_sums_the_recipe_once(monkeypatch, capsys):
+    from fibresum import cli, construct, gompfsum
+
+    calls = []
+    original = gompfsum.sum_invariants
+
+    def counted(recipe):
+        calls.append(recipe.name)
+        return original(recipe)
+
+    for module in (gompfsum, construct, cli):
+        monkeypatch.setattr(module, "sum_invariants", counted)
+    assert main(["solve", "--primes", "3,5"]) == 0
+    assert calls == ["primes-3x5"]
+
+
+def test_cli_solve_cap_error_keeps_the_solve_section(capsys):
+    # The realized checks read the enumeration, which the cap stops.
+    assert main(["solve", "--primes", "3,5", "--cap", "4"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "sign solver (n = 15)",
+        "--------------------",
+        "  recipe primes-3x5: 27 copies, 11 parallel Lagrangian copies",
+        "  prime 3: sign sum -11, signs ++-----------++++++++++++++",
+        "  prime 5: sign sum -9, signs +++----------++++++++++++++",
+        "error: enumeration too large: more than 4 distinct Chern classes after gluing Tz",
+    ]
+
+
 def test_cli_solve_input_errors_exit_2(capsys):
     assert main(["solve", "--primes", "4"]) == 2
     assert "odd prime" in capsys.readouterr().out
@@ -673,7 +702,7 @@ else:
     raise AssertionError("unknown attribute resolved")
 namespace = {{}}
 exec("from fibresum import *", namespace)
-assert namespace["hopf_link"] is fibresum.linkgeom.hopf_link
+assert namespace["linking_number_verified"] is fibresum.linkgeom.linking_number_verified
 print("import check done", file=sys.stderr)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,19 +1,22 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from fibresum import construct
+from fibresum.cli import main
 from fibresum.construct import (
     build_theorem_recipe,
     check_hypotheses,
     enumerate_forms,
-    mcmullen_taubes_recipe,
     solve_signs,
 )
-from fibresum.errors import EnumerationCapError, RecipeError
+from fibresum.errors import EnumerationCapError, MathematicalInconsistencyError, RecipeError
 from fibresum.fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
-from fibresum.gompfsum import Gluing, SumRecipe, perform_recipe, sum_invariants
-from fibresum.intlat import IntVector, PairingMatrix
+from fibresum.gompfsum import Gluing, SumRecipe, sum_c1, sum_invariants
+from fibresum.intlat import DivisibilityReport, IntVector, PairingMatrix, gcd_content
+from fixtures import flat_signs, mcmullen_taubes_recipe, perform_recipe, with_signs
 from oracles import brute_force_forms, pairwise_divisibility_bounds
 
 
@@ -260,27 +263,69 @@ def test_enumerate_forms_matches_brute_force_oracle():
 
 
 def test_solve_signs_two_primes_matches_gcd_search_oracle():
+    for primes in ((3,), (3, 5), (3, 5, 7), (7, 11, 13)):
+        result = solve_signs(primes)
+        n = math.prod(primes)
+        assert result.n == n
+        # Oracle: scan all odd sign sums in [-(n-2), n-2] and keep the
+        # first value whose gcd against n realizes each prime.
+        first_hit = {}
+        for s in range(-(n - 2), n - 1, 2):
+            first_hit.setdefault(math.gcd(n, n - 1 + s), s)
+        assert result.sign_sums == {p: first_hit[p] for p in primes}
+        assert result.lagrangian_copies == max(abs(s) for s in result.sign_sums.values())
+        enumeration = enumerate_forms(result.recipe)
+        assert set(primes) <= set(enumeration.distinct_divisibilities)
+        # Every assignment is an enumerated form with identical signs,
+        # and the one-recipe-per-assignment route gives the same c1.
+        forms = result.realized_forms(enumeration)
+        by_signs = {f.signs_flat: f for f in enumeration.forms}
+        for p, signs in result.assignments.items():
+            assert by_signs[signs] is forms[p]
+            c1 = sum_c1(with_signs(result.recipe, signs))
+            assert forms[p].c1 == c1
+            assert gcd_content(c1) == p
+    assert solve_signs((3, 5)).sign_sums == {3: -11, 5: -9}
+
+
+def _doctored(enumeration, signs, change):
+    """The enumeration with the form carrying `signs` passed through
+    `change` (None drops it)."""
+    forms = (change(f) if f.signs_flat == signs else f for f in enumeration.forms)
+    return replace(enumeration, forms=tuple(f for f in forms if f is not None))
+
+
+def test_solve_job_rejects_an_enumeration_missing_a_solved_form(monkeypatch, capsys):
+    signs = solve_signs((3, 5)).assignments[3]
+    original = construct.enumerate_forms
+
+    def dropped(recipe, **kwargs):
+        return _doctored(original(recipe, **kwargs), signs, lambda form: None)
+
+    monkeypatch.setattr(construct, "enumerate_forms", dropped)
+    assert main(["solve", "--primes", "3,5"]) == 3
+    assert capsys.readouterr().out.endswith(
+        "error: mathematical inconsistency: enumeration has no form with the signs solved for prime 3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        DivisibilityReport(1, 1, True),  # a wrong exact divisibility
+        DivisibilityReport(15, 15, True),  # also divisible by the other prime
+        DivisibilityReport(5, 0, False),  # right witness, not exact
+    ],
+)
+def test_realized_forms_rejects_a_wrong_divisibility(report):
     result = solve_signs((3, 5))
-    assert result.n == 15
-    # Oracle: scan all odd sign sums in [-13, 13] and keep the first
-    # value whose gcd against 15 realizes each prime.
-    first_hit = {}
-    for s in range(-13, 14, 2):
-        g = math.gcd(15, 14 + s)
-        first_hit.setdefault(g, s)
-    assert result.sign_sums[3] == first_hit[3] == -11
-    assert result.sign_sums[5] == first_hit[5] == -9
-    assert result.lagrangian_copies == 11
-    enumeration = enumerate_forms(result.recipe)
-    assert {3, 5, 15} <= set(enumeration.distinct_divisibilities)
-    for p, signs in result.assignments.items():
-        recipe = SumRecipe(result.recipe.base, result.recipe.tori, result.recipe.gluings)
-        from fibresum.gompfsum import sum_c1, with_signs
-
-        c1 = sum_c1(with_signs(recipe, signs))
-        from fibresum.intlat import gcd_content
-
-        assert gcd_content(c1) == p
+    enumeration = _doctored(
+        enumerate_forms(result.recipe),
+        result.assignments[5],
+        lambda form: replace(form, divisibility=report),
+    )
+    with pytest.raises(MathematicalInconsistencyError, match="assignment for prime 5 yields divisibility"):
+        result.realized_forms(enumeration)
 
 
 def test_solve_signs_single_prime_reproduces_section_construction():
@@ -313,8 +358,6 @@ def test_positive_assignment_divisible_by_n_and_flip_breaks_it(n):
     _, form = perform_recipe(recipe)
     assert form.divisibility.exact
     assert form.divisibility.lower % n == 0
-    from fibresum.gompfsum import flat_signs, with_signs
-
     signs = list(flat_signs(recipe))
     signs[0] = -1
     _, flipped = perform_recipe(with_signs(recipe, signs))

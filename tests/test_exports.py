@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +24,25 @@ def test_submodule_exports_resolve(name):
     for attr in exported:
         assert hasattr(module, attr), f"fibresum.{name}.{attr}"
     assert len(set(exported)) == len(exported)
+
+
+def _loaded_names() -> set[str]:
+    """Every name or attribute read anywhere in the package source. The
+    export lists hold strings, so they do not count as reads."""
+    loaded = set()
+    for path in Path(fibresum.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+def test_every_export_is_used_in_the_package():
+    # An exported name that nothing in the package reads is a test
+    # fixture or dead code; fixtures belong in tests/fixtures.py.
+    exported = set(fibresum.__all__)
+    for name in SUBMODULES:
+        exported |= set(getattr(importlib.import_module(f"fibresum.{name}"), "__all__", ()))
+    assert sorted(exported - _loaded_names()) == []

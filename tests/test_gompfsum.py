@@ -12,13 +12,11 @@ from fibresum.gompfsum import (
     SumRecipe,
     c1_contributions,
     check_c1_identities,
-    flat_signs,
-    perform_recipe,
     sum_c1,
     sum_invariants,
-    with_signs,
 )
 from fibresum.intlat import IntVector, PairingMatrix, divisibility_bounds
+from fixtures import flat_signs, perform_recipe, with_signs
 from oracles import pairwise_c1_identities, pairwise_divisibility_bounds, pairwise_pairing
 
 
