@@ -1,14 +1,15 @@
 """Command-line interface: subcommand dispatch and task execution.
 
-Exit codes: 0 success, 2 validation failure (bad config, unresolved
-reference, failed hypothesis gate), 3 mathematical inconsistency (an
-internal invariant check failed, so the run's results must not be
-trusted).
+Exit codes: 0 success, 1 standard output closed before the report was
+written, 2 validation failure (bad config, unresolved reference, failed
+hypothesis gate), 3 mathematical inconsistency (an internal invariant
+check failed, so the run's results must not be trusted).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ from .gompfsum import check_c1_identities, sum_invariants
 from .reports import ReportBuilder
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_INCONSISTENT = 3
 
@@ -246,23 +248,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_config(args: argparse.Namespace, flag: str) -> None:
+    if args.config is not None:
+        raise ConfigError(f"--config and {flag} cannot be combined")
+
+
+def _plan(args: argparse.Namespace) -> tuple[RunConfig, Optional[set[str]]]:
+    """The configuration a command line names, and the task kinds to run
+    from it (None for all)."""
+    if args.command == "solve" and args.primes is not None:
+        _reject_config(args, "--primes")
+        primes = parse_int_list(args.primes, "--primes", None, None)
+        if not primes:
+            raise ConfigError("--primes: expected at least one prime")
+        return _synthetic_config(args, [SolveTask(primes)]), {"solve"}
+    if args.command == "linking":
+        if args.link is not None:
+            _reject_config(args, "--link")
+            if not args.link:
+                raise ConfigError("--link: expected a file name")
+            return _synthetic_config(args, [LinkingTask(args.link, args.axis)]), {"linking"}
+        if args.axis is not None:
+            _reject_config(args, "--axis")
+    config = _load_config(args)
+    return config, None if args.command == "run" else {args.command}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve" and args.primes:
-            primes = parse_int_list(args.primes, "--primes", None, None)
-            config = _synthetic_config(args, [SolveTask(primes)])
-            return run(config, {"solve"})
-        if args.command == "linking" and args.link:
-            config = _synthetic_config(args, [LinkingTask(args.link, args.axis)])
-            return run(config, {"linking"})
-        config = _load_config(args)
-        kinds = None if args.command == "run" else {args.command}
-        return run(config, kinds)
+        code = run(*_plan(args))
+        # Flushed here, so a closed pipe is met below rather than at exit.
+        sys.stdout.flush()
     except FibresumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # The reader went away (`fibresum ... | head`). As the signal
+        # module's documentation advises, point stdout at devnull so the
+        # interpreter's own flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

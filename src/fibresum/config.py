@@ -25,10 +25,10 @@ reference is resolved and every record validated at load time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
+from ._record import Record, _set
 from .construct import DEFAULT_ENUMERATION_CAP
 from .errors import ConfigError, RecipeError
 from .fourman import (
@@ -65,52 +65,71 @@ _LIMITS = {"seed": (0, "seed must be nonnegative"), "cap": (1, "cap must be posi
 BUILTIN_MANIFOLDS = ("T4", "E1")
 
 
-@dataclass(frozen=True)
-class TheoremTask:
+class TheoremTask(Record):
     """The theorem's inputs: `verify` runs the hypothesis gate on them,
     `build` also synthesizes the recipe."""
 
-    kind: str
-    manifold: str
-    tori: tuple[str, ...]
-    sum_torus: str
-    n: int
+    __slots__ = ("kind", "manifold", "tori", "sum_torus", "n")
+
+    def __init__(self, kind: str, manifold: str, tori: tuple[str, ...], sum_torus: str, n: int) -> None:
+        _set(self, "kind", kind)
+        _set(self, "manifold", manifold)
+        _set(self, "tori", tori)
+        _set(self, "sum_torus", sum_torus)
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class EnumerateTask:
-    kind: ClassVar[str] = "enumerate"
-    recipe: str
+class EnumerateTask(Record):
+    __slots__ = ("recipe",)
+    kind = "enumerate"
+
+    def __init__(self, recipe: str) -> None:
+        _set(self, "recipe", recipe)
 
 
-@dataclass(frozen=True)
-class SolveTask:
-    kind: ClassVar[str] = "solve"
-    primes: tuple[int, ...]
+class SolveTask(Record):
+    __slots__ = ("primes",)
+    kind = "solve"
+
+    def __init__(self, primes: tuple[int, ...]) -> None:
+        _set(self, "primes", primes)
 
 
-@dataclass(frozen=True)
-class LinkingTask:
-    kind: ClassVar[str] = "linking"
-    link: str
-    axis: Optional[str] = None
+class LinkingTask(Record):
+    __slots__ = ("link", "axis")
+    kind = "linking"
+
+    def __init__(self, link: str, axis: Optional[str] = None) -> None:
+        _set(self, "link", link)
+        _set(self, "axis", axis)
 
 
 # Every task's `kind` is the name of its `[task ...]` section.
 Task = Union[TheoremTask, EnumerateTask, SolveTask, LinkingTask]
 
 
-@dataclass
 class RunConfig:
-    manifolds: dict[str, FourManifold] = field(default_factory=dict)
-    tori: dict[str, dict[str, EmbeddedTorus]] = field(default_factory=dict)
-    recipes: dict[str, SumRecipe] = field(default_factory=dict)
-    tasks: list[Task] = field(default_factory=list)
-    output_format: str = "table"
-    seed: int = DEFAULT_SEED
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    base_dir: Path = field(default_factory=Path.cwd)
-    path: str = "<config>"
+    def __init__(
+        self,
+        manifolds: Optional[dict[str, FourManifold]] = None,
+        tori: Optional[dict[str, dict[str, EmbeddedTorus]]] = None,
+        recipes: Optional[dict[str, SumRecipe]] = None,
+        tasks: Optional[list[Task]] = None,
+        output_format: str = "table",
+        seed: int = DEFAULT_SEED,
+        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+        base_dir: Optional[Path] = None,
+        path: str = "<config>",
+    ) -> None:
+        self.manifolds = {} if manifolds is None else manifolds
+        self.tori = {} if tori is None else tori
+        self.recipes = {} if recipes is None else recipes
+        self.tasks = [] if tasks is None else tasks
+        self.output_format = output_format
+        self.seed = seed
+        self.enumeration_cap = enumeration_cap
+        self.base_dir = Path.cwd() if base_dir is None else base_dir
+        self.path = path
 
     def torus(self, manifold_name: str, label: str, *, line: int = 0) -> EmbeddedTorus:
         table = self.tori.get(manifold_name, {})
@@ -158,12 +177,12 @@ def _builtin(name: str) -> tuple[FourManifold, dict[str, EmbeddedTorus]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Section:
-    kind: str
-    name: str
-    line: int
-    pairs: list[tuple[str, str, int]] = field(default_factory=list)
+    def __init__(self, kind: str, name: str, line: int) -> None:
+        self.kind = kind
+        self.name = name
+        self.line = line
+        self.pairs: list[tuple[str, str, int]] = []
 
     def get(self, key: str, path: str) -> Optional[str]:
         values = [v for k, v, _ in self.pairs if k == key]

@@ -13,10 +13,10 @@ pairing cannot pin a value down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
+from ._record import Record, _set
 from .errors import EnumerationCapError, MathematicalInconsistencyError, RecipeError
 from .fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
 from .gompfsum import FormClass, Gluing, SumRecipe, sum_invariants
@@ -36,8 +36,7 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 2**20
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Record):
     """Outcome of the three-part gate for the inequivalent-forms recipe.
 
     Condition 1: the torus classes are square-zero and span an
@@ -50,34 +49,77 @@ class HypothesisReport:
     first torus class.
     """
 
-    condition1: bool
-    rank: int
-    condition1_reasons: tuple[str, ...]
-    condition2: bool
-    condition2_reasons: tuple[str, ...]
-    condition3: bool
-    n: int
-    torus_divisibility: Optional[int]
-    n_divides_2d: Optional[bool]
-    condition3_reasons: tuple[str, ...]
-    overall: bool
+    __slots__ = (
+        "condition1",
+        "rank",
+        "condition1_reasons",
+        "condition2",
+        "condition2_reasons",
+        "condition3",
+        "n",
+        "torus_divisibility",
+        "n_divides_2d",
+        "condition3_reasons",
+        "overall",
+    )
 
-    def __post_init__(self) -> None:
-        if self.overall != (self.condition1 and self.condition2 and self.condition3):
+    def __init__(
+        self,
+        condition1: bool,
+        rank: int,
+        condition1_reasons: tuple[str, ...],
+        condition2: bool,
+        condition2_reasons: tuple[str, ...],
+        condition3: bool,
+        n: int,
+        torus_divisibility: Optional[int],
+        n_divides_2d: Optional[bool],
+        condition3_reasons: tuple[str, ...],
+        overall: bool,
+    ) -> None:
+        if overall != (condition1 and condition2 and condition3):
             raise ValueError("overall flag must be the conjunction of the conditions")
+        _set(self, "condition1", condition1)
+        _set(self, "rank", rank)
+        _set(self, "condition1_reasons", condition1_reasons)
+        _set(self, "condition2", condition2)
+        _set(self, "condition2_reasons", condition2_reasons)
+        _set(self, "condition3", condition3)
+        _set(self, "n", n)
+        _set(self, "torus_divisibility", torus_divisibility)
+        _set(self, "n_divides_2d", n_divides_2d)
+        _set(self, "condition3_reasons", condition3_reasons)
+        _set(self, "overall", overall)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     """All form classes of a recipe over the flippable sign assignments,
     on the one summed manifold they share."""
 
-    manifold: FourManifold
-    forms: tuple[FormClass, ...]
-    distinct_divisibilities: tuple[int, ...]
-    inexact_count: int
-    divisibility_inconclusive: bool
-    flippable_copies: int
+    __slots__ = (
+        "manifold",
+        "forms",
+        "distinct_divisibilities",
+        "inexact_count",
+        "divisibility_inconclusive",
+        "flippable_copies",
+    )
+
+    def __init__(
+        self,
+        manifold: FourManifold,
+        forms: tuple[FormClass, ...],
+        distinct_divisibilities: tuple[int, ...],
+        inexact_count: int,
+        divisibility_inconclusive: bool,
+        flippable_copies: int,
+    ) -> None:
+        _set(self, "manifold", manifold)
+        _set(self, "forms", forms)
+        _set(self, "distinct_divisibilities", distinct_divisibilities)
+        _set(self, "inexact_count", inexact_count)
+        _set(self, "divisibility_inconclusive", divisibility_inconclusive)
+        _set(self, "flippable_copies", flippable_copies)
 
     @property
     def assignments_covered(self) -> int:
@@ -90,15 +132,24 @@ class EnumerationResult:
         return len(self.distinct_divisibilities)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Multi-prime construction: one recipe, one sign assignment per prime."""
 
-    recipe: SumRecipe
-    n: int
-    lagrangian_copies: int
-    assignments: dict[int, tuple[int, ...]]
-    sign_sums: dict[int, int]
+    __slots__ = ("recipe", "n", "lagrangian_copies", "assignments", "sign_sums")
+
+    def __init__(
+        self,
+        recipe: SumRecipe,
+        n: int,
+        lagrangian_copies: int,
+        assignments: dict[int, tuple[int, ...]],
+        sign_sums: dict[int, int],
+    ) -> None:
+        _set(self, "recipe", recipe)
+        _set(self, "n", n)
+        _set(self, "lagrangian_copies", lagrangian_copies)
+        _set(self, "assignments", assignments)
+        _set(self, "sign_sums", sign_sums)
 
     def realized_forms(self, enumeration: EnumerationResult) -> dict[int, FormClass]:
         """Each prime's form in the enumeration of the recipe: the one

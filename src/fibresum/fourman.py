@@ -10,9 +10,9 @@ pairing can contain untracked entries after a sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record, _set
 from .intlat import IntVector, PairingMatrix
 
 __all__ = [
@@ -30,8 +30,7 @@ SYMPLECTIC = "symplectic"
 LAGRANGIAN = "lagrangian"
 
 
-@dataclass(frozen=True)
-class EmbeddedTorus:
+class EmbeddedTorus(Record):
     """Square-zero embedded torus with a fixed orientation.
 
     Lagrangian tori keep their recorded orientation while a symplectic
@@ -40,34 +39,67 @@ class EmbeddedTorus:
     1 with ``klass``, when one is declared.
     """
 
-    label: str
-    klass: IntVector
-    kind: str
-    dual: Optional[IntVector] = None
-    parallel_copies_available: bool = False
+    __slots__ = ("label", "klass", "kind", "dual", "parallel_copies_available")
+
+    def __init__(
+        self,
+        label: str,
+        klass: IntVector,
+        kind: str,
+        dual: Optional[IntVector] = None,
+        parallel_copies_available: bool = False,
+    ) -> None:
+        _set(self, "label", label)
+        _set(self, "klass", klass)
+        _set(self, "kind", kind)
+        _set(self, "dual", dual)
+        _set(self, "parallel_copies_available", parallel_copies_available)
 
 
-@dataclass(frozen=True)
-class FourManifold:
+class FourManifold(Record):
     """Closed oriented four-manifold invariant record."""
 
-    name: str
-    euler: int
-    signature: int
-    b1: int
-    b2: int
-    lattice_basis_labels: tuple[str, ...]
-    pairing: PairingMatrix
-    c1: IntVector
-    pi1_normally_generated_by_tori: bool
-    simply_connected: bool
+    __slots__ = (
+        "name",
+        "euler",
+        "signature",
+        "b1",
+        "b2",
+        "lattice_basis_labels",
+        "pairing",
+        "c1",
+        "pi1_normally_generated_by_tori",
+        "simply_connected",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lattice_basis_labels", tuple(self.lattice_basis_labels))
-        if self.pairing.dim != len(self.lattice_basis_labels):
+    def __init__(
+        self,
+        name: str,
+        euler: int,
+        signature: int,
+        b1: int,
+        b2: int,
+        lattice_basis_labels: Sequence[str],
+        pairing: PairingMatrix,
+        c1: IntVector,
+        pi1_normally_generated_by_tori: bool,
+        simply_connected: bool,
+    ) -> None:
+        lattice_basis_labels = tuple(lattice_basis_labels)
+        if pairing.dim != len(lattice_basis_labels):
             raise ValueError("pairing dimension does not match basis labels")
-        if len(self.c1) != self.pairing.dim:
+        if len(c1) != pairing.dim:
             raise ValueError("c1 length does not match tracked lattice rank")
+        _set(self, "name", name)
+        _set(self, "euler", euler)
+        _set(self, "signature", signature)
+        _set(self, "b1", b1)
+        _set(self, "b2", b2)
+        _set(self, "lattice_basis_labels", lattice_basis_labels)
+        _set(self, "pairing", pairing)
+        _set(self, "c1", c1)
+        _set(self, "pi1_normally_generated_by_tori", pi1_normally_generated_by_tori)
+        _set(self, "simply_connected", simply_connected)
 
     @property
     def rank(self) -> int:

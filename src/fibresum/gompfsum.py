@@ -20,9 +20,9 @@ T^3 splitting hypersurface, giving +12 and -8 per copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record, _set
 from .errors import RecipeError
 from .fourman import LAGRANGIAN, EmbeddedTorus, FourManifold
 from .intlat import DivisibilityReport, IntVector, row_pairing
@@ -42,27 +42,26 @@ EULER_PER_COPY = 12
 SIGNATURE_PER_COPY = -8
 
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(Record):
     """Copies of E(1) glued along one torus, one sign per copy."""
 
-    torus_label: str
-    signs: tuple[int, ...]
+    __slots__ = ("torus_label", "signs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        if not self.signs:
-            raise RecipeError(f"gluing along {self.torus_label}: copies must be positive")
-        if any(s not in (1, -1) for s in self.signs):
-            raise RecipeError(f"gluing along {self.torus_label}: signs must be +1 or -1")
+    def __init__(self, torus_label: str, signs: Sequence[int]) -> None:
+        signs = tuple(int(s) for s in signs)
+        if not signs:
+            raise RecipeError(f"gluing along {torus_label}: copies must be positive")
+        if any(s not in (1, -1) for s in signs):
+            raise RecipeError(f"gluing along {torus_label}: signs must be +1 or -1")
+        _set(self, "torus_label", torus_label)
+        _set(self, "signs", signs)
 
     @property
     def copies(self) -> int:
         return len(self.signs)
 
 
-@dataclass(frozen=True)
-class SumRecipe:
+class SumRecipe(Record):
     """Ordered gluings of a base manifold with copies of E(1).
 
     A recipe checks itself when it is built: every torus label is
@@ -73,31 +72,34 @@ class SumRecipe:
     Any violation raises one RecipeError listing all of them.
     """
 
-    base: FourManifold
-    tori: tuple[EmbeddedTorus, ...]
-    gluings: tuple[Gluing, ...]
-    name: str = "recipe"
+    __slots__ = ("base", "tori", "gluings", "name")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tori", tuple(self.tori))
-        object.__setattr__(self, "gluings", tuple(self.gluings))
+    def __init__(
+        self,
+        base: FourManifold,
+        tori: Sequence[EmbeddedTorus],
+        gluings: Sequence[Gluing],
+        name: str = "recipe",
+    ) -> None:
+        tori = tuple(tori)
+        gluings = tuple(gluings)
         violations: list[str] = []
         table: dict[str, EmbeddedTorus] = {}
-        for torus in self.tori:
+        for torus in tori:
             if torus.label in table:
                 violations.append(f"torus {torus.label}: declared twice")
             table[torus.label] = torus
-            if len(torus.klass) != self.base.rank:
+            if len(torus.klass) != base.rank:
                 violations.append(
                     f"torus {torus.label}: class length {len(torus.klass)} != "
-                    f"tracked rank {self.base.rank}"
+                    f"tracked rank {base.rank}"
                 )
-            if torus.dual is not None and len(torus.dual) != self.base.rank:
+            if torus.dual is not None and len(torus.dual) != base.rank:
                 violations.append(
                     f"torus {torus.label}: dual length {len(torus.dual)} != "
-                    f"tracked rank {self.base.rank}"
+                    f"tracked rank {base.rank}"
                 )
-        for gluing in self.gluings:
+        for gluing in gluings:
             torus = table.get(gluing.torus_label)
             if torus is None:
                 violations.append(f"gluing references undeclared torus {gluing.torus_label}")
@@ -114,6 +116,10 @@ class SumRecipe:
                 )
         if violations:
             raise RecipeError("; ".join(violations))
+        _set(self, "base", base)
+        _set(self, "tori", tori)
+        _set(self, "gluings", gluings)
+        _set(self, "name", name)
 
     @property
     def torus_table(self) -> dict[str, EmbeddedTorus]:
@@ -124,22 +130,26 @@ class SumRecipe:
         return sum(g.copies for g in self.gluings)
 
 
-@dataclass(frozen=True)
-class FormClass:
+class FormClass(Record):
     """One symplectic structure on the summed manifold."""
 
-    signs_flat: tuple[int, ...]
-    c1: IntVector
-    divisibility: DivisibilityReport
+    __slots__ = ("signs_flat", "c1", "divisibility")
+
+    def __init__(self, signs_flat: tuple[int, ...], c1: IntVector, divisibility: DivisibilityReport) -> None:
+        _set(self, "signs_flat", signs_flat)
+        _set(self, "c1", c1)
+        _set(self, "divisibility", divisibility)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of a consistency-check battery."""
 
-    passed: tuple[str, ...]
-    failed: tuple[str, ...]
-    skipped: tuple[str, ...]
+    __slots__ = ("passed", "failed", "skipped")
+
+    def __init__(self, passed: tuple[str, ...], failed: tuple[str, ...], skipped: tuple[str, ...]) -> None:
+        _set(self, "passed", passed)
+        _set(self, "failed", failed)
+        _set(self, "skipped", skipped)
 
     @property
     def ok(self) -> bool:

@@ -11,9 +11,9 @@ is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+from ._record import Record, _set
 
 __all__ = [
     "IntVector",
@@ -25,14 +25,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntVector:
+class IntVector(Record):
     """Immutable integer vector, coordinates in a declared lattice basis."""
 
-    coords: tuple[int, ...]
+    # `_terms` is set by `_terms_of` on first use.
+    __slots__ = ("coords", "_terms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+    def __init__(self, coords: Sequence[int]) -> None:
+        _set(self, "coords", tuple(int(c) for c in coords))
 
     @classmethod
     def zero(cls, dim: int) -> "IntVector":
@@ -75,12 +75,6 @@ class IntVector:
     def support(self) -> frozenset[int]:
         return frozenset(i for i, a in enumerate(self.coords) if a != 0)
 
-    @cached_property
-    def _terms(self) -> tuple[tuple[int, int], ...]:
-        """(index, coordinate) of each nonzero coordinate, computed once:
-        extra classes are paired with every form."""
-        return tuple((i, a) for i, a in enumerate(self.coords) if a)
-
 
 def _as_coords(v: "IntVector | Sequence[int]") -> tuple[int, ...]:
     if isinstance(v, IntVector):
@@ -89,7 +83,17 @@ def _as_coords(v: "IntVector | Sequence[int]") -> tuple[int, ...]:
 
 
 def _terms_of(v: "IntVector | Sequence[int]") -> tuple[tuple[int, int], ...]:
-    return (v if isinstance(v, IntVector) else IntVector(v))._terms
+    """(index, coordinate) of each nonzero coordinate of v, kept on an
+    IntVector after the first call: extra classes are paired with every
+    form."""
+    if not isinstance(v, IntVector):
+        v = IntVector(v)
+    try:
+        return v._terms
+    except AttributeError:
+        terms = tuple((i, a) for i, a in enumerate(v.coords) if a)
+        _set(v, "_terms", terms)
+        return terms
 
 
 def gcd_content(v: "IntVector | Sequence[int]") -> int:
@@ -97,8 +101,7 @@ def gcd_content(v: "IntVector | Sequence[int]") -> int:
     return math.gcd(*_as_coords(v))
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
+class PairingMatrix(Record):
     """Symmetric bilinear pairing on the tracked lattice.
 
     ``None`` entries mark pairings that are not tracked. ``pair`` returns
@@ -106,13 +109,13 @@ class PairingMatrix:
     coefficient, so partial knowledge never silently becomes a number.
     """
 
-    entries: tuple[tuple[Optional[int], ...], ...]
+    __slots__ = ("entries", "_sparse_rows")
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Sequence[Sequence[Optional[int]]]) -> None:
         rows = tuple(
-            tuple(None if e is None else int(e) for e in row) for row in self.entries
+            tuple(None if e is None else int(e) for e in row) for row in entries
         )
-        object.__setattr__(self, "entries", rows)
+        _set(self, "entries", rows)
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -130,7 +133,7 @@ class PairingMatrix:
             )
             for row in rows
         )
-        object.__setattr__(self, "_sparse_rows", sparse)
+        _set(self, "_sparse_rows", sparse)
 
     @property
     def dim(self) -> int:
@@ -172,8 +175,7 @@ class PairingMatrix:
         return PairingMatrix(tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(Record):
     """Two-sided divisibility certificate for a lattice vector.
 
     ``lower`` is witnessed (the vector equals lower times an integral
@@ -184,20 +186,21 @@ class DivisibilityReport:
     number.
     """
 
-    lower: int
-    upper: int
-    exact: bool
-    undefined: bool = False
+    __slots__ = ("lower", "upper", "exact", "undefined")
 
-    def __post_init__(self) -> None:
-        if self.lower < 0 or self.upper < 0:
+    def __init__(self, lower: int, upper: int, exact: bool, undefined: bool = False) -> None:
+        if lower < 0 or upper < 0:
             raise ValueError("divisibility bounds must be nonnegative")
-        if self.lower and self.upper and self.upper % self.lower:
-            raise ValueError(f"lower bound {self.lower} does not divide upper bound {self.upper}")
-        if self.exact != (self.upper != 0 and self.lower == self.upper):
+        if lower and upper and upper % lower:
+            raise ValueError(f"lower bound {lower} does not divide upper bound {upper}")
+        if exact != (upper != 0 and lower == upper):
             raise ValueError("exact flag inconsistent with bounds")
-        if self.undefined and (self.lower or self.upper or self.exact):
+        if undefined and (lower or upper or exact):
             raise ValueError("undefined report must be all-zero and inexact")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "exact", exact)
+        _set(self, "undefined", undefined)
 
 
 def divisibility_bounds(c: "IntVector | Sequence[int]", pairing: PairingMatrix) -> DivisibilityReport:

@@ -29,10 +29,10 @@ from __future__ import annotations
 import math
 import random
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record, _set
 from .errors import EmbeddingError, GenericityError, IllConditionedError, MathematicalInconsistencyError
 from .intlat import IntVector
 
@@ -182,15 +182,14 @@ def _closest(pairs: Iterable[tuple[int, _Segment, int, _Segment]]) -> tuple[int,
     return best_n, best_d, None
 
 
-@dataclass(frozen=True)
-class PolygonalCurve:
+class PolygonalCurve(Record):
     """Closed embedded polygon with exact rational vertices."""
 
-    vertices: tuple[Vec3, ...]
+    __slots__ = ("vertices", "_scale", "_points", "_apart", "__weakref__")
 
-    def __post_init__(self) -> None:
-        verts = tuple(_vec(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: Sequence[Sequence]) -> None:
+        verts = tuple(_vec(v) for v in vertices)
+        _set(self, "vertices", verts)
         n = len(verts)
         if n < 3:
             raise EmbeddingError("a closed polygonal curve needs at least 3 vertices")
@@ -200,11 +199,11 @@ class PolygonalCurve:
         )
         # The integer kernel's view of the vertices: `_points` is `_scale`
         # times `vertices`.
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_points", points)
+        _set(self, "_scale", scale)
+        _set(self, "_points", points)
         # Separations proved against other curves, by the other curve's id:
         # (weak reference to it, squared separation). See _require_disjoint.
-        object.__setattr__(self, "_apart", {})
+        _set(self, "_apart", {})
         for i in range(n):
             if points[i] == points[(i + 1) % n]:
                 raise EmbeddingError(f"consecutive vertices {i} and {(i + 1) % n} coincide")
@@ -272,18 +271,17 @@ def _require_disjoint(a: PolygonalCurve, b: PolygonalCurve) -> tuple[int, int]:
     return num, den
 
 
-@dataclass(frozen=True)
-class PolygonalLink:
+class PolygonalLink(Record):
     """Disjoint closed curves."""
 
-    components: tuple[PolygonalCurve, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components: Sequence[PolygonalCurve]) -> None:
+        comps = tuple(components)
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
                 _require_disjoint(comps[i], comps[j])
+        _set(self, "components", comps)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ carries the same numeric content in aligned text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional, Sequence
 
@@ -125,22 +124,22 @@ def _write(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-@dataclass
 class ReportBuilder:
     """Accumulates task results and renders both output formats."""
 
-    seed: int
-    cap: int
-    manifold: Optional[dict] = None
-    forms: list[dict] = field(default_factory=list)
-    divisibilities: list[str] = field(default_factory=list)
-    pi0_lower_bound: Optional[str] = None
-    checks: list[dict] = field(default_factory=list)
-    tasks: list[dict] = field(default_factory=list)
-    table_lines: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-    # Index in `forms` of the last enumeration's first form.
-    _first_form: int = field(default=0, init=False, repr=False)
+    def __init__(self, seed: int, cap: int) -> None:
+        self.seed = seed
+        self.cap = cap
+        self.manifold: Optional[dict] = None
+        self.forms: list[dict] = []
+        self.divisibilities: list[str] = []
+        self.pi0_lower_bound: Optional[str] = None
+        self.checks: list[dict] = []
+        self.tasks: list[dict] = []
+        self.table_lines: list[str] = []
+        self.errors: list[str] = []
+        # Index in `forms` of the last enumeration's first form.
+        self._first_form = 0
 
     # -- table helpers ----------------------------------------------------
 

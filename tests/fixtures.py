@@ -54,6 +54,15 @@ def with_signs(recipe: SumRecipe, signs_flat: Sequence[int]) -> SumRecipe:
     return SumRecipe(recipe.base, recipe.tori, tuple(gluings), recipe.name)
 
 
+def replace(record, **changes):
+    """Copy of a record with the named fields changed, built through its
+    constructor so the constructor's checks run again, as they do under
+    ``dataclasses.replace``."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    fields.update(changes)
+    return type(record)(**fields)
+
+
 def perform_recipe(recipe: SumRecipe) -> tuple[FourManifold, FormClass]:
     """Evaluate a recipe: summed invariants plus the resulting form class."""
     manifold = sum_invariants(recipe)

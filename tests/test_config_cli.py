@@ -379,6 +379,52 @@ def test_cli_solve_input_errors_exit_2(capsys):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--primes", ""], "--primes: expected at least one prime"),
+        (["linking", "--link", ""], "--link: expected a file name"),
+        (
+            ["solve", "--config", "corollary15.cfg", "--primes", "3"],
+            "--config and --primes cannot be combined",
+        ),
+        (
+            ["linking", "--config", "corollary15.cfg", "--link", "borromean.lnk"],
+            "--config and --link cannot be combined",
+        ),
+        (
+            ["linking", "--config", "corollary15.cfg", "--axis", "axis.lnk"],
+            "--config and --axis cannot be combined",
+        ),
+    ],
+)
+def test_cli_rejects_empty_and_conflicting_inline_flags(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_closed_output_pipe_exits_1_without_a_traceback():
+    import os
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    # The report (over 600 kB) outgrows the pipe buffer, so the job writes
+    # after the read end is closed whatever the timing.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibresum", "solve", "--primes", "3,5,7", "--output", "machine"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_bundled_negative_control_and_solver_configs_run():
     out = io.StringIO()
     assert run(parse_config(bundled_path("mcmullen_taubes.cfg")), None, stream=out) == 0
@@ -573,10 +619,9 @@ def test_cli_linking_rejects_an_axis_file_with_two_curves(tmp_path, monkeypatch,
 def test_failing_forms_are_named_by_index_and_signs(monkeypatch, capsys):
     # Bumping c1 by the dual class Ux makes <c1, Tx> and <c1, Tw> odd
     # against square-zero tori on the corrupted forms only.
-    from dataclasses import replace
-
     from fibresum import construct
     from fibresum.intlat import IntVector
+    from fixtures import replace
 
     original = construct.enumerate_forms
 
@@ -611,10 +656,9 @@ def test_failing_forms_are_named_by_index_and_signs(monkeypatch, capsys):
 def test_enumerate_tasks_slice_forms_and_failures_use_the_forms_index(monkeypatch, capsys):
     # build.cfg enumerates two recipes; corrupt the second recipe's form 1
     # as above, so its failures must name it by its index in forms[].
-    from dataclasses import replace
-
     from fibresum import construct
     from fibresum.intlat import IntVector
+    from fixtures import replace
 
     original = construct.enumerate_forms
 

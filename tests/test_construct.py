@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -16,7 +15,7 @@ from fibresum.errors import EnumerationCapError, MathematicalInconsistencyError,
 from fibresum.fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
 from fibresum.gompfsum import Gluing, SumRecipe, sum_c1, sum_invariants
 from fibresum.intlat import DivisibilityReport, IntVector, PairingMatrix, gcd_content
-from fixtures import flat_signs, mcmullen_taubes_recipe, perform_recipe, with_signs
+from fixtures import flat_signs, mcmullen_taubes_recipe, perform_recipe, replace, with_signs
 from oracles import brute_force_forms, pairwise_divisibility_bounds
 
 
