@@ -28,7 +28,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from ._record import Record, _set
+from ._record import Record
 from .construct import DEFAULT_ENUMERATION_CAP
 from .errors import ConfigError, RecipeError
 from .fourman import (
@@ -71,37 +71,20 @@ class TheoremTask(Record):
 
     __slots__ = ("kind", "manifold", "tori", "sum_torus", "n")
 
-    def __init__(self, kind: str, manifold: str, tori: tuple[str, ...], sum_torus: str, n: int) -> None:
-        _set(self, "kind", kind)
-        _set(self, "manifold", manifold)
-        _set(self, "tori", tori)
-        _set(self, "sum_torus", sum_torus)
-        _set(self, "n", n)
-
 
 class EnumerateTask(Record):
     __slots__ = ("recipe",)
     kind = "enumerate"
-
-    def __init__(self, recipe: str) -> None:
-        _set(self, "recipe", recipe)
 
 
 class SolveTask(Record):
     __slots__ = ("primes",)
     kind = "solve"
 
-    def __init__(self, primes: tuple[int, ...]) -> None:
-        _set(self, "primes", primes)
-
 
 class LinkingTask(Record):
     __slots__ = ("link", "axis")
     kind = "linking"
-
-    def __init__(self, link: str, axis: Optional[str] = None) -> None:
-        _set(self, "link", link)
-        _set(self, "axis", axis)
 
 
 # Every task's `kind` is the name of its `[task ...]` section.
@@ -111,23 +94,17 @@ Task = Union[TheoremTask, EnumerateTask, SolveTask, LinkingTask]
 class RunConfig:
     def __init__(
         self,
-        manifolds: Optional[dict[str, FourManifold]] = None,
-        tori: Optional[dict[str, dict[str, EmbeddedTorus]]] = None,
-        recipes: Optional[dict[str, SumRecipe]] = None,
         tasks: Optional[list[Task]] = None,
-        output_format: str = "table",
-        seed: int = DEFAULT_SEED,
-        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
         base_dir: Optional[Path] = None,
         path: str = "<config>",
     ) -> None:
-        self.manifolds = {} if manifolds is None else manifolds
-        self.tori = {} if tori is None else tori
-        self.recipes = {} if recipes is None else recipes
+        self.manifolds: dict[str, FourManifold] = {}
+        self.tori: dict[str, dict[str, EmbeddedTorus]] = {}
+        self.recipes: dict[str, SumRecipe] = {}
         self.tasks = [] if tasks is None else tasks
-        self.output_format = output_format
-        self.seed = seed
-        self.enumeration_cap = enumeration_cap
+        self.output_format = "table"
+        self.seed = DEFAULT_SEED
+        self.enumeration_cap = DEFAULT_ENUMERATION_CAP
         self.base_dir = Path.cwd() if base_dir is None else base_dir
         self.path = path
 
@@ -142,6 +119,9 @@ class RunConfig:
         return table[label]
 
     def resolve_file(self, name: str) -> Path:
+        if not name:
+            # An empty name would resolve to the base directory itself.
+            raise ConfigError("expected a file name, got an empty value", path=self.path)
         candidate = Path(name)
         if not candidate.is_absolute():
             candidate = self.base_dir / name

@@ -16,7 +16,7 @@ import math
 from operator import add
 from typing import Optional, Sequence
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import EnumerationCapError, MathematicalInconsistencyError, RecipeError
 from .fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
 from .gompfsum import FormClass, Gluing, SumRecipe, sum_invariants
@@ -63,33 +63,10 @@ class HypothesisReport(Record):
         "overall",
     )
 
-    def __init__(
-        self,
-        condition1: bool,
-        rank: int,
-        condition1_reasons: tuple[str, ...],
-        condition2: bool,
-        condition2_reasons: tuple[str, ...],
-        condition3: bool,
-        n: int,
-        torus_divisibility: Optional[int],
-        n_divides_2d: Optional[bool],
-        condition3_reasons: tuple[str, ...],
-        overall: bool,
-    ) -> None:
-        if overall != (condition1 and condition2 and condition3):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.overall != (self.condition1 and self.condition2 and self.condition3):
             raise ValueError("overall flag must be the conjunction of the conditions")
-        _set(self, "condition1", condition1)
-        _set(self, "rank", rank)
-        _set(self, "condition1_reasons", condition1_reasons)
-        _set(self, "condition2", condition2)
-        _set(self, "condition2_reasons", condition2_reasons)
-        _set(self, "condition3", condition3)
-        _set(self, "n", n)
-        _set(self, "torus_divisibility", torus_divisibility)
-        _set(self, "n_divides_2d", n_divides_2d)
-        _set(self, "condition3_reasons", condition3_reasons)
-        _set(self, "overall", overall)
 
 
 class EnumerationResult(Record):
@@ -104,22 +81,6 @@ class EnumerationResult(Record):
         "divisibility_inconclusive",
         "flippable_copies",
     )
-
-    def __init__(
-        self,
-        manifold: FourManifold,
-        forms: tuple[FormClass, ...],
-        distinct_divisibilities: tuple[int, ...],
-        inexact_count: int,
-        divisibility_inconclusive: bool,
-        flippable_copies: int,
-    ) -> None:
-        _set(self, "manifold", manifold)
-        _set(self, "forms", forms)
-        _set(self, "distinct_divisibilities", distinct_divisibilities)
-        _set(self, "inexact_count", inexact_count)
-        _set(self, "divisibility_inconclusive", divisibility_inconclusive)
-        _set(self, "flippable_copies", flippable_copies)
 
     @property
     def assignments_covered(self) -> int:
@@ -136,20 +97,6 @@ class SolveResult(Record):
     """Multi-prime construction: one recipe, one sign assignment per prime."""
 
     __slots__ = ("recipe", "n", "lagrangian_copies", "assignments", "sign_sums")
-
-    def __init__(
-        self,
-        recipe: SumRecipe,
-        n: int,
-        lagrangian_copies: int,
-        assignments: dict[int, tuple[int, ...]],
-        sign_sums: dict[int, int],
-    ) -> None:
-        _set(self, "recipe", recipe)
-        _set(self, "n", n)
-        _set(self, "lagrangian_copies", lagrangian_copies)
-        _set(self, "assignments", assignments)
-        _set(self, "sign_sums", sign_sums)
 
     def realized_forms(self, enumeration: EnumerationResult) -> dict[int, FormClass]:
         """Each prime's form in the enumeration of the recipe: the one
@@ -279,34 +226,24 @@ def build_theorem_recipe(
     tori: Sequence[EmbeddedTorus],
     n: int,
     sum_torus: EmbeddedTorus,
-    *,
-    require_hypotheses: bool = True,
-    name: Optional[str] = None,
 ) -> SumRecipe:
     """One copy of E(1) along each torus plus n-1 parallel copies along
-    the sum torus, all signs positive.
-
-    With require_hypotheses=False the recipe is built even when the gate
-    fails; that is how known negative controls are constructed.
-    """
-    if require_hypotheses:
-        report = check_hypotheses(manifold, tori, n, sum_torus)
-        if not report.overall:
-            reasons = (
-                report.condition1_reasons
-                + report.condition2_reasons
-                + report.condition3_reasons
-            )
-            raise RecipeError("hypotheses not satisfied: " + "; ".join(reasons))
-    elif n < 2:
-        raise ValueError("need n >= 2 to build a recipe")
+    the sum torus, all signs positive."""
+    report = check_hypotheses(manifold, tori, n, sum_torus)
+    if not report.overall:
+        reasons = (
+            report.condition1_reasons
+            + report.condition2_reasons
+            + report.condition3_reasons
+        )
+        raise RecipeError("hypotheses not satisfied: " + "; ".join(reasons))
     gluings = [Gluing(t.label, (1,)) for t in tori]
     gluings.append(Gluing(sum_torus.label, (1,) * (n - 1)))
     return SumRecipe(
         base=manifold,
         tori=tuple(tori) + (sum_torus,),
         gluings=tuple(gluings),
-        name=name or f"{manifold.name}-n{n}",
+        name=f"{manifold.name}-n{n}",
     )
 
 
@@ -360,7 +297,7 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     for coords, signs in states.items():
         c1 = IntVector(coords)
         report = divisibility_bounds(c1, manifold.pairing)
-        forms.append(FormClass(signs_flat=signs, c1=c1, divisibility=report))
+        forms.append(FormClass(signs, c1, report))
         if report.exact:
             exact_divisibilities.add(report.lower)
             exact += 1

@@ -10,7 +10,7 @@ pairing can contain untracked entries after a sum.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._record import Record, _set
 from .intlat import IntVector, PairingMatrix
@@ -36,24 +36,10 @@ class EmbeddedTorus(Record):
     Lagrangian tori keep their recorded orientation while a symplectic
     form may restrict to either sign on them; symplectic tori have the
     orientation forced by the form. ``dual`` is a tracked class pairing
-    1 with ``klass``, when one is declared.
+    1 with ``klass``, or None when none is declared.
     """
 
     __slots__ = ("label", "klass", "kind", "dual", "parallel_copies_available")
-
-    def __init__(
-        self,
-        label: str,
-        klass: IntVector,
-        kind: str,
-        dual: Optional[IntVector] = None,
-        parallel_copies_available: bool = False,
-    ) -> None:
-        _set(self, "label", label)
-        _set(self, "klass", klass)
-        _set(self, "kind", kind)
-        _set(self, "dual", dual)
-        _set(self, "parallel_copies_available", parallel_copies_available)
 
 
 class FourManifold(Record):

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from ._record import Record, _set
 from .errors import RecipeError
 from .fourman import LAGRANGIAN, EmbeddedTorus, FourManifold
-from .intlat import DivisibilityReport, IntVector, row_pairing
+from .intlat import IntVector, row_pairing
 
 __all__ = [
     "Gluing",
@@ -135,21 +135,11 @@ class FormClass(Record):
 
     __slots__ = ("signs_flat", "c1", "divisibility")
 
-    def __init__(self, signs_flat: tuple[int, ...], c1: IntVector, divisibility: DivisibilityReport) -> None:
-        _set(self, "signs_flat", signs_flat)
-        _set(self, "c1", c1)
-        _set(self, "divisibility", divisibility)
-
 
 class CheckReport(Record):
     """Outcome of a consistency-check battery."""
 
     __slots__ = ("passed", "failed", "skipped")
-
-    def __init__(self, passed: tuple[str, ...], failed: tuple[str, ...], skipped: tuple[str, ...]) -> None:
-        _set(self, "passed", passed)
-        _set(self, "failed", failed)
-        _set(self, "skipped", skipped)
 
     @property
     def ok(self) -> bool:

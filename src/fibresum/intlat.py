@@ -61,16 +61,10 @@ class IntVector(Record):
         self._check_len(other)
         return IntVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "IntVector":
-        return IntVector(tuple(-a for a in self.coords))
-
     def __mul__(self, k: int) -> "IntVector":
         return IntVector(tuple(a * k for a in self.coords))
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
 
     def support(self) -> frozenset[int]:
         return frozenset(i for i, a in enumerate(self.coords) if a != 0)
@@ -138,10 +132,6 @@ class PairingMatrix(Record):
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def zeros(cls, dim: int) -> "PairingMatrix":
-        return cls(tuple((0,) * dim for _ in range(dim)))
 
     def pair(self, u: "IntVector | Sequence[int]", v: "IntVector | Sequence[int]") -> Optional[int]:
         return row_pairing(self.basis_pairings(u), v)

@@ -12,11 +12,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from fibresum.construct import build_theorem_recipe
 from fibresum.errors import RecipeError
 from fibresum.fourman import FourManifold, build_t4
 from fibresum.gompfsum import FormClass, Gluing, SumRecipe, sum_invariants
-from fibresum.intlat import divisibility_bounds
+from fibresum.intlat import PairingMatrix, divisibility_bounds
 from fibresum.linkgeom import PolygonalCurve, PolygonalLink
 
 # ---------------------------------------------------------------------------
@@ -26,12 +25,17 @@ from fibresum.linkgeom import PolygonalCurve, PolygonalLink
 
 def mcmullen_taubes_recipe() -> SumRecipe:
     """Four-torus summed along the three coordinate tori and one diagonal
-    copy. The gate rejects n = 2 (2 divides 2d), so this is built as the
-    negative control: distinct forms whose divisibilities all agree."""
+    copy. The gate rejects n = 2 (2 divides 2d), so the recipe is built
+    directly, as the negative control: distinct forms whose
+    divisibilities all agree."""
     manifold, (tx, ty, tz, tw) = build_t4()
-    return build_theorem_recipe(
-        manifold, (tz, tx, ty), 2, tw, require_hypotheses=False, name="mcmullen-taubes"
-    )
+    tori = (tz, tx, ty, tw)
+    return SumRecipe(manifold, tori, tuple(Gluing(t.label, (1,)) for t in tori), "mcmullen-taubes")
+
+
+def zero_pairing(dim: int) -> PairingMatrix:
+    """The dim x dim pairing with every entry tracked and zero."""
+    return PairingMatrix(((0,) * dim,) * dim)
 
 
 def flat_signs(recipe: SumRecipe) -> tuple[int, ...]:

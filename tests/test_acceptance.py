@@ -169,8 +169,8 @@ def test_criterion_6_hypothesis_gate():
     with criterion(6, "gate rejects bad configurations and accepts all odd n"):
         manifold, (tx, ty, tz, tw) = build_t4()
         assert not check_hypotheses(manifold, (tz,), 3, tz).overall
-        doubled = EmbeddedTorus("T2z", IntVector((0, 0, 2, 0, 0, 0)), LAGRANGIAN)
-        doubled_sum = EmbeddedTorus("Ts", IntVector((1, 1, 2, 0, 0, 0)), SYMPLECTIC)
+        doubled = EmbeddedTorus("T2z", IntVector((0, 0, 2, 0, 0, 0)), LAGRANGIAN, None, False)
+        doubled_sum = EmbeddedTorus("Ts", IntVector((1, 1, 2, 0, 0, 0)), SYMPLECTIC, None, False)
         bad_d = check_hypotheses(manifold, (doubled, tx, ty), 4, doubled_sum)
         assert bad_d.n_divides_2d and not bad_d.overall
         assert not check_hypotheses(manifold, (tx, ty, tz), 3, tw).overall

@@ -584,6 +584,27 @@ def test_cli_linking_unreadable_link_file_exits_2(tmp_path, capsys):
     assert doc["tasks"] == []
 
 
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("[task linking]\nlink =\n", ["run"]),
+        ("[task linking]\nlink = borromean.lnk\naxis =\n", ["run"]),
+        (None, ["linking", "--link", "borromean.lnk", "--axis", ""]),
+    ],
+)
+def test_an_empty_file_name_is_rejected(text, argv, tmp_path, capsys):
+    # An empty name would resolve to the directory names are read from.
+    source = "<args>"
+    if text is not None:
+        source = tmp_path / "empty.cfg"
+        source.write_text(text)
+        argv = argv + ["--config", str(source)]
+    assert main(argv + ["--output", "machine"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["errors"] == [f"{source}: expected a file name, got an empty value"]
+    assert doc["tasks"] == []
+
+
 def test_cli_linking_reads_the_axis_file_before_any_linking_number(
     tmp_path, monkeypatch, capsys
 ):

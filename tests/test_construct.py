@@ -15,7 +15,7 @@ from fibresum.errors import EnumerationCapError, MathematicalInconsistencyError,
 from fibresum.fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
 from fibresum.gompfsum import Gluing, SumRecipe, sum_c1, sum_invariants
 from fibresum.intlat import DivisibilityReport, IntVector, PairingMatrix, gcd_content
-from fixtures import flat_signs, mcmullen_taubes_recipe, perform_recipe, replace, with_signs
+from fixtures import flat_signs, mcmullen_taubes_recipe, perform_recipe, replace, with_signs, zero_pairing
 from oracles import brute_force_forms, pairwise_divisibility_bounds
 
 
@@ -42,8 +42,8 @@ def test_check_hypotheses_rejects_single_torus():
 
 def test_check_hypotheses_rejects_when_n_divides_2d():
     manifold, tx, ty, tz, tw = t4_setup()
-    doubled = EmbeddedTorus("T2z", IntVector((0, 0, 2, 0, 0, 0)), LAGRANGIAN)
-    sum_torus = EmbeddedTorus("Tsum", IntVector((1, 1, 2, 0, 0, 0)), SYMPLECTIC)
+    doubled = EmbeddedTorus("T2z", IntVector((0, 0, 2, 0, 0, 0)), LAGRANGIAN, None, False)
+    sum_torus = EmbeddedTorus("Tsum", IntVector((1, 1, 2, 0, 0, 0)), SYMPLECTIC, None, False)
     report = check_hypotheses(manifold, (doubled, tx, ty), 4, sum_torus)
     assert report.condition1 and report.condition2
     assert report.torus_divisibility == 2
@@ -69,7 +69,6 @@ def test_check_hypotheses_rejects_wrong_sum_class():
 
 def test_check_hypotheses_fails_safe_on_indeterminate_divisibility():
     from fibresum.fourman import FourManifold
-    from fibresum.intlat import PairingMatrix
 
     blind = FourManifold(
         name="blind",
@@ -78,14 +77,14 @@ def test_check_hypotheses_fails_safe_on_indeterminate_divisibility():
         b1=2,
         b2=2,
         lattice_basis_labels=("a", "b"),
-        pairing=PairingMatrix.zeros(2),
+        pairing=zero_pairing(2),
         c1=IntVector((0, 0)),
         pi1_normally_generated_by_tori=False,
         simply_connected=False,
     )
-    t1 = EmbeddedTorus("a", IntVector((1, 0)), LAGRANGIAN)
-    t2 = EmbeddedTorus("b", IntVector((0, 1)), SYMPLECTIC)
-    sum_torus = EmbeddedTorus("ab", IntVector((1, 1)), SYMPLECTIC)
+    t1 = EmbeddedTorus("a", IntVector((1, 0)), LAGRANGIAN, None, False)
+    t2 = EmbeddedTorus("b", IntVector((0, 1)), SYMPLECTIC, None, False)
+    sum_torus = EmbeddedTorus("ab", IntVector((1, 1)), SYMPLECTIC, None, False)
     report = check_hypotheses(blind, (t1, t2), 3, sum_torus)
     assert not report.condition3
     assert report.torus_divisibility is None

@@ -11,13 +11,14 @@ from fibresum.fourman import (
     validate,
 )
 from fibresum.intlat import IntVector, PairingMatrix
+from fixtures import zero_pairing
 from oracles import add_classes, t4_surface_class, wedge_pairing
 
 
 def test_t4_record_values():
     manifold, tori = build_t4()
     assert (manifold.euler, manifold.signature, manifold.b1, manifold.b2) == (0, 0, 4, 6)
-    assert manifold.c1.is_zero()
+    assert manifold.c1 == IntVector.zero(6)
     assert not manifold.simply_connected
     assert manifold.pi1_normally_generated_by_tori
     labels = [t.label for t in tori]
@@ -90,7 +91,7 @@ def test_builders_are_deterministic():
 
 def test_validate_flags_non_square_zero_torus():
     manifold, tori = build_t4()
-    bad = EmbeddedTorus("bad", IntVector((1, 0, 0, 1, 0, 0)), SYMPLECTIC)
+    bad = EmbeddedTorus("bad", IntVector((1, 0, 0, 1, 0, 0)), SYMPLECTIC, None, False)
     problems = validate(manifold, list(tori) + [bad])
     assert any("not square-zero" in p for p in problems)
 
@@ -141,7 +142,7 @@ def test_constructor_rejects_mismatched_lattice_data():
             b1=0,
             b2=0,
             lattice_basis_labels=("a", "b"),
-            pairing=PairingMatrix.zeros(2),
+            pairing=zero_pairing(2),
             c1=IntVector((0,)),
             pi1_normally_generated_by_tori=False,
             simply_connected=False,

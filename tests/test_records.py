@@ -46,7 +46,7 @@ RECORDS = {
     "IntVector": lambda: IntVector((1, -2, 0)),
     "PairingMatrix": lambda: PairingMatrix(((0, 1), (1, None))),
     "DivisibilityReport": lambda: DivisibilityReport(3, 3, True),
-    "EmbeddedTorus": lambda: EmbeddedTorus("Tz", IntVector((0, 0, 1, 0, 0, 0)), LAGRANGIAN),
+    "EmbeddedTorus": lambda: EmbeddedTorus("Tz", IntVector((0, 0, 1, 0, 0, 0)), LAGRANGIAN, None, False),
     "FourManifold": lambda: build_t4()[0],
     "Gluing": lambda: Gluing("Tz", (1, -1)),
     "SumRecipe": lambda: SumRecipe(T4, (TX, TZ), (Gluing("Tz", (1, -1)),), name="r"),
@@ -62,7 +62,7 @@ RECORDS = {
     "TheoremTask": lambda: TheoremTask("verify", "T4", ("Tz", "Tx"), "Tw", 3),
     "EnumerateTask": lambda: EnumerateTask("cor15"),
     "SolveTask": lambda: SolveTask((3, 5)),
-    "LinkingTask": lambda: LinkingTask("borromean.lnk"),
+    "LinkingTask": lambda: LinkingTask("borromean.lnk", None),
     "PolygonalCurve": lambda: PolygonalCurve(TRIANGLE),
     "PolygonalLink": lambda: PolygonalLink((PolygonalCurve(TRIANGLE),)),
 }
@@ -93,6 +93,46 @@ def test_equal_fields_give_equal_records(name):
     assert pickle.loads(pickle.dumps(a)) == a
 
 
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_constructor_takes_the_fields_in_order(name):
+    # Copies and pickles rebuild a record from its field values in order.
+    record = RECORDS[name]()
+    assert type(record)(*record._values()) == record
+    assert type(record)(**dict(zip(record._fields, record._values()))) == record
+
+
+def test_generic_constructor_binds_positions_and_keywords():
+    report = CheckReport(("a",), (), ("b",))
+    assert CheckReport(("a",), skipped=("b",), failed=()) == report
+    assert CheckReport(skipped=("b",), passed=("a",), failed=()) == report
+    assert (report.passed, report.failed, report.skipped) == (("a",), (), ("b",))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CheckReport((), (), (), ()), r"CheckReport\(\) takes 3 arguments but 4 were given"),
+        (
+            lambda: CheckReport((), (), (), extra=()),
+            r"CheckReport\(\) got an unexpected keyword argument 'extra'",
+        ),
+        (
+            lambda: CheckReport((), (), (), passed=()),
+            r"CheckReport\(\) got multiple values for argument 'passed'",
+        ),
+        (lambda: CheckReport((), failed=()), r"CheckReport\(\) missing arguments: 'skipped'"),
+        (lambda: LinkingTask("borromean.lnk"), r"LinkingTask\(\) missing arguments: 'axis'"),
+        (
+            lambda: EmbeddedTorus("Tz", IntVector((0, 0, 1)), LAGRANGIAN),
+            r"EmbeddedTorus\(\) missing arguments: 'dual', 'parallel_copies_available'",
+        ),
+    ],
+)
+def test_generic_constructor_rejects_bad_arguments(build, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        build()
+
+
 def test_records_differ_by_field_and_class():
     assert IntVector((1, 2)) != IntVector((1, 3))
     assert Gluing("Tz", (1,)) != Gluing("Ty", (1,))
@@ -120,7 +160,7 @@ def test_reprs_have_dataclass_form():
     )
     assert repr(Gluing("Tz", (1, -1))) == "Gluing(torus_label='Tz', signs=(1, -1))"
     assert repr(PairingMatrix(((0, 1), (1, None)))) == "PairingMatrix(entries=((0, 1), (1, None)))"
-    assert repr(LinkingTask("a")) == "LinkingTask(link='a', axis=None)"
+    assert repr(LinkingTask("a", None)) == "LinkingTask(link='a', axis=None)"
     assert repr(EnumerateTask("r")) == "EnumerateTask(recipe='r')"
     assert repr(PolygonalCurve(((0, 0, 0), (1, 0, 0), (0, 1, 0)))).startswith(
         "PolygonalCurve(vertices=((Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
