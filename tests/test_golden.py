@@ -1,8 +1,9 @@
-"""Machine reports for the bundled inputs, compared byte for byte.
+"""Reports for the bundled inputs, compared byte for byte.
 
-Each file under ``tests/golden`` is the stdout of one CLI run with
-``--output machine``. A change that alters any of them must regenerate
-the file on purpose and say why.
+Each case's ``tests/golden/<case>.json`` is the stdout of one CLI run
+with ``--output machine``, and its ``<case>.txt`` the stdout of the same
+run with ``--output table``. A change that alters any of them must
+regenerate the file on purpose and say why.
 """
 
 import contextlib
@@ -36,7 +37,19 @@ CASES = {
     # A small record like the benchmark's `wide` ones: every sign assignment
     # is a distinct form, and one identity check per dual class is skipped.
     "wide3.json": ["run", "--config", str(GOLDEN / "wide3.cfg")],
+    # Records that are not simply connected, whose forms include bounds
+    # that do not meet and the zero class: reports exact = false and
+    # undefined = true, and a nonzero inexact count.
+    "inexact.json": ["run", "--config", str(GOLDEN / "inexact.cfg")],
 }
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("golden", sorted(CASES))
@@ -44,8 +57,11 @@ def test_machine_report_matches_golden(golden, tmp_path, monkeypatch):
     # An empty working directory, so the bundled names resolve to the
     # files shipped with the package.
     monkeypatch.chdir(tmp_path)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(CASES[golden] + ["--output", "machine"])
-    assert code == 0
-    assert out.getvalue().encode("utf-8") == (GOLDEN / golden).read_bytes()
+    assert _stdout(CASES[golden] + ["--output", "machine"]) == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_table_report_matches_golden(golden, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    table = Path(golden).with_suffix(".txt").name
+    assert _stdout(CASES[golden] + ["--output", "table"]) == (GOLDEN / table).read_bytes()
