@@ -1,15 +1,18 @@
 """Base class of the package's immutable records.
 
-A record names its fields once, as the public names in its ``__slots__``;
-underscored slots hold derived state and stay out of equality, hashing
-and the repr. ``Record`` builds each record from those slots: its
-``__init__`` takes the fields in slot order, by position or keyword, and
-has no defaults. A record writes its own ``__init__`` only to check,
-normalise or derive, setting each slot with ``_set``; it still takes the
-fields in order, as copies and pickles rely on. Records are plain
-classes rather than dataclasses because on Python 3.11 importing
-``dataclasses`` and exec-compiling each class's methods cost about 23 ms
-per process, more than a short run's arithmetic.
+A record names its fields once, as the public names in its
+``__slots__``; underscored slots hold derived state and stay out of
+equality, hashing and the repr. A fact that follows from the fields,
+such as a flag or a tally, is a read-only property rather than a field,
+so a record never stores a value next to the one it follows from.
+``Record`` builds each record from those slots: its ``__init__`` takes
+the fields in slot order, by position or keyword, and has no defaults. A
+record writes its own ``__init__`` only to check, normalise or derive,
+setting each slot with ``_set``; it still takes the fields in order, as
+copies and pickles rely on. Records are plain classes rather than
+dataclasses because on Python 3.11 importing ``dataclasses`` and
+exec-compiling each class's methods cost about 23 ms per process, more
+than a short run's arithmetic.
 """
 
 _set = object.__setattr__

@@ -438,8 +438,6 @@ def _load_recipe(section: _Section, config: RunConfig) -> None:
         config.torus(manifold_name, label, line=lineno)
         signs = _parse_signs(tokens[1:], path, lineno)
         gluings.append(Gluing(label, signs))
-    if not gluings:
-        raise ConfigError(f"recipe {name!r} has no gluings", path=path, line=section.line)
     try:
         config.recipes[name] = SumRecipe(
             base=config.manifolds[manifold_name],

@@ -46,46 +46,67 @@ class HypothesisReport(Record):
     positively oriented symplectic representatives, with declared
     disjointness. Condition 3: n divides the divisibility of c1 of the
     base while n does not divide 2d, d the exact divisibility of the
-    first torus class.
+    first torus class. A condition holds when it has no reasons against
+    it, and ``torus_divisibility`` is d, or None when it is not exact.
     """
 
     __slots__ = (
-        "condition1",
         "rank",
         "condition1_reasons",
-        "condition2",
         "condition2_reasons",
-        "condition3",
         "n",
         "torus_divisibility",
-        "n_divides_2d",
         "condition3_reasons",
-        "overall",
     )
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if self.overall != (self.condition1 and self.condition2 and self.condition3):
-            raise ValueError("overall flag must be the conjunction of the conditions")
+    @property
+    def condition1(self) -> bool:
+        return not self.condition1_reasons
+
+    @property
+    def condition2(self) -> bool:
+        return not self.condition2_reasons
+
+    @property
+    def condition3(self) -> bool:
+        return not self.condition3_reasons
+
+    @property
+    def overall(self) -> bool:
+        return self.condition1 and self.condition2 and self.condition3
+
+    @property
+    def n_divides_2d(self) -> Optional[bool]:
+        d = self.torus_divisibility
+        return None if d is None else (2 * d) % self.n == 0
 
 
 class EnumerationResult(Record):
     """All form classes of a recipe over the flippable sign assignments,
-    on the one summed manifold they share."""
+    on the one summed manifold they share. Only exact divisibilities
+    feed the component bound; the tallies walk the forms on each read.
+    """
 
-    __slots__ = (
-        "manifold",
-        "forms",
-        "distinct_divisibilities",
-        "inexact_count",
-        "divisibility_inconclusive",
-        "flippable_copies",
-    )
+    __slots__ = ("manifold", "forms", "flippable_copies")
 
     @property
     def assignments_covered(self) -> int:
         """Sign assignments the forms account for, 2^flippable_copies."""
         return 2**self.flippable_copies
+
+    @property
+    def distinct_divisibilities(self) -> tuple[int, ...]:
+        """The exact divisibilities among the forms, ascending."""
+        return tuple(sorted({f.divisibility.lower for f in self.forms if f.divisibility.exact}))
+
+    @property
+    def inexact_count(self) -> int:
+        return sum(not f.divisibility.exact for f in self.forms)
+
+    @property
+    def divisibility_inconclusive(self) -> bool:
+        """Whether two exact forms share a divisibility."""
+        return len(self.forms) - self.inexact_count > self.pi0_lower_bound
 
     @property
     def pi0_lower_bound(self) -> int:
@@ -160,7 +181,6 @@ def check_hypotheses(
         reasons1.append("need more than one torus")
     if rank(klasses + [sum_torus.klass]) != r:
         reasons1.append("sum torus class is independent of the summands")
-    condition1 = not reasons1
 
     # Condition 2: orientation-flip freedom on the first torus only;
     # positive symplectic representatives for the rest. A Lagrangian
@@ -182,7 +202,6 @@ def check_hypotheses(
             f"sum torus {sum_torus.label} carries {tuple(sum_torus.klass)}, "
             f"expected {tuple(expected_sum)}"
         )
-    condition2 = not reasons2
 
     # Condition 3: n | div(c1) but n does not divide 2d.
     reasons3: list[str] = []
@@ -190,34 +209,24 @@ def check_hypotheses(
     if c1_content % n != 0:
         reasons3.append(f"n = {n} does not divide the c1 divisibility {c1_content}")
     report = divisibility_bounds(tori[0].klass, manifold.pairing)
-    d: Optional[int] = None
-    n_div_2d: Optional[bool] = None
+    d = report.lower if report.exact else None
     if report.undefined:
         reasons3.append(f"first torus {first.label} is null-homologous")
-    elif not report.exact:
+    elif d is None:
         reasons3.append(
             f"divisibility of {first.label} indeterminate "
             f"(bounds {report.lower}..{report.upper or 'unconstrained'})"
         )
-    else:
-        d = report.lower
-        n_div_2d = (2 * d) % n == 0
-        if n_div_2d:
-            reasons3.append(f"n = {n} divides 2d = {2 * d}")
-    condition3 = not reasons3
+    elif (2 * d) % n == 0:
+        reasons3.append(f"n = {n} divides 2d = {2 * d}")
 
     return HypothesisReport(
-        condition1=condition1,
         rank=r,
         condition1_reasons=tuple(reasons1),
-        condition2=condition2,
         condition2_reasons=tuple(reasons2),
-        condition3=condition3,
         n=n,
         torus_divisibility=d,
-        n_divides_2d=n_div_2d,
         condition3_reasons=tuple(reasons3),
-        overall=condition1 and condition2 and condition3,
     )
 
 
@@ -258,9 +267,7 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     insertion order, the forms come out in the order an exhaustive scan
     of all 2^k assignments (plus before minus) first meets their c1, each
     with that first assignment's signs. The cap bounds the distinct
-    classes held after any gluing. Only exact divisibility reports feed
-    the component bound; inexact ones are kept in the form list and
-    counted separately.
+    classes held after any gluing.
     """
     manifold = sum_invariants(recipe)
     table = recipe.torus_table
@@ -291,25 +298,11 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
                 )
         states = nxt
 
-    forms: list[FormClass] = []
-    exact_divisibilities: set[int] = set()
-    exact = 0
+    forms = []
     for coords, signs in states.items():
         c1 = IntVector(coords)
-        report = divisibility_bounds(c1, manifold.pairing)
-        forms.append(FormClass(signs, c1, report))
-        if report.exact:
-            exact_divisibilities.add(report.lower)
-            exact += 1
-    distinct = tuple(sorted(exact_divisibilities))
-    return EnumerationResult(
-        manifold=manifold,
-        forms=tuple(forms),
-        distinct_divisibilities=distinct,
-        inexact_count=len(forms) - exact,
-        divisibility_inconclusive=exact > len(distinct),
-        flippable_copies=flippable,
-    )
+        forms.append(FormClass(signs, c1, divisibility_bounds(c1, manifold.pairing)))
+    return EnumerationResult(manifold=manifold, forms=tuple(forms), flippable_copies=flippable)
 
 
 def _is_odd_prime(p: int) -> bool:

@@ -66,9 +66,9 @@ class SumRecipe(Record):
 
     A recipe checks itself when it is built: every torus label is
     declared once, every class and dual has the base's tracked rank,
-    every gluing names a declared torus, signs flip only on Lagrangian
-    tori, and parallel copies go only where the torus declares them
-    available.
+    there is at least one gluing, every gluing names a declared torus,
+    signs flip only on Lagrangian tori, and parallel copies go only
+    where the torus declares them available.
     Any violation raises one RecipeError listing all of them.
     """
 
@@ -99,6 +99,8 @@ class SumRecipe(Record):
                     f"torus {torus.label}: dual length {len(torus.dual)} != "
                     f"tracked rank {base.rank}"
                 )
+        if not gluings:
+            violations.append("no gluings")
         for gluing in gluings:
             torus = table.get(gluing.torus_label)
             if torus is None:
@@ -216,8 +218,6 @@ def sum_invariants(recipe: SumRecipe) -> FourManifold:
     """
     base = recipe.base
     total = recipe.total_copies
-    if total == 0:
-        return base
     euler = base.euler + EULER_PER_COPY * total
     signature = base.signature + SIGNATURE_PER_COPY * total
     glued = {g.torus_label for g in recipe.gluings}

@@ -28,11 +28,13 @@ __all__ = [
 class IntVector(Record):
     """Immutable integer vector, coordinates in a declared lattice basis."""
 
-    # `_terms` is set by `_terms_of` on first use.
     __slots__ = ("coords", "_terms")
 
     def __init__(self, coords: Sequence[int]) -> None:
-        _set(self, "coords", tuple(int(c) for c in coords))
+        coords = tuple(int(c) for c in coords)
+        _set(self, "coords", coords)
+        # (index, coordinate) of each nonzero coordinate, all the pairing kernels read.
+        _set(self, "_terms", tuple((i, a) for i, a in enumerate(coords) if a))
 
     @classmethod
     def zero(cls, dim: int) -> "IntVector":
@@ -43,9 +45,6 @@ class IntVector(Record):
 
     def __iter__(self):
         return iter(self.coords)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coords[i]
 
     def _check_len(self, other: "IntVector") -> None:
         if len(self) != len(other):
@@ -70,29 +69,9 @@ class IntVector(Record):
         return frozenset(i for i, a in enumerate(self.coords) if a != 0)
 
 
-def _as_coords(v: "IntVector | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(v, IntVector):
-        return v.coords
-    return tuple(int(c) for c in v)
-
-
-def _terms_of(v: "IntVector | Sequence[int]") -> tuple[tuple[int, int], ...]:
-    """(index, coordinate) of each nonzero coordinate of v, kept on an
-    IntVector after the first call: extra classes are paired with every
-    form."""
-    if not isinstance(v, IntVector):
-        v = IntVector(v)
-    try:
-        return v._terms
-    except AttributeError:
-        terms = tuple((i, a) for i, a in enumerate(v.coords) if a)
-        _set(v, "_terms", terms)
-        return terms
-
-
-def gcd_content(v: "IntVector | Sequence[int]") -> int:
+def gcd_content(v: IntVector) -> int:
     """Largest k such that v = k * w for an integer vector w; 0 for v = 0."""
-    return math.gcd(*_as_coords(v))
+    return math.gcd(*v.coords)
 
 
 class PairingMatrix(Record):
@@ -133,10 +112,10 @@ class PairingMatrix(Record):
     def dim(self) -> int:
         return len(self.entries)
 
-    def pair(self, u: "IntVector | Sequence[int]", v: "IntVector | Sequence[int]") -> Optional[int]:
+    def pair(self, u: IntVector, v: IntVector) -> Optional[int]:
         return row_pairing(self.basis_pairings(u), v)
 
-    def basis_pairings(self, v: "IntVector | Sequence[int]") -> tuple[Optional[int], ...]:
+    def basis_pairings(self, v: IntVector) -> tuple[Optional[int], ...]:
         """Pairings of v against every basis vector, None where untracked;
         only the nonzero entries of the rows of v's nonzero coordinates are
         read. Entry j is None iff some nonzero coordinate's row has an
@@ -146,7 +125,7 @@ class PairingMatrix(Record):
         out: list[Optional[int]] = [0] * self.dim
         untracked: list[int] = []
         sparse = self._sparse_rows
-        for i, a in _terms_of(v):
+        for i, a in v._terms:
             tracked, unknown = sparse[i]
             for j, e in tracked:
                 out[j] += a * e
@@ -171,29 +150,34 @@ class DivisibilityReport(Record):
     ``lower`` is witnessed (the vector equals lower times an integral
     vector in the tracked basis). ``upper`` is the gcd of the tracked
     pairings with the basis vectors, 0 meaning no pairing constrains the
-    value. ``exact`` holds when the two agree and are nonzero;
-    ``undefined`` flags the zero vector, whose divisibility is not a
-    number.
+    value. A lower bound of 0 marks the zero vector, whose pairings are
+    all 0 too. The flags are derived from the bounds: ``exact`` holds
+    when the two agree and are nonzero; ``undefined`` flags the zero
+    vector, whose divisibility is not a number.
     """
 
-    __slots__ = ("lower", "upper", "exact", "undefined")
+    __slots__ = ("lower", "upper")
 
-    def __init__(self, lower: int, upper: int, exact: bool, undefined: bool = False) -> None:
+    def __init__(self, lower: int, upper: int) -> None:
         if lower < 0 or upper < 0:
             raise ValueError("divisibility bounds must be nonnegative")
+        if lower == 0 and upper:
+            raise ValueError(f"lower bound 0 (the zero vector) needs upper bound 0, not {upper}")
         if lower and upper and upper % lower:
             raise ValueError(f"lower bound {lower} does not divide upper bound {upper}")
-        if exact != (upper != 0 and lower == upper):
-            raise ValueError("exact flag inconsistent with bounds")
-        if undefined and (lower or upper or exact):
-            raise ValueError("undefined report must be all-zero and inexact")
         _set(self, "lower", lower)
         _set(self, "upper", upper)
-        _set(self, "exact", exact)
-        _set(self, "undefined", undefined)
+
+    @property
+    def exact(self) -> bool:
+        return self.upper != 0 and self.lower == self.upper
+
+    @property
+    def undefined(self) -> bool:
+        return self.lower == 0
 
 
-def divisibility_bounds(c: "IntVector | Sequence[int]", pairing: PairingMatrix) -> DivisibilityReport:
+def divisibility_bounds(c: IntVector, pairing: PairingMatrix) -> DivisibilityReport:
     """Bracket the divisibility of c using its coordinates and pairings.
 
     The lower bound is gcd of the coordinates (with the quotient as an
@@ -207,20 +191,18 @@ def divisibility_bounds(c: "IntVector | Sequence[int]", pairing: PairingMatrix) 
     ideal they generate and cannot lower their gcd.
     """
     row = pairing.basis_pairings(c)
-    lower = math.gcd(*_as_coords(c))
-    if lower == 0:
-        return DivisibilityReport(lower=0, upper=0, exact=False, undefined=True)
+    # The zero vector pairs to 0 with everything, so it gets (0, 0).
     upper = math.gcd(*(p for p in row if p is not None))
-    return DivisibilityReport(lower=lower, upper=upper, exact=(upper != 0 and lower == upper))
+    return DivisibilityReport(math.gcd(*c.coords), upper)
 
 
-def row_pairing(row: Sequence[Optional[int]], v: "IntVector | Sequence[int]") -> Optional[int]:
+def row_pairing(row: Sequence[Optional[int]], v: IntVector) -> Optional[int]:
     """<c, v> from c's basis pairings ``row``, None when a nonzero
     coordinate of v meets an untracked entry of the row."""
     if len(v) != len(row):
         raise ValueError("vector length does not match pairing dimension")
     total = 0
-    for j, b in _terms_of(v):
+    for j, b in v._terms:
         p = row[j]
         if p is None:
             return None
@@ -228,9 +210,9 @@ def row_pairing(row: Sequence[Optional[int]], v: "IntVector | Sequence[int]") ->
     return total
 
 
-def rank(vectors: Sequence["IntVector | Sequence[int]"]) -> int:
+def rank(vectors: Sequence[IntVector]) -> int:
     """Rank over the rationals of the span, by fraction-free elimination."""
-    rows = [list(_as_coords(v)) for v in vectors]
+    rows = [list(v.coords) for v in vectors]
     if not rows:
         return 0
     width = len(rows[0])

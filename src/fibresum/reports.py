@@ -298,18 +298,22 @@ class ReportBuilder:
             self.table_lines.append(
                 f"  {_sign_string(f.signs_flat):<{sign_width}} {c1_text:<{c1_width}} {div_text}"
             )
+        # The tallies walk every form on each read, so each is read once.
         divs = [_s(d) for d in result.distinct_divisibilities]
+        pi0 = result.pi0_lower_bound
+        inexact_count = result.inexact_count
+        inconclusive = result.divisibility_inconclusive
         self.line(f"  distinct exact divisibilities: {{{', '.join(divs)}}}")
-        self.line(f"  pi0 lower bound: {result.pi0_lower_bound}")
-        if result.inexact_count:
-            self.line(f"  inexact divisibility reports: {result.inexact_count} (excluded)")
-        if result.divisibility_inconclusive:
+        self.line(f"  pi0 lower bound: {pi0}")
+        if inexact_count:
+            self.line(f"  inexact divisibility reports: {inexact_count} (excluded)")
+        if inconclusive:
             self.line("  note: divisibility inconclusive (distinct c1 vectors share a value)")
         # Each form is written once, in `forms`; the task names its slice.
         self._first_form = len(self.forms)
         self.forms += [form_doc(f) for f in result.forms]
         self.divisibilities = divs
-        self.pi0_lower_bound = _s(result.pi0_lower_bound)
+        self.pi0_lower_bound = _s(pi0)
         self.tasks.append(
             {
                 "task": "enumerate",
@@ -317,8 +321,8 @@ class ReportBuilder:
                 "form_range": [_s(self._first_form), _s(len(self.forms))],
                 "divisibilities": divs,
                 "pi0_lower_bound": self.pi0_lower_bound,
-                "inexact_count": _s(result.inexact_count),
-                "divisibility_inconclusive": result.divisibility_inconclusive,
+                "inexact_count": _s(inexact_count),
+                "divisibility_inconclusive": inconclusive,
                 "flippable_copies": _s(result.flippable_copies),
                 "assignments_covered": _s(result.assignments_covered),
             }

@@ -569,6 +569,18 @@ def test_invalid_recipe_in_config_exits_2_with_its_message(tmp_path, capsys):
     )
 
 
+def test_recipe_without_gluings_in_config_exits_2(tmp_path, capsys):
+    (tmp_path / "empty.cfg").write_text(
+        "[manifold T4]\nbuiltin = T4\n\n"
+        "[recipe x]\nmanifold = T4\n\n"
+        "[task enumerate]\nrecipe = x\n"
+    )
+    assert main(["run", "--config", str(tmp_path / "empty.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'empty.cfg'}:4: recipe 'x' is invalid: no gluings\n"
+
+
 def test_cli_solve_rejects_a_non_integer_prime(capsys):
     assert main(["solve", "--primes", "3,x"]) == 2
     captured = capsys.readouterr()

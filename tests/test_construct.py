@@ -6,6 +6,7 @@ import pytest
 from fibresum import construct
 from fibresum.cli import main
 from fibresum.construct import (
+    HypothesisReport,
     build_theorem_recipe,
     check_hypotheses,
     enumerate_forms,
@@ -88,8 +89,31 @@ def test_check_hypotheses_fails_safe_on_indeterminate_divisibility():
     report = check_hypotheses(blind, (t1, t2), 3, sum_torus)
     assert not report.condition3
     assert report.torus_divisibility is None
+    assert report.n_divides_2d is None
     assert any("indeterminate" in r for r in report.condition3_reasons)
     assert not report.overall
+
+
+def test_hypothesis_report_flags_follow_its_reasons_and_d():
+    report = HypothesisReport(
+        rank=2,
+        condition1_reasons=(),
+        condition2_reasons=("first torus is symplectic",),
+        n=3,
+        torus_divisibility=None,
+        condition3_reasons=(),
+    )
+    assert report.condition1 and not report.condition2 and report.condition3
+    assert not report.overall
+    assert replace(report, condition2_reasons=()).overall
+    assert not replace(report, condition2_reasons=(), condition1_reasons=("rank 1",)).overall
+    assert not replace(report, condition2_reasons=(), condition3_reasons=("d = 3",)).overall
+    # n_divides_2d: None without d, else whether n divides 2d.
+    assert report.n_divides_2d is None
+    assert replace(report, torus_divisibility=3).n_divides_2d is True
+    assert replace(report, n=6, torus_divisibility=3).n_divides_2d is True
+    assert replace(report, torus_divisibility=1).n_divides_2d is False
+    assert replace(report, n=5, torus_divisibility=5).n_divides_2d is True
 
 
 def test_check_hypotheses_precondition_errors():
@@ -255,7 +279,12 @@ def test_enumerate_forms_matches_brute_force_oracle():
         got = [(f.divisibility.lower, f.divisibility.upper, f.divisibility.exact, f.divisibility.undefined)
                for f in result.forms]
         assert got == reports
-        assert result.distinct_divisibilities == tuple(sorted({lower for lower, _, exact, _ in reports if exact}))
+        # The tallies, from the oracle's own per-form reports.
+        exact = [lower for lower, _, is_exact, _ in reports if is_exact]
+        assert result.distinct_divisibilities == tuple(sorted(set(exact)))
+        assert result.inexact_count == len(reports) - len(exact)
+        assert result.divisibility_inconclusive == (len(exact) > len(set(exact)))
+        assert result.pi0_lower_bound == len(set(exact))
         flippable.add(result.flippable_copies)
     assert min(flippable) == 0 and max(flippable) == 10
 
@@ -310,9 +339,9 @@ def test_solve_job_rejects_an_enumeration_missing_a_solved_form(monkeypatch, cap
 @pytest.mark.parametrize(
     "report",
     [
-        DivisibilityReport(1, 1, True),  # a wrong exact divisibility
-        DivisibilityReport(15, 15, True),  # also divisible by the other prime
-        DivisibilityReport(5, 0, False),  # right witness, not exact
+        DivisibilityReport(1, 1),  # a wrong exact divisibility
+        DivisibilityReport(15, 15),  # also divisible by the other prime
+        DivisibilityReport(5, 0),  # right witness, not exact
     ],
 )
 def test_realized_forms_rejects_a_wrong_divisibility(report):

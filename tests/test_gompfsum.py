@@ -48,11 +48,6 @@ def test_sum_c1_with_one_flip():
     assert c1.coords == (-3, -3, -1, 0, 0, 0)
 
 
-def test_sum_c1_empty_gluings_is_identity():
-    manifold, tori, _ = t4_tables()
-    assert sum_c1(SumRecipe(manifold, tori, ())) == manifold.c1
-
-
 def test_contribution_trace_keeps_two_step_form():
     manifold, tori, table = t4_tables()
     records = c1_contributions(SumRecipe(manifold, tori, (Gluing("Tz", (1, -1)),)))
@@ -70,11 +65,6 @@ def test_sum_invariants_five_copies():
     # Additivity oracle by hand: e = 0 + 5 * 12, sigma = 0 - 5 * 8.
     assert (summed.euler, summed.signature, summed.b2) == (60, -40, 58)
     assert summed.simply_connected and summed.b1 == 0
-
-
-def test_sum_invariants_zero_gluings_returns_base():
-    manifold, tori, _ = t4_tables()
-    assert sum_invariants(SumRecipe(manifold, tori, ())) == manifold
 
 
 def test_sum_invariants_not_simply_connected_when_a_torus_is_missed():
@@ -123,15 +113,6 @@ def test_perform_recipe_theorem_shapes():
         assert flipped_form.c1 == expected + 2 * table["Tz"].klass
 
 
-def test_perform_recipe_zero_copies_returns_base():
-    manifold, tori, _ = t4_tables()
-    recipe = SumRecipe(manifold, tori, (), name="empty")
-    summed, form = perform_recipe(recipe)
-    assert summed == manifold
-    assert form.c1 == manifold.c1
-    assert form.divisibility.undefined
-
-
 _, _T4_TORI = build_t4()
 _SHORT_TZ = EmbeddedTorus("Tz", IntVector((0, 0, 1)), LAGRANGIAN, None, False)
 _SHORT_DUAL_TZ = EmbeddedTorus(
@@ -147,9 +128,12 @@ _SHORT_DUAL_TZ = EmbeddedTorus(
     "tori, gluings, message",
     [
         (_T4_TORI, (Gluing("nope", (1,)),), "gluing references undeclared torus nope"),
-        (_T4_TORI + _T4_TORI[:1], (), "torus Tx: declared twice"),
-        (_T4_TORI[:2] + (_SHORT_TZ,), (), "torus Tz: class length 3 != tracked rank 6"),
-        (_T4_TORI[:2] + (_SHORT_DUAL_TZ,), (), "torus Tz: dual length 5 != tracked rank 6"),
+        (_T4_TORI + _T4_TORI[:1], (Gluing("Tx", (1,)),), "torus Tx: declared twice"),
+        (_T4_TORI[:2] + (_SHORT_TZ,), (Gluing("Tx", (1,)),), "torus Tz: class length 3 != tracked rank 6"),
+        (_T4_TORI[:2] + (_SHORT_DUAL_TZ,), (Gluing("Tx", (1,)),), "torus Tz: dual length 5 != tracked rank 6"),
+        # A recipe without gluings would sum to its base under the
+        # recipe's name.
+        (_T4_TORI, (), "no gluings"),
         (
             _T4_TORI,
             (Gluing("Tw", (-1,)),),
@@ -167,6 +151,7 @@ _SHORT_DUAL_TZ = EmbeddedTorus(
         "duplicate-label",
         "class-length",
         "dual-length",
+        "no-gluings",
         "flip-on-symplectic-torus",
         "every-violation-joined",
     ],
@@ -257,10 +242,11 @@ def test_check_c1_identities_catches_corruption_on_full_pairing():
 
 def test_check_c1_identities_requires_simply_connected():
     manifold, tori, _ = t4_tables()
-    recipe = SumRecipe(manifold, tori, (), name="empty")
-    _, form = perform_recipe(recipe)
+    # Only Tx is glued, so the sum is not certified simply connected.
+    summed, form = perform_recipe(SumRecipe(manifold, tori, (Gluing("Tx", (1,)),)))
+    assert not summed.simply_connected
     with pytest.raises(ValueError):
-        check_c1_identities(manifold, [form])
+        check_c1_identities(summed, [form])
 
 
 def _random_checked_record(rng):
@@ -340,6 +326,10 @@ def test_euler_signature_affine_in_copy_count(a, b):
         gluings.append(Gluing("Tx", (1,) * a))
     if b:
         gluings.append(Gluing("Tw", (1,) * b))
+    if not gluings:
+        with pytest.raises(RecipeError, match="^no gluings$"):
+            SumRecipe(manifold, tori, ())
+        return
     summed = sum_invariants(SumRecipe(manifold, tori, tuple(gluings)))
     assert summed.euler == manifold.euler + 12 * total
     assert summed.signature == manifold.signature - 8 * total

@@ -60,9 +60,22 @@ def test_divisibility_bounds_no_pairing_information():
 
 def test_divisibility_report_invariants_enforced():
     with pytest.raises(ValueError):
-        DivisibilityReport(lower=2, upper=3, exact=False)
-    with pytest.raises(ValueError):
-        DivisibilityReport(lower=2, upper=2, exact=False)
+        DivisibilityReport(lower=2, upper=3)
+    with pytest.raises(ValueError, match="zero vector"):
+        DivisibilityReport(lower=0, upper=2)
+
+
+def test_divisibility_report_flags_follow_the_bounds():
+    for lower in range(5):
+        for upper in range(13):
+            # Lower divides upper, and the zero vector pairs to zero.
+            if upper % lower if lower else upper:
+                with pytest.raises(ValueError):
+                    DivisibilityReport(lower, upper)
+                continue
+            report = DivisibilityReport(lower, upper)
+            assert report.exact == (lower == upper > 0)
+            assert report.undefined == (lower == 0)
 
 
 def test_pairing_matrix_rejects_asymmetric():
@@ -132,28 +145,28 @@ def test_sparse_pairing_rows_match_the_dense_oracle():
         untracked = [i for i in range(n) if None in pairing.entries[i]]
         c = _random_vector(rng, n, untracked)
         others = [_random_vector(rng, n, untracked) for _ in range(3)]
-        for cv in (c, IntVector(tuple(c))):
-            row = pairing.basis_pairings(cv)
-            assert row == dense_basis_pairings(pairing.entries, c)
-            seen_none += None in row
-            for u in others:
-                expected = dense_row_pairing(row, u)
-                assert row_pairing(row, u) == expected
-                assert row_pairing(row, IntVector(tuple(u))) == expected
-                assert pairing.pair(cv, u) == expected
+        cv = IntVector(c)
+        row = pairing.basis_pairings(cv)
+        assert row == dense_basis_pairings(pairing.entries, c)
+        seen_none += None in row
+        for u in others:
+            expected = dense_row_pairing(row, u)
+            uv = IntVector(u)
+            assert row_pairing(row, uv) == expected
+            assert pairing.pair(cv, uv) == expected
     # The untracked rule is exercised, not only the tracked sums.
     assert seen_none > 100
 
 
 def test_rank_examples():
-    assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]) == 3
+    assert rank([IntVector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]) == 3
     assert rank([]) == 0
-    assert rank([(2, 4), (1, 2)]) == 1
+    assert rank([IntVector((2, 4)), IntVector((1, 2))]) == 1
 
 
 def test_rank_rejects_ragged_input():
     with pytest.raises(ValueError):
-        rank([(1, 2), (1, 2, 3)])
+        rank([IntVector((1, 2)), IntVector((1, 2, 3))])
 
 
 def test_rank_matches_fraction_elimination_on_random_matrices():
@@ -162,7 +175,7 @@ def test_rank_matches_fraction_elimination_on_random_matrices():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         matrix = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(m)]
-        assert rank(matrix) == fraction_rank(matrix)
+        assert rank([IntVector(row) for row in matrix]) == fraction_rank(matrix)
 
 
 def test_int_vector_arithmetic():

@@ -26,17 +26,12 @@ TRIANGLE = ((0, 0, 0), (1, 0, 0), (0, 1, Fraction(1, 3)))
 
 def _hypothesis_report(**changes):
     fields = dict(
-        condition1=True,
         rank=2,
         condition1_reasons=(),
-        condition2=True,
         condition2_reasons=(),
-        condition3=False,
         n=3,
         torus_divisibility=None,
-        n_divides_2d=None,
         condition3_reasons=("indeterminate",),
-        overall=False,
     )
     return HypothesisReport(**{**fields, **changes})
 
@@ -45,17 +40,17 @@ def _hypothesis_report(**changes):
 RECORDS = {
     "IntVector": lambda: IntVector((1, -2, 0)),
     "PairingMatrix": lambda: PairingMatrix(((0, 1), (1, None))),
-    "DivisibilityReport": lambda: DivisibilityReport(3, 3, True),
+    "DivisibilityReport": lambda: DivisibilityReport(3, 3),
     "EmbeddedTorus": lambda: EmbeddedTorus("Tz", IntVector((0, 0, 1, 0, 0, 0)), LAGRANGIAN, None, False),
     "FourManifold": lambda: build_t4()[0],
     "Gluing": lambda: Gluing("Tz", (1, -1)),
     "SumRecipe": lambda: SumRecipe(T4, (TX, TZ), (Gluing("Tz", (1, -1)),), name="r"),
     "FormClass": lambda: FormClass(
-        (1, -1), IntVector((0, 0, 0)), DivisibilityReport(0, 0, False, True)
+        (1, -1), IntVector((0, 0, 0)), DivisibilityReport(0, 0)
     ),
     "CheckReport": lambda: CheckReport(("a",), (), ("b",)),
     "HypothesisReport": _hypothesis_report,
-    "EnumerationResult": lambda: EnumerationResult(T4, (), (), 0, False, 0),
+    "EnumerationResult": lambda: EnumerationResult(T4, (), 0),
     "SolveResult": lambda: SolveResult(
         SumRecipe(T4, (TX,), (Gluing("Tx", (1,)),)), 3, 1, {3: (1,)}, {3: -1}
     ),
@@ -155,9 +150,7 @@ def test_derived_state_stays_out_of_equality_and_repr():
 
 def test_reprs_have_dataclass_form():
     assert repr(IntVector((1, -2))) == "IntVector(coords=(1, -2))"
-    assert repr(DivisibilityReport(3, 3, True)) == (
-        "DivisibilityReport(lower=3, upper=3, exact=True, undefined=False)"
-    )
+    assert repr(DivisibilityReport(3, 3)) == "DivisibilityReport(lower=3, upper=3)"
     assert repr(Gluing("Tz", (1, -1))) == "Gluing(torus_label='Tz', signs=(1, -1))"
     assert repr(PairingMatrix(((0, 1), (1, None)))) == "PairingMatrix(entries=((0, 1), (1, None)))"
     assert repr(LinkingTask("a", None)) == "LinkingTask(link='a', axis=None)"
@@ -173,10 +166,10 @@ def test_reprs_have_dataclass_form():
 
 
 def test_replace_reruns_the_constructor_checks():
-    report = DivisibilityReport(3, 3, True)
-    assert replace(report, lower=1, upper=1) == DivisibilityReport(1, 1, True)
-    with pytest.raises(ValueError, match="exact flag inconsistent with bounds"):
-        replace(report, upper=6)
+    report = DivisibilityReport(3, 3)
+    assert replace(report, lower=1, upper=1) == DivisibilityReport(1, 1)
+    with pytest.raises(ValueError, match="lower bound 3 does not divide upper bound 4"):
+        replace(report, upper=4)
     with pytest.raises(TypeError):
         replace(report, no_such_field=1)
 
@@ -186,13 +179,12 @@ def test_replace_reruns_the_constructor_checks():
     [
         (lambda: PairingMatrix(((0, 1), (1,))), ValueError, "pairing matrix not square: row 1 has 1 entries"),
         (lambda: PairingMatrix(((0, 1), (2, 0))), ValueError, r"pairing matrix not symmetric at \(0,1\)"),
-        (lambda: DivisibilityReport(-1, 0, False), ValueError, "divisibility bounds must be nonnegative"),
-        (lambda: DivisibilityReport(2, 3, False), ValueError, "lower bound 2 does not divide upper bound 3"),
-        (lambda: DivisibilityReport(1, 2, True), ValueError, "exact flag inconsistent with bounds"),
+        (lambda: DivisibilityReport(-1, 0), ValueError, "divisibility bounds must be nonnegative"),
+        (lambda: DivisibilityReport(2, 3), ValueError, "lower bound 2 does not divide upper bound 3"),
         (
-            lambda: DivisibilityReport(1, 1, True, undefined=True),
+            lambda: DivisibilityReport(0, 2),
             ValueError,
-            "undefined report must be all-zero and inexact",
+            r"lower bound 0 \(the zero vector\) needs upper bound 0, not 2",
         ),
         (lambda: Gluing("Tx", ()), RecipeError, "gluing along Tx: copies must be positive"),
         (lambda: Gluing("Tx", (2,)), RecipeError, r"gluing along Tx: signs must be \+1 or -1"),
@@ -220,11 +212,6 @@ def test_replace_reruns_the_constructor_checks():
             lambda: PolygonalCurve(((0, 0, 0), (1, 0, 0))),
             EmbeddingError,
             "a closed polygonal curve needs at least 3 vertices",
-        ),
-        (
-            lambda: _hypothesis_report(overall=True),
-            ValueError,
-            "overall flag must be the conjunction of the conditions",
         ),
     ],
 )
