@@ -63,9 +63,7 @@ def test_divisibility_report_invariants_enforced():
         DivisibilityReport(lower=2, upper=3)
     with pytest.raises(ValueError, match="zero vector"):
         DivisibilityReport(lower=0, upper=2)
-
-
-def test_divisibility_report_flags_follow_the_bounds():
+    # Every other pair of bounds is accepted, and the flags follow from it.
     for lower in range(5):
         for upper in range(13):
             # Lower divides upper, and the zero vector pairs to zero.
