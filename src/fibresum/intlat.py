@@ -33,7 +33,7 @@ class IntVector(Record):
     def __init__(self, coords: Sequence[int]) -> None:
         coords = tuple(int(c) for c in coords)
         _set(self, "coords", coords)
-        # (index, coordinate) of each nonzero coordinate, all the pairing kernels read.
+        # (index, coordinate) per nonzero coordinate: the pairing kernels read only these.
         _set(self, "_terms", tuple((i, a) for i, a in enumerate(coords) if a))
 
     @classmethod
@@ -150,10 +150,10 @@ class DivisibilityReport(Record):
     ``lower`` is witnessed (the vector equals lower times an integral
     vector in the tracked basis). ``upper`` is the gcd of the tracked
     pairings with the basis vectors, 0 meaning no pairing constrains the
-    value. A lower bound of 0 marks the zero vector, whose pairings are
-    all 0 too. The flags are derived from the bounds: ``exact`` holds
-    when the two agree and are nonzero; ``undefined`` flags the zero
-    vector, whose divisibility is not a number.
+    value. The flags are derived from the bounds: ``exact`` holds when
+    the two agree and are nonzero; ``undefined`` holds when ``lower`` is
+    0, which marks the zero vector, whose divisibility is not a number
+    and whose upper bound is 0 too.
     """
 
     __slots__ = ("lower", "upper")
@@ -162,7 +162,7 @@ class DivisibilityReport(Record):
         if lower < 0 or upper < 0:
             raise ValueError("divisibility bounds must be nonnegative")
         if lower == 0 and upper:
-            raise ValueError(f"lower bound 0 (the zero vector) needs upper bound 0, not {upper}")
+            raise ValueError(f"undefined report must be all-zero, got upper bound {upper}")
         if lower and upper and upper % lower:
             raise ValueError(f"lower bound {lower} does not divide upper bound {upper}")
         _set(self, "lower", lower)

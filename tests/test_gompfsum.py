@@ -131,8 +131,8 @@ _SHORT_DUAL_TZ = EmbeddedTorus(
         (_T4_TORI + _T4_TORI[:1], (Gluing("Tx", (1,)),), "torus Tx: declared twice"),
         (_T4_TORI[:2] + (_SHORT_TZ,), (Gluing("Tx", (1,)),), "torus Tz: class length 3 != tracked rank 6"),
         (_T4_TORI[:2] + (_SHORT_DUAL_TZ,), (Gluing("Tx", (1,)),), "torus Tz: dual length 5 != tracked rank 6"),
-        # A recipe without gluings would sum to its base under the
-        # recipe's name.
+        # Without gluings the sum would be the base itself, which does
+        # not carry the recipe's name.
         (_T4_TORI, (), "no gluings"),
         (
             _T4_TORI,

@@ -61,7 +61,7 @@ def test_divisibility_bounds_no_pairing_information():
 def test_divisibility_report_invariants_enforced():
     with pytest.raises(ValueError):
         DivisibilityReport(lower=2, upper=3)
-    with pytest.raises(ValueError, match="zero vector"):
+    with pytest.raises(ValueError, match="must be all-zero"):
         DivisibilityReport(lower=0, upper=2)
     # Every other pair of bounds is accepted, and the flags follow from it.
     for lower in range(5):

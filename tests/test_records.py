@@ -184,7 +184,7 @@ def test_replace_reruns_the_constructor_checks():
         (
             lambda: DivisibilityReport(0, 2),
             ValueError,
-            r"lower bound 0 \(the zero vector\) needs upper bound 0, not 2",
+            "undefined report must be all-zero, got upper bound 2",
         ),
         (lambda: Gluing("Tx", ()), RecipeError, "gluing along Tx: copies must be positive"),
         (lambda: Gluing("Tx", (2,)), RecipeError, r"gluing along Tx: signs must be \+1 or -1"),
