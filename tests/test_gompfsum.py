@@ -48,6 +48,15 @@ def test_sum_c1_with_one_flip():
     assert c1.coords == (-3, -3, -1, 0, 0, 0)
 
 
+def test_sum_c1_empty_gluings_is_identity():
+    # Without gluings the sum would be the base itself, which does not
+    # carry the recipe's name, so the recipe is refused before sum_c1.
+    manifold, tori, _ = t4_tables()
+    with pytest.raises(RecipeError) as caught:
+        SumRecipe(manifold, tori, ())
+    assert str(caught.value) == "no gluings"
+
+
 def test_contribution_trace_keeps_two_step_form():
     manifold, tori, table = t4_tables()
     records = c1_contributions(SumRecipe(manifold, tori, (Gluing("Tz", (1, -1)),)))
@@ -72,6 +81,23 @@ def test_sum_invariants_not_simply_connected_when_a_torus_is_missed():
     summed = sum_invariants(SumRecipe(manifold, tori, (Gluing("Tx", (1,)),)))
     assert not summed.simply_connected
     assert summed.euler == 12 and summed.signature == -8
+
+
+def test_sum_invariants_zero_gluings_returns_base():
+    # The missing gluings join the other violations of the recipe.
+    manifold, tori, _ = t4_tables()
+    with pytest.raises(RecipeError) as caught:
+        SumRecipe(manifold, tori + tori[:1], (), name="x")
+    assert str(caught.value) == "torus Tx: declared twice; no gluings"
+
+
+def test_perform_recipe_zero_copies_returns_base():
+    # Zero copies are refused both as a whole recipe and along one torus.
+    manifold, tori, _ = t4_tables()
+    with pytest.raises(RecipeError, match="^no gluings$"):
+        SumRecipe(manifold, tori, (), name="empty")
+    with pytest.raises(RecipeError, match="^gluing along Tz: copies must be positive$"):
+        Gluing("Tz", ())
 
 
 def test_sum_marks_dual_self_pairings_unknown():
@@ -131,9 +157,6 @@ _SHORT_DUAL_TZ = EmbeddedTorus(
         (_T4_TORI + _T4_TORI[:1], (Gluing("Tx", (1,)),), "torus Tx: declared twice"),
         (_T4_TORI[:2] + (_SHORT_TZ,), (Gluing("Tx", (1,)),), "torus Tz: class length 3 != tracked rank 6"),
         (_T4_TORI[:2] + (_SHORT_DUAL_TZ,), (Gluing("Tx", (1,)),), "torus Tz: dual length 5 != tracked rank 6"),
-        # Without gluings the sum would be the base itself, which does
-        # not carry the recipe's name.
-        (_T4_TORI, (), "no gluings"),
         (
             _T4_TORI,
             (Gluing("Tw", (-1,)),),
@@ -151,7 +174,6 @@ _SHORT_DUAL_TZ = EmbeddedTorus(
         "duplicate-label",
         "class-length",
         "dual-length",
-        "no-gluings",
         "flip-on-symplectic-torus",
         "every-violation-joined",
     ],
