@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 standard output closed before the report was
 written, 2 validation failure (bad config, unresolved reference, failed
-hypothesis gate), 3 mathematical inconsistency (an internal invariant
+hypothesis gate, a task too large for the enumeration cap or for
+memory), 3 mathematical inconsistency (an internal invariant
 check failed, so the run's results must not be trusted).
 """
 
@@ -155,6 +156,11 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
         code = EXIT_INCONSISTENT
     except (FibresumError, ValueError) as exc:
         report.note_error(str(exc))
+        code = EXIT_VALIDATION
+    except MemoryError:
+        # Reported like the enumeration cap. The failed task's frames, and
+        # what they hold, are freed when this block ends, before rendering.
+        report.note_error(f"out of memory while running the {task.kind} task")
         code = EXIT_VALIDATION
     if config.output_format == "machine":
         print(report.render_machine(), file=stream)

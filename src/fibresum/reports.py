@@ -7,20 +7,25 @@ in. It is written by a small indent-2 writer whose bytes equal
 ``json.dumps(doc, indent=2, sort_keys=True)``; unlike ``json.dumps`` with
 an indent, it escapes every string with the C encoder. Table output
 carries the same numeric content in aligned text.
+
+The builder keeps each enumeration's forms as records, not as text: a
+form's table row or machine document is rendered once, when the report
+is rendered, and only in the chosen format.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional, Sequence
 
 from .construct import EnumerationResult, HypothesisReport, SolveResult
 from .fourman import FourManifold, form_parity
 from .gompfsum import CheckReport, FormClass, SumRecipe, c1_contributions
-from .intlat import DivisibilityReport, IntVector
+from .intlat import IntVector
 
-# The per-form document helpers stay out of `__all__`: they are kernels
-# of the builder, called once per form, not entry points.
+# The per-form writers stay out of `__all__`: they are kernels of the
+# renderers, called once per form, not entry points.
 __all__ = ["ReportBuilder", "manifold_doc"]
 
 
@@ -30,15 +35,6 @@ def _s(x: int) -> str:
 
 def vector_doc(v: IntVector) -> list[str]:
     return list(map(str, v.coords))
-
-
-def divisibility_doc(r: DivisibilityReport) -> dict:
-    return {
-        "lower": _s(r.lower),
-        "upper": _s(r.upper),
-        "exact": r.exact,
-        "undefined": r.undefined,
-    }
 
 
 def manifold_doc(m: FourManifold) -> dict:
@@ -58,16 +54,53 @@ def manifold_doc(m: FourManifold) -> dict:
     }
 
 
-def form_doc(f: FormClass) -> dict:
-    return {
-        "signs": list(map(str, f.signs_flat)),
-        "c1": vector_doc(f.c1),
-        "divisibility": divisibility_doc(f.divisibility),
-    }
-
-
 def _sign_string(signs) -> str:
     return "".join("+" if s > 0 else "-" for s in signs)
+
+
+def _table_rows(forms: Sequence[FormClass]) -> list[str]:
+    """The table's header and one row per form: signs, c1, divisibility."""
+    sign_width = max([5] + [len(f.signs_flat) for f in forms])
+    c1_texts = ["(" + ", ".join(map(str, f.c1.coords)) + ")" for f in forms]
+    c1_width = max([2] + [len(text) for text in c1_texts])
+    rows = [f"  {'signs':<{sign_width}} {'c1':<{c1_width}} divisibility"]
+    for f, c1_text in zip(forms, c1_texts):
+        d = f.divisibility
+        div_text = (
+            "undefined"
+            if d.undefined
+            else (f"{d.lower}" if d.exact else f"{d.lower}..{d.upper or 'unconstrained'}")
+        )
+        rows.append(f"  {_sign_string(f.signs_flat):<{sign_width}} {c1_text:<{c1_width}} {div_text}")
+    return rows
+
+
+def _number_list(values, newline: str) -> str:
+    """``_write`` of the decimal strings of the integers ``values``,
+    which need no escaping."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + '"' + ('",' + inner + '"').join(map(str, values)) + '"' + newline + "]"
+
+
+def _write_form(form: FormClass, newline: str, out: list[str]) -> None:
+    """``_write`` of a form's document: its c1, divisibility (exact,
+    lower, undefined, upper) and signs, under fixed keys in sorted order."""
+    inner = newline + "  "
+    deep = inner + "  "
+    d = form.divisibility
+    out.append(
+        f'{{{inner}"c1": {_number_list(form.c1.coords, inner)},'
+        f'{inner}"divisibility": {{'
+        f'{deep}"exact": {"true" if d.exact else "false"},'
+        f'{deep}"lower": "{d.lower:d}",'
+        f'{deep}"undefined": {"true" if d.undefined else "false"},'
+        f'{deep}"upper": "{d.upper:d}"'
+        f'{inner}}},'
+        f'{inner}"signs": {_number_list(form.signs_flat, inner)}'
+        f"{newline}}}"
+    )
 
 
 def _render_json(doc) -> str:
@@ -82,8 +115,9 @@ def _write(value, newline: str, out: list[str]) -> None:
     is a line break plus the indent of the line ``value`` starts on.
 
     Only what reports hold is accepted: str, int, bool, None, lists and
-    tuples, and dicts with str keys (written in sorted key order). Anything
-    else, a non-str key included, raises TypeError.
+    tuples, dicts with str keys (written in sorted key order), and forms
+    (written by `_write_form`). Anything else, a non-str key included,
+    raises TypeError.
     """
     if isinstance(value, str):
         out.append(_encode(value))
@@ -120,6 +154,8 @@ def _write(value, newline: str, out: list[str]) -> None:
             _write(value[key], inner, out)
             separator = "," + inner
         out.append(newline + "}")
+    elif isinstance(value, FormClass):
+        _write_form(value, newline, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -131,12 +167,14 @@ class ReportBuilder:
         self.seed = seed
         self.cap = cap
         self.manifold: Optional[dict] = None
-        self.forms: list[dict] = []
+        self.forms: list[FormClass] = []
         self.divisibilities: list[str] = []
         self.pi0_lower_bound: Optional[str] = None
         self.checks: list[dict] = []
         self.tasks: list[dict] = []
-        self.table_lines: list[str] = []
+        # A line of text, or an enumeration's forms, whose header and rows
+        # `render_table` writes at that place.
+        self.table_lines: list[str | Sequence[FormClass]] = []
         self.errors: list[str] = []
         # Index in `forms` of the last enumeration's first form.
         self._first_form = 0
@@ -171,14 +209,17 @@ class ReportBuilder:
 
         Each passed or skipped message is one entry whose detail counts the
         forms reporting it; each failure keeps its own entry, named by the
-        form's index in `forms` and its signs.
+        form's index in `forms` and its signs. Forms share few distinct
+        outcomes, so the messages are walked once per outcome.
         """
         groups: dict[str, list] = {}
+        outcomes = Counter((report.passed, report.skipped) for report in reports)
+        for (passed, skipped), count in outcomes.items():
+            for status, messages in (("pass", passed), ("skipped", skipped)):
+                for msg in dict.fromkeys(messages):
+                    groups.setdefault(msg, [status, 0])[1] += count
         failures = []
         for index, (form, report) in enumerate(zip(forms, reports), self._first_form):
-            for status, messages in (("pass", report.passed), ("skipped", report.skipped)):
-                for msg in dict.fromkeys(messages):
-                    groups.setdefault(msg, [status, 0])[1] += 1
             for msg in report.failed:
                 signs = _sign_string(form.signs_flat)
                 failures.append({"check": f"{name} form {index} signs {signs}: {msg}", "status": "fail"})
@@ -284,20 +325,7 @@ class ReportBuilder:
             f"  flippable copies: {result.flippable_copies}, assignments "
             f"covered: {result.assignments_covered}"
         )
-        sign_width = max([5] + [len(f.signs_flat) for f in result.forms])
-        c1_texts = ["(" + ", ".join(str(c) for c in f.c1) + ")" for f in result.forms]
-        c1_width = max([2] + [len(text) for text in c1_texts])
-        self.line(f"  {'signs':<{sign_width}} {'c1':<{c1_width}} divisibility")
-        for f, c1_text in zip(result.forms, c1_texts):
-            d = f.divisibility
-            div_text = (
-                "undefined"
-                if d.undefined
-                else (f"{d.lower}" if d.exact else f"{d.lower}..{d.upper or 'unconstrained'}")
-            )
-            self.table_lines.append(
-                f"  {_sign_string(f.signs_flat):<{sign_width}} {c1_text:<{c1_width}} {div_text}"
-            )
+        self.table_lines.append(result.forms)
         # The tallies walk every form on each read, so each is read once.
         divs = [_s(d) for d in result.distinct_divisibilities]
         pi0 = result.pi0_lower_bound
@@ -311,7 +339,7 @@ class ReportBuilder:
             self.line("  note: divisibility inconclusive (distinct c1 vectors share a value)")
         # Each form is written once, in `forms`; the task names its slice.
         self._first_form = len(self.forms)
-        self.forms += [form_doc(f) for f in result.forms]
+        self.forms += result.forms
         self.divisibilities = divs
         self.pi0_lower_bound = _s(pi0)
         self.tasks.append(
@@ -382,6 +410,8 @@ class ReportBuilder:
     # -- final documents ---------------------------------------------------
 
     def machine_document(self) -> dict:
+        """The report's document; `forms` holds the form records, which
+        the writer renders."""
         return {
             "schema": "fibresum-report/4",
             "seed": _s(self.seed),
@@ -399,5 +429,11 @@ class ReportBuilder:
         return _render_json(self.machine_document())
 
     def render_table(self) -> str:
-        return "\n".join(self.table_lines)
+        lines: list[str] = []
+        for item in self.table_lines:
+            if isinstance(item, str):
+                lines.append(item)
+            else:
+                lines += _table_rows(item)
+        return "\n".join(lines)
 

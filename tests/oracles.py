@@ -13,9 +13,11 @@ c1 identity oracles pair two vectors entry by entry for every pairing they
 need (the package reads each form's pairings off one row of basis
 pairings), the dense pairing-row oracles walk every column of every
 row they touch (the package keeps each row's nonzero and untracked
-entries and visits only those), and the report oracle is the standard
-library's JSON encoder (the package writes reports with its own
-indent-2 writer).
+entries and visits only those), the report oracle is the standard
+library's JSON encoder applied to per-form dicts (the package writes
+reports with its own indent-2 writer, and each form with a fixed-key
+writer), and the check-grouping oracle walks every form's messages (the
+package walks each distinct outcome's messages once).
 """
 
 from __future__ import annotations
@@ -388,3 +390,42 @@ def dense_row_pairing(row, v):
 def json_report(doc) -> str:
     """A machine report's text, as ``json.dumps`` writes it."""
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def divisibility_doc(r) -> dict:
+    return {
+        "lower": str(r.lower),
+        "upper": str(r.upper),
+        "exact": r.exact,
+        "undefined": r.undefined,
+    }
+
+
+def form_doc(f) -> dict:
+    """A form's entry in a machine report's ``forms[]``, as a dict."""
+    return {
+        "signs": [str(s) for s in f.signs_flat],
+        "c1": [str(c) for c in f.c1.coords],
+        "divisibility": divisibility_doc(f.divisibility),
+    }
+
+
+def per_form_check_entries(name, forms, reports, first_form=0):
+    """The check entries and table lines of a report's form checks, grouped
+    by message one form at a time: (entries, lines)."""
+    groups = {}
+    failures = []
+    lines = []
+    for index, (form, report) in enumerate(zip(forms, reports), first_form):
+        for status, messages in (("pass", report.passed), ("skipped", report.skipped)):
+            for msg in dict.fromkeys(messages):
+                groups.setdefault(msg, [status, 0])[1] += 1
+        for msg in report.failed:
+            signs = "".join("+" if s > 0 else "-" for s in form.signs_flat)
+            failures.append({"check": f"{name} form {index} signs {signs}: {msg}", "status": "fail"})
+            lines.append(f"  [   fail] {name} signs {signs}: {msg}")
+    entries = [
+        {"check": f"{name}: {msg}", "status": status, "detail": f"{count} of {len(reports)} forms"}
+        for msg, (status, count) in groups.items()
+    ] + failures
+    return entries, lines

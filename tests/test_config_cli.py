@@ -372,6 +372,28 @@ def test_cli_solve_cap_error_keeps_the_solve_section(capsys):
     ]
 
 
+@pytest.mark.parametrize("output", ["table", "machine"])
+def test_running_out_of_memory_exits_2_with_the_partial_report(output, monkeypatch, capsys):
+    from fibresum import construct
+
+    def exhausted(recipe, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(construct, "enumerate_forms", exhausted)
+    assert main(["solve", "--primes", "3,5", "--output", output]) == 2
+    captured = capsys.readouterr()
+    error = "out of memory while running the solve task"
+    if output == "machine":
+        doc = json.loads(captured.out)
+        assert [t["task"] for t in doc["tasks"]] == ["solve"]
+        assert doc["errors"] == [error]
+    else:
+        lines = captured.out.splitlines()
+        assert lines[0] == "sign solver (n = 15)"
+        assert lines[-1] == f"error: {error}"
+    assert captured.err == ""
+
+
 def test_cli_solve_input_errors_exit_2(capsys):
     assert main(["solve", "--primes", "4"]) == 2
     assert "odd prime" in capsys.readouterr().out
