@@ -10,85 +10,51 @@ two independent ways to back the torus homology relations used by the
 constructions.
 """
 
-from .construct import (
-    EnumerationResult,
-    HypothesisReport,
-    SolveResult,
-    build_theorem_recipe,
-    check_hypotheses,
-    enumerate_forms,
-    solve_signs,
-)
-from .errors import (
-    ConfigError,
-    EmbeddingError,
-    EnumerationCapError,
-    FibresumError,
-    GenericityError,
-    IllConditionedError,
-    MathematicalInconsistencyError,
-    RecipeError,
-)
-from .fourman import (
-    LAGRANGIAN,
-    SYMPLECTIC,
-    EmbeddedTorus,
-    FourManifold,
-    build_e1,
-    build_t4,
-    form_parity,
-    validate,
-)
-from .gompfsum import (
-    CheckReport,
-    FormClass,
-    Gluing,
-    SumRecipe,
-    check_c1_identities,
-    sum_c1,
-    sum_invariants,
-)
-from .intlat import (
-    DivisibilityReport,
-    IntVector,
-    PairingMatrix,
-    divisibility_bounds,
-    gcd_content,
-    rank,
-)
+import importlib
 
-# The geometry layer loads on first use (PEP 562), so a job that never
-# computes a linking number does not import it, or `fractions` and
-# `decimal` with it.
-_LINKGEOM_NAMES = (
-    "PolygonalCurve", "PolygonalLink", "linking_number_crossings", "linking_number_gauss",
-    "linking_number_verified", "linking_numbers", "load_link",
-)
+# The public names, by the module that defines each. The package imports
+# none of them up front: `__getattr__` (PEP 562) loads a name's module on
+# first use, so `import fibresum` loads no submodule and a command loads
+# only the layers it runs.
+_EXPORTS = {
+    "construct": (
+        "EnumerationResult", "HypothesisReport", "SolveResult", "build_theorem_recipe",
+        "check_hypotheses", "enumerate_forms", "solve_signs",
+    ),
+    "errors": (
+        "ConfigError", "EmbeddingError", "EnumerationCapError", "FibresumError",
+        "GenericityError", "IllConditionedError", "MathematicalInconsistencyError", "RecipeError",
+    ),
+    "fourman": (
+        "LAGRANGIAN", "SYMPLECTIC", "EmbeddedTorus", "FourManifold",
+        "build_e1", "build_t4", "form_parity", "validate",
+    ),
+    "gompfsum": (
+        "CheckReport", "FormClass", "Gluing", "SumRecipe", "check_c1_identities", "sum_c1",
+        "sum_invariants",
+    ),
+    "intlat": (
+        "DivisibilityReport", "IntVector", "PairingMatrix", "divisibility_bounds", "gcd_content", "rank",
+    ),
+    "linkgeom": (
+        "PolygonalCurve", "PolygonalLink", "linking_number_crossings", "linking_number_gauss",
+        "linking_number_verified", "linking_numbers", "load_link",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "EnumerationResult", "HypothesisReport", "SolveResult", "build_theorem_recipe",
-    "check_hypotheses", "enumerate_forms", "solve_signs",
-    "ConfigError", "EmbeddingError", "EnumerationCapError", "FibresumError",
-    "GenericityError", "IllConditionedError", "MathematicalInconsistencyError", "RecipeError",
-    "LAGRANGIAN", "SYMPLECTIC", "EmbeddedTorus", "FourManifold",
-    "build_e1", "build_t4", "form_parity", "validate",
-    "CheckReport", "FormClass", "Gluing", "SumRecipe", "check_c1_identities", "sum_c1",
-    "sum_invariants",
-    "DivisibilityReport", "IntVector", "PairingMatrix", "divisibility_bounds", "gcd_content", "rank",
-    *_LINKGEOM_NAMES,
-]
+__all__ = list(_HOMES)
 
 
 def __getattr__(name: str):
-    if name in _LINKGEOM_NAMES:
-        from . import linkgeom
-
-        return getattr(linkgeom, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LINKGEOM_NAMES})
+    return sorted({*globals(), *__all__})
 
 
 __version__ = "0.1.0"

@@ -15,8 +15,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import construct
-from .config import (
+from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
+from .reports import ReportBuilder
+from .settings import (
     EnumerateTask,
     LinkingTask,
     RunConfig,
@@ -25,13 +26,8 @@ from .config import (
     TheoremTask,
     bundled_path,
     check_limit,
-    parse_config,
     parse_int_list,
-    recipe_config_section,
 )
-from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
-from .gompfsum import check_c1_identities, sum_invariants
-from .reports import ReportBuilder
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -46,6 +42,8 @@ class _TaskFailure(Exception):
 
 
 def _run_verify(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> None:
+    from . import construct
+
     manifold = config.manifolds[task.manifold]
     tori = tuple(config.torus(task.manifold, label) for label in task.tori)
     sum_torus = config.torus(task.manifold, task.sum_torus)
@@ -56,6 +54,10 @@ def _run_verify(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> 
 
 
 def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> None:
+    from . import construct
+    from .config import recipe_config_section
+    from .gompfsum import sum_invariants
+
     manifold = config.manifolds[task.manifold]
     tori = tuple(config.torus(task.manifold, label) for label in task.tori)
     sum_torus = config.torus(task.manifold, task.sum_torus)
@@ -64,6 +66,8 @@ def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> N
 
 
 def _check_forms(name: str, result, recipe, report: ReportBuilder) -> None:
+    from .gompfsum import check_c1_identities
+
     extras = {t.label: t.klass for t in recipe.tori}
     identities = check_c1_identities(result.manifold, result.forms, extras)
     report.add_form_checks(name, result.forms, identities)
@@ -74,6 +78,8 @@ def _check_forms(name: str, result, recipe, report: ReportBuilder) -> None:
 
 
 def _run_enumerate(task: EnumerateTask, config: RunConfig, report: ReportBuilder) -> None:
+    from . import construct
+
     recipe = config.recipes[task.recipe]
     result = construct.enumerate_forms(recipe, cap=config.enumeration_cap)
     report.add_enumeration(task.recipe, result)
@@ -82,6 +88,8 @@ def _run_enumerate(task: EnumerateTask, config: RunConfig, report: ReportBuilder
 
 
 def _run_solve(task: SolveTask, config: RunConfig, report: ReportBuilder) -> None:
+    from . import construct
+
     result = construct.solve_signs(task.primes)
     report.add_solve(result)
     enumeration = construct.enumerate_forms(result.recipe, cap=config.enumeration_cap)
@@ -102,7 +110,6 @@ def _load_geometry(config: RunConfig, name: str, loader, what: str):
 
 
 def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) -> None:
-    # Imported here, so jobs without geometry never load it.
     from . import linkgeom
 
     link = _load_geometry(config, task.link, linkgeom.load_link, "link")
@@ -170,6 +177,8 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    from .config import parse_config
+
     if args.config is None:
         raise ConfigError("a --config file is required for this subcommand")
     path = Path(args.config)

@@ -1,4 +1,4 @@
-"""Plain-text run configuration: parsing, validation, name resolution.
+"""The config-file parser: parsing, validation, name resolution.
 
 A configuration is a sequence of sections introduced by bracket headers,
 with one `key = value` pair per line and `#` comments:
@@ -20,16 +20,15 @@ with one `key = value` pair per line and `#` comments:
 Custom manifolds mirror the record fields (euler, signature, b1, b2,
 basis, c1, pairing_row repeated per basis row with `?` for untracked
 entries) and declare their tori in `[torus NAME]` sections. Every
-reference is resolved and every record validated at load time.
+reference is resolved and every record validated at load time. The
+parsed result is a `settings.RunConfig`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from ._record import Record
-from .construct import DEFAULT_ENUMERATION_CAP
 from .errors import ConfigError, RecipeError
 from .fourman import (
     LAGRANGIAN,
@@ -42,104 +41,20 @@ from .fourman import (
 )
 from .gompfsum import Gluing, SumRecipe
 from .intlat import IntVector, PairingMatrix
+from .settings import (
+    EnumerateTask,
+    LinkingTask,
+    RunConfig,
+    SolveTask,
+    TheoremTask,
+    check_limit,
+    parse_int,
+    parse_int_list,
+)
 
-__all__ = [
-    "RunConfig",
-    "TheoremTask",
-    "EnumerateTask",
-    "SolveTask",
-    "LinkingTask",
-    "Task",
-    "parse_config",
-    "parse_config_text",
-    "bundled_path",
-    "DEFAULT_SEED",
-]
-
-DEFAULT_SEED = 0
-
-# Smallest allowed value and the error message, per top-level integer
-# setting; config files and command-line flags share these rules.
-_LIMITS = {"seed": (0, "seed must be nonnegative"), "cap": (1, "cap must be positive")}
+__all__ = ["parse_config", "parse_config_text"]
 
 BUILTIN_MANIFOLDS = ("T4", "E1")
-
-
-class TheoremTask(Record):
-    """The theorem's inputs: `verify` runs the hypothesis gate on them,
-    `build` also synthesizes the recipe."""
-
-    __slots__ = ("kind", "manifold", "tori", "sum_torus", "n")
-
-
-class EnumerateTask(Record):
-    __slots__ = ("recipe",)
-    kind = "enumerate"
-
-
-class SolveTask(Record):
-    __slots__ = ("primes",)
-    kind = "solve"
-
-
-class LinkingTask(Record):
-    __slots__ = ("link", "axis")
-    kind = "linking"
-
-
-# Every task's `kind` is the name of its `[task ...]` section.
-Task = Union[TheoremTask, EnumerateTask, SolveTask, LinkingTask]
-
-
-class RunConfig:
-    def __init__(
-        self,
-        tasks: Optional[list[Task]] = None,
-        base_dir: Optional[Path] = None,
-        path: str = "<config>",
-    ) -> None:
-        self.manifolds: dict[str, FourManifold] = {}
-        self.tori: dict[str, dict[str, EmbeddedTorus]] = {}
-        self.recipes: dict[str, SumRecipe] = {}
-        self.tasks = [] if tasks is None else tasks
-        self.output_format = "table"
-        self.seed = DEFAULT_SEED
-        self.enumeration_cap = DEFAULT_ENUMERATION_CAP
-        self.base_dir = Path.cwd() if base_dir is None else base_dir
-        self.path = path
-
-    def torus(self, manifold_name: str, label: str, *, line: int = 0) -> EmbeddedTorus:
-        table = self.tori.get(manifold_name, {})
-        if label not in table:
-            raise ConfigError(
-                f"unknown torus {label!r} on manifold {manifold_name!r}",
-                path=self.path,
-                line=line or None,
-            )
-        return table[label]
-
-    def resolve_file(self, name: str) -> Path:
-        if not name:
-            # An empty name would resolve to the base directory itself.
-            raise ConfigError("expected a file name, got an empty value", path=self.path)
-        candidate = Path(name)
-        if not candidate.is_absolute():
-            candidate = self.base_dir / name
-        if candidate.exists():
-            return candidate
-        bundled = bundled_path(name)
-        if bundled is not None:
-            return bundled
-        raise ConfigError(f"file not found: {name}", path=self.path)
-
-
-def bundled_path(name: str) -> Optional[Path]:
-    """Path of a bundled data file (configs and link files shipped with
-    the package), or None when no such file exists."""
-    if "/" in name or "\\" in name:
-        return None
-    candidate = Path(__file__).parent / "data" / name
-    return candidate if candidate.exists() else None
 
 
 def _builtin(name: str) -> tuple[FourManifold, dict[str, EmbeddedTorus]]:
@@ -215,21 +130,6 @@ def _split_sections(text: str, path: str) -> tuple[list[tuple[str, str, int]], l
     return top, sections
 
 
-def _parse_int(value: str, what: str, path: Optional[str], line: Optional[int]) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{what}: expected an integer, got {value!r}", path=path, line=line) from None
-
-
-def check_limit(key: str, value: int, *, path: str, line: Optional[int] = None) -> int:
-    """Return the value of setting `key` (seed or cap) if it is in range."""
-    least, message = _LIMITS[key]
-    if value < least:
-        raise ConfigError(message, path=path, line=line)
-    return value
-
-
 def _parse_bool(value: str, what: str, path: str, line: int) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1"):
@@ -237,12 +137,6 @@ def _parse_bool(value: str, what: str, path: str, line: int) -> bool:
     if lowered in ("false", "no", "0"):
         return False
     raise ConfigError(f"{what}: expected a boolean, got {value!r}", path=path, line=line)
-
-
-def parse_int_list(value: str, what: str, path: Optional[str], line: Optional[int]) -> tuple[int, ...]:
-    """Integers separated by commas or spaces (config values and --primes)."""
-    parts = value.replace(",", " ").split()
-    return tuple(_parse_int(p, what, path, line) for p in parts)
 
 
 def _parse_signs(tokens: Sequence[str], path: str, line: int) -> tuple[int, ...]:
@@ -263,10 +157,10 @@ def parse_config_text(text: str, *, path: str = "<config>", base_dir: Optional[P
 
     for key, value, lineno in top:
         if key == "seed":
-            seed = _parse_int(value, "seed", path, lineno)
+            seed = parse_int(value, "seed", path, lineno)
             config.seed = check_limit("seed", seed, path=path, line=lineno)
         elif key == "cap":
-            cap = _parse_int(value, "cap", path, lineno)
+            cap = parse_int(value, "cap", path, lineno)
             config.enumeration_cap = check_limit("cap", cap, path=path, line=lineno)
         elif key == "output":
             if value not in ("table", "machine"):
@@ -328,7 +222,7 @@ def _load_manifold(section: _Section, config: RunConfig) -> None:
     for value, lineno in section.all("pairing_row"):
         entries = []
         for tok in value.split():
-            entries.append(None if tok == "?" else _parse_int(tok, "pairing entry", path, lineno))
+            entries.append(None if tok == "?" else parse_int(tok, "pairing entry", path, lineno))
         if len(entries) != dim:
             raise ConfigError(
                 f"pairing row has {len(entries)} entries, expected {dim}", path=path, line=lineno
@@ -353,10 +247,10 @@ def _load_manifold(section: _Section, config: RunConfig) -> None:
     try:
         manifold = FourManifold(
             name=name,
-            euler=_parse_int(section.require("euler", path), "euler", path, section.line),
-            signature=_parse_int(section.require("signature", path), "signature", path, section.line),
-            b1=_parse_int(section.require("b1", path), "b1", path, section.line),
-            b2=_parse_int(section.require("b2", path), "b2", path, section.line),
+            euler=parse_int(section.require("euler", path), "euler", path, section.line),
+            signature=parse_int(section.require("signature", path), "signature", path, section.line),
+            b1=parse_int(section.require("b1", path), "b1", path, section.line),
+            b2=parse_int(section.require("b2", path), "b2", path, section.line),
             lattice_basis_labels=basis,
             pairing=pairing,
             c1=c1,
@@ -462,7 +356,7 @@ def _load_task(section: _Section, config: RunConfig) -> None:
             config.torus(manifold_name, label, line=line)
         sum_label = section.require("sum", path)
         config.torus(manifold_name, sum_label, line=line)
-        n = _parse_int(section.require("n", path), "n", path, line)
+        n = parse_int(section.require("n", path), "n", path, line)
         config.tasks.append(TheoremTask(kind, manifold_name, tori_labels, sum_label, n))
     elif kind == "enumerate":
         recipe_name = section.require("recipe", path)

@@ -21,6 +21,7 @@ from .errors import EnumerationCapError, MathematicalInconsistencyError, RecipeE
 from .fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
 from .gompfsum import FormClass, Gluing, SumRecipe, sum_invariants
 from .intlat import IntVector, divisibility_bounds, gcd_content, rank
+from .settings import DEFAULT_ENUMERATION_CAP
 
 __all__ = [
     "HypothesisReport",
@@ -30,10 +31,7 @@ __all__ = [
     "build_theorem_recipe",
     "enumerate_forms",
     "solve_signs",
-    "DEFAULT_ENUMERATION_CAP",
 ]
-
-DEFAULT_ENUMERATION_CAP = 2**20
 
 
 class HypothesisReport(Record):

@@ -5,7 +5,8 @@ The routines certify divisibility statements, so floating point is never
 used. A pairing entry may be ``None``, meaning the value is not tracked;
 all consumers treat an untracked entry as absent information rather than
 as zero. All values are immutable and all functions pure, so everything
-is safe to share across threads.
+is safe to share across threads. A pairing caches the rows it computes;
+two threads computing one row store equal values.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class PairingMatrix(Record):
     coefficient, so partial knowledge never silently becomes a number.
     """
 
-    __slots__ = ("entries", "_sparse_rows")
+    __slots__ = ("entries", "_sparse_rows", "_rows")
 
     def __init__(self, entries: Sequence[Sequence[Optional[int]]]) -> None:
         rows = tuple(
@@ -107,6 +108,10 @@ class PairingMatrix(Record):
             for row in rows
         )
         _set(self, "_sparse_rows", sparse)
+        # Each vector's `basis_pairings` row, keyed on its coordinates: a
+        # form's row is built for its divisibility and read again by the
+        # c1 identity checks.
+        _set(self, "_rows", {})
 
     @property
     def dim(self) -> int:
@@ -116,10 +121,17 @@ class PairingMatrix(Record):
         return row_pairing(self.basis_pairings(u), v)
 
     def basis_pairings(self, v: IntVector) -> tuple[Optional[int], ...]:
-        """Pairings of v against every basis vector, None where untracked;
-        only the nonzero entries of the rows of v's nonzero coordinates are
-        read. Entry j is None iff some nonzero coordinate's row has an
-        untracked entry in column j."""
+        """Pairings of v against every basis vector, None where untracked.
+        Entry j is None iff some nonzero coordinate's row has an untracked
+        entry in column j. Each distinct v's row is computed once."""
+        row = self._rows.get(v.coords)
+        if row is None:
+            row = self._rows[v.coords] = self._basis_row(v)
+        return row
+
+    def _basis_row(self, v: IntVector) -> tuple[Optional[int], ...]:
+        """`basis_pairings`, computed: only the nonzero entries of the rows
+        of v's nonzero coordinates are read."""
         if len(v) != self.dim:
             raise ValueError("vector length does not match pairing dimension")
         out: list[Optional[int]] = [0] * self.dim

@@ -11,18 +11,23 @@ carries the same numeric content in aligned text.
 The builder keeps each enumeration's forms as records, not as text: a
 form's table row or machine document is rendered once, when the report
 is rendered, and only in the chosen format.
+
+Loading this module loads none of the layers that compute: the records
+are type names only, and the sections that need a layer's function
+import it when they run.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _encode
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .construct import EnumerationResult, HypothesisReport, SolveResult
-from .fourman import FourManifold, form_parity
-from .gompfsum import CheckReport, FormClass, SumRecipe, c1_contributions
-from .intlat import IntVector
+if TYPE_CHECKING:
+    from .construct import EnumerationResult, HypothesisReport, SolveResult
+    from .fourman import FourManifold
+    from .gompfsum import CheckReport, FormClass, SumRecipe
+    from .intlat import IntVector
 
 # The per-form writers stay out of `__all__`: they are kernels of the
 # renderers, called once per form, not entry points.
@@ -38,6 +43,8 @@ def vector_doc(v: IntVector) -> list[str]:
 
 
 def manifold_doc(m: FourManifold) -> dict:
+    from .fourman import form_parity
+
     return {
         "name": m.name,
         "euler": _s(m.euler),
@@ -84,6 +91,12 @@ def _number_list(values, newline: str) -> str:
     return "[" + inner + '"' + ('",' + inner + '"').join(map(str, values)) + '"' + newline + "]"
 
 
+class FormList(tuple):
+    """Forms in a machine document, each written by `_write_form`."""
+
+    __slots__ = ()
+
+
 def _write_form(form: FormClass, newline: str, out: list[str]) -> None:
     """``_write`` of a form's document: its c1, divisibility (exact,
     lower, undefined, upper) and signs, under fixed keys in sorted order."""
@@ -115,9 +128,9 @@ def _write(value, newline: str, out: list[str]) -> None:
     is a line break plus the indent of the line ``value`` starts on.
 
     Only what reports hold is accepted: str, int, bool, None, lists and
-    tuples, dicts with str keys (written in sorted key order), and forms
-    (written by `_write_form`). Anything else, a non-str key included,
-    raises TypeError.
+    tuples, dicts with str keys (written in sorted key order), and a
+    `FormList`, whose forms `_write_form` writes. Anything else, a
+    non-str key included, raises TypeError.
     """
     if isinstance(value, str):
         out.append(_encode(value))
@@ -137,10 +150,11 @@ def _write(value, newline: str, out: list[str]) -> None:
         if all(isinstance(item, str) for item in value):
             out.append("[" + inner + ("," + inner).join(map(_encode, value)) + newline + "]")
             return
+        write_item = _write_form if isinstance(value, FormList) else _write
         separator = "[" + inner
         for item in value:
             out.append(separator)
-            _write(item, inner, out)
+            write_item(item, inner, out)
             separator = "," + inner
         out.append(newline + "]")
     elif isinstance(value, dict):
@@ -154,8 +168,6 @@ def _write(value, newline: str, out: list[str]) -> None:
             _write(value[key], inner, out)
             separator = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, FormClass):
-        _write_form(value, newline, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -268,6 +280,8 @@ class ReportBuilder:
     def add_recipe(self, recipe: SumRecipe, manifold: FourManifold, config_section: str) -> None:
         """The recipe's gluings, its summed record, its per-copy c1 trace,
         and `config_section`, the recipe as a loadable config section."""
+        from .gompfsum import c1_contributions
+
         self.heading(f"recipe {recipe.name}")
         gluing_docs = []
         for gluing in recipe.gluings:
@@ -315,7 +329,7 @@ class ReportBuilder:
             f"  manifold {manifold.name}: e = {manifold.euler}, "
             f"sigma = {manifold.signature}, b2 = {manifold.b2}, "
             f"simply connected: {manifold.simply_connected}, "
-            f"parity: {form_parity(manifold)}"
+            f"parity: {self.manifold['form_parity']}"
         )
 
     def add_enumeration(self, name: str, result: EnumerationResult) -> None:
@@ -417,7 +431,7 @@ class ReportBuilder:
             "seed": _s(self.seed),
             "cap": _s(self.cap),
             "manifold": self.manifold,
-            "forms": self.forms,
+            "forms": FormList(self.forms),
             "divisibilities": self.divisibilities,
             "pi0_lower_bound": self.pi0_lower_bound,
             "checks": self.checks,

@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from fibresum.config import bundled_path, parse_config
+from fibresum.config import parse_config
 from fibresum.construct import check_hypotheses, enumerate_forms, solve_signs
 from fibresum.fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, build_t4
 from fibresum.gompfsum import Gluing, SumRecipe, check_c1_identities, sum_c1, sum_invariants
@@ -21,6 +21,7 @@ from fibresum.linkgeom import (
     linking_numbers,
     torus_relation,
 )
+from fibresum.settings import bundled_path
 from fixtures import (
     borromean_axis,
     borromean_rings,

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from fibresum.cli import main, run
-from fibresum.config import bundled_path, parse_config, parse_config_text
+from fibresum.config import parse_config, parse_config_text
 from fibresum.errors import ConfigError
+from fibresum.settings import bundled_path
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -344,7 +345,9 @@ def test_cli_solve_three_primes_enumerates_every_divisibility(capsys):
 
 
 def test_cli_solve_sums_the_recipe_once(monkeypatch, capsys):
-    from fibresum import cli, construct, gompfsum
+    # The CLI's runners import the layers when they run, so patching the
+    # modules that hold a module-level reference covers every caller.
+    from fibresum import construct, gompfsum
 
     calls = []
     original = gompfsum.sum_invariants
@@ -353,10 +356,31 @@ def test_cli_solve_sums_the_recipe_once(monkeypatch, capsys):
         calls.append(recipe.name)
         return original(recipe)
 
-    for module in (gompfsum, construct, cli):
+    for module in (gompfsum, construct):
         monkeypatch.setattr(module, "sum_invariants", counted)
     assert main(["solve", "--primes", "3,5"]) == 0
     assert calls == ["primes-3x5"]
+
+
+def test_each_form_pairing_row_is_computed_once(monkeypatch, capsys):
+    # The divisibility bounds and the c1 identity checks read the same row.
+    from collections import Counter
+
+    from fibresum.intlat import PairingMatrix
+
+    computed = []
+    original = PairingMatrix._basis_row
+
+    def counted(pairing, v):
+        computed.append(v.coords)
+        return original(pairing, v)
+
+    monkeypatch.setattr(PairingMatrix, "_basis_row", counted)
+    assert main(["run", "--config", str(GOLDEN / "wide3.cfg"), "--output", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert any(entry["check"].endswith("c1 identities over all forms") for entry in doc["checks"])
+    c1s = {tuple(int(x) for x in form["c1"]) for form in doc["forms"]}
+    assert Counter(c for c in computed if c in c1s) == Counter(c1s)
 
 
 def test_cli_solve_cap_error_keeps_the_solve_section(capsys):
@@ -773,6 +797,40 @@ def test_check_entries_count_forms_not_messages():
         {"check": "r: s", "status": "skipped", "detail": "1 of 2 forms"},
         {"check": "r form 1 signs +-: bad", "status": "fail"},
     ]
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    import os
+
+    # `run --config` leaving the geometry unloaded is checked by the test
+    # below; it needs an interpreter where no linking job ran.
+    script = """
+import sys
+
+import fibresum
+
+
+def loaded(*names):
+    return [name for name in names if f"fibresum.{name}" in sys.modules]
+
+
+assert [m for m in sys.modules if m.startswith("fibresum.")] == [], "on import"
+from fibresum.cli import main
+
+assert main(["linking", "--link", "borromean.lnk", "--axis", "axis.lnk"]) == 0
+assert loaded("construct", "fourman", "gompfsum", "config") == [], "linking"
+assert main(["solve", "--primes", "3,5"]) == 0
+assert loaded("config") == [], "solve"
+print("import check done", file=sys.stderr)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "import check done" in proc.stderr
 
 
 def test_jobs_without_geometry_do_not_import_linkgeom(tmp_path):

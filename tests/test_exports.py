@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -11,10 +12,26 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(fibresum.__path__) if n
 
 
 def test_package_exports_resolve():
-    # The geometry names resolve lazily, through the package's __getattr__.
-    for name in fibresum.__all__:
-        getattr(fibresum, name)
     assert len(set(fibresum.__all__)) == len(fibresum.__all__)
+    for name in fibresum.__all__:
+        home = importlib.import_module(f"fibresum.{fibresum._HOMES[name]}")
+        value = getattr(fibresum, name)
+        assert value is vars(home)[name], name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == home.__name__, name
+
+
+def test_package_lists_every_export():
+    assert set(fibresum.__all__) <= set(dir(fibresum))
+    namespace = {}
+    exec("from fibresum import *", namespace)
+    for name in fibresum.__all__:
+        assert namespace[name] is getattr(fibresum, name), name
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fibresum.no_such_name
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

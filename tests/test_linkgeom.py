@@ -17,7 +17,7 @@ from fibresum.linkgeom import (
     torus_relation,
 )
 from fibresum import linkgeom
-from fibresum.config import bundled_path
+from fibresum.settings import bundled_path
 from fixtures import (
     borromean_axis,
     borromean_meridian,

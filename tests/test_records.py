@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fibresum.config import EnumerateTask, LinkingTask, SolveTask, TheoremTask
+from fibresum.settings import EnumerateTask, LinkingTask, SolveTask, TheoremTask
 from fibresum.construct import EnumerationResult, HypothesisReport, SolveResult
 from fibresum.errors import EmbeddingError, RecipeError
 from fibresum.fourman import LAGRANGIAN, EmbeddedTorus, build_t4

@@ -52,7 +52,17 @@ def test_writer_reproduces_each_golden(golden):
 
 
 @pytest.mark.parametrize(
-    "doc", [1.5, {"a": [0.0]}, {"a": {1, 2}}, {1: "a"}, [{"a": "b", 2: "c"}], {"a": object()}]
+    "doc",
+    [
+        1.5,
+        {"a": [0.0]},
+        {"a": {1, 2}},
+        {1: "a"},
+        [{"a": "b", 2: "c"}],
+        {"a": object()},
+        # A form is written only as an item of a `FormList`.
+        [FormClass((1,), IntVector((0,)), DivisibilityReport(0, 0))],
+    ],
 )
 def test_writer_rejects_what_reports_do_not_hold(doc):
     with pytest.raises(TypeError):
@@ -87,7 +97,8 @@ def test_form_writer_matches_the_oracle(forms, wrappers):
             value = [value, "x"] if wrapper == "list" else {"a": "x", "forms": value, "z": []}
         return value
 
-    assert _render_json(nest(forms)) == json_report(nest([form_doc(f) for f in forms]))
+    written = _render_json(nest(reports.FormList(forms)))
+    assert written == json_report(nest([form_doc(f) for f in forms]))
 
 
 def _random_check_reports(rng):
