@@ -197,8 +197,12 @@ def test_cli_failing_verify_exits_2(capsys):
         path = pathlib.Path(tmp) / "failing.cfg"
         path.write_text(failing)
         assert main(["verify", "--config", str(path)]) == 2
-    out = capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert main(["verify", "--config", str(path), "--output", "machine"]) == 2
+        doc = json.loads(capsys.readouterr().out)
     assert "fail" in out
+    assert out.splitlines()[-1] == "error: hypothesis gate failed"
+    assert doc["errors"] == ["hypothesis gate failed"]
 
 
 def test_build_task_reports_recipe_and_manifold():
