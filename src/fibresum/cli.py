@@ -35,22 +35,21 @@ EXIT_VALIDATION = 2
 EXIT_INCONSISTENT = 3
 
 
-class _TaskFailure(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+def _theorem_inputs(task: TheoremTask, config: RunConfig):
+    """The task's manifold, its tori and its sum torus."""
+    manifold = config.manifolds[task.manifold]
+    tori = tuple(config.torus(task.manifold, label) for label in task.tori)
+    return manifold, tori, config.torus(task.manifold, task.sum_torus)
 
 
 def _run_verify(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> None:
     from . import construct
 
-    manifold = config.manifolds[task.manifold]
-    tori = tuple(config.torus(task.manifold, label) for label in task.tori)
-    sum_torus = config.torus(task.manifold, task.sum_torus)
+    manifold, tori, sum_torus = _theorem_inputs(task, config)
     hypothesis = construct.check_hypotheses(manifold, tori, task.n, sum_torus)
     report.add_hypothesis_report(f"{task.manifold} n={task.n}", hypothesis)
     if not hypothesis.overall:
-        raise _TaskFailure(EXIT_VALIDATION, "hypothesis gate failed")
+        raise FibresumError("hypothesis gate failed")
 
 
 def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> None:
@@ -58,9 +57,7 @@ def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> N
     from .config import recipe_config_section
     from .gompfsum import sum_invariants
 
-    manifold = config.manifolds[task.manifold]
-    tori = tuple(config.torus(task.manifold, label) for label in task.tori)
-    sum_torus = config.torus(task.manifold, task.sum_torus)
+    manifold, tori, sum_torus = _theorem_inputs(task, config)
     recipe = construct.build_theorem_recipe(manifold, tori, task.n, sum_torus)
     report.add_recipe(recipe, sum_invariants(recipe), recipe_config_section(recipe, task.manifold))
 
@@ -93,9 +90,7 @@ def _run_solve(task: SolveTask, config: RunConfig, report: ReportBuilder) -> Non
     result = construct.solve_signs(task.primes)
     report.add_solve(result)
     enumeration = construct.enumerate_forms(result.recipe, cap=config.enumeration_cap)
-    result.realized_forms(enumeration)
-    for p in sorted(result.assignments):
-        report.add_check(f"solve: prime {p} realized with exact divisibility {p}", "pass")
+    report.add_witnesses(result, result.witnesses(enumeration))
     report.add_enumeration(result.recipe.name, enumeration)
     if enumeration.manifold.simply_connected:
         _check_forms(result.recipe.name, enumeration, result.recipe, report)
@@ -155,9 +150,6 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
     try:
         for task in selected:
             _RUNNERS[task.kind](task, config, report)
-    except _TaskFailure as exc:
-        report.note_error(str(exc))
-        code = exc.code
     except MathematicalInconsistencyError as exc:
         report.note_error(f"mathematical inconsistency: {exc}")
         code = EXIT_INCONSISTENT

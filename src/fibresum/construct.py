@@ -113,40 +113,33 @@ class EnumerationResult(Record):
 
 
 class SolveResult(Record):
-    """Multi-prime construction: one recipe, one sign assignment per prime."""
+    """Multi-prime construction: one gated recipe, one sign sum per prime."""
 
-    __slots__ = ("recipe", "n", "lagrangian_copies", "assignments", "sign_sums")
+    __slots__ = ("recipe", "n", "lagrangian_copies", "sign_sums")
 
-    def realized_forms(self, enumeration: EnumerationResult) -> dict[int, FormClass]:
-        """Each prime's form in the enumeration of the recipe: the one
-        carrying that prime's assignment, checked to have exact
-        divisibility p.
-
-        The enumeration lists each form with the first assignment an
-        exhaustive scan meets. Here c1 fixes the Ty sign and the Tz sign
-        sum, and the first assignment with them puts Tz's plus signs
-        first, as the solver does: so each prime's form carries exactly
-        its assignment's signs. A missing form is an inconsistency.
+    def witnesses(self, enumeration: EnumerationResult) -> dict[int, FormClass]:
+        """Each prime's witness in the enumeration of the recipe: the form
+        with the closed-form c1 -(n Tx + n Ty + (n-1+s) Tz), s the prime's
+        sign sum, checked to have exact divisibility p. A missing form is
+        an inconsistency.
         """
-        # Comparing, not hashing, the sign vectors: two forms' vectors
-        # differ within the Ty and Tz signs, so a comparison stops early.
-        forms = {
-            p: f
-            for f in enumeration.forms
-            for p, signs in self.assignments.items()
-            if f.signs_flat == signs
-        }
-        for p in self.assignments:
-            if p not in forms:
+        t, n = self.recipe.torus_table, self.n
+        fixed = self.recipe.base.c1 - (t["Tx"].klass + t["Ty"].klass) * n
+        by_c1 = {f.c1.coords: f for f in enumeration.forms}
+        forms = {}
+        for p, s in self.sign_sums.items():
+            form = by_c1.get((fixed - t["Tz"].klass * (n - 1 + s)).coords)
+            if form is None:
                 raise MathematicalInconsistencyError(
                     f"enumeration has no form with the signs solved for prime {p}"
                 )
-            report = forms[p].divisibility
+            report = form.divisibility
             if not report.exact or report.lower != p:
                 raise MathematicalInconsistencyError(
                     f"assignment for prime {p} yields divisibility "
                     f"{report.lower}..{report.upper} (exact={report.exact})"
                 )
+            forms[p] = form
         return forms
 
 
@@ -233,9 +226,13 @@ def build_theorem_recipe(
     tori: Sequence[EmbeddedTorus],
     n: int,
     sum_torus: EmbeddedTorus,
+    copies: int = 1,
 ) -> SumRecipe:
-    """One copy of E(1) along each torus plus n-1 parallel copies along
-    the sum torus, all signs positive."""
+    """The theorem's recipe, once the hypothesis gate passes: one copy of
+    E(1) along each torus after the first, then `copies` parallel copies
+    along the first (Lagrangian) torus, then n-1 parallel copies along
+    the sum torus, all signs positive. On T4 with tori (Tz, Tx, Ty) and
+    sum Tw that glues Tx, Ty, Tz x copies, Tw x (n-1)."""
     report = check_hypotheses(manifold, tori, n, sum_torus)
     if not report.overall:
         reasons = (
@@ -244,7 +241,8 @@ def build_theorem_recipe(
             + report.condition3_reasons
         )
         raise RecipeError("hypotheses not satisfied: " + "; ".join(reasons))
-    gluings = [Gluing(t.label, (1,)) for t in tori]
+    gluings = [Gluing(t.label, (1,)) for t in tori[1:]]
+    gluings.append(Gluing(tori[0].label, (1,) * copies))
     gluings.append(Gluing(sum_torus.label, (1,) * (n - 1)))
     return SumRecipe(
         base=manifold,
@@ -317,17 +315,16 @@ def _is_odd_prime(p: int) -> bool:
 def solve_signs(primes: Sequence[int]) -> SolveResult:
     """Realize, for each prime, a form whose c1 divisibility is exactly it.
 
-    With n = p1 * ... * pm for the given distinct odd primes, the recipe sums
-    the four-torus with one positive copy along each of Tx and Ty, k
-    parallel copies along the Lagrangian Tz, and n-1 copies along the
-    diagonal torus Tw. An assignment keeping Ty positive whose Tz signs
-    sum to s gives c1 = (-n, -n, -(n-1)-s) in torus coordinates, with
-    divisibility gcd(n, n-1+s). For each prime the first workable s is
-    found by scanning odd s upward from -(n-2); s = p - n + 1 always
-    hits. No assignment is evaluated here: the recipe's enumeration is
-    the one place a form is computed, and `SolveResult.realized_forms`
-    checks each prime's divisibility there rather than trusting the
-    arithmetic.
+    With n = p1 * ... * pm for the given distinct odd primes, the recipe is
+    `build_theorem_recipe` on the four-torus with tori (Tz, Tx, Ty), sum
+    torus Tw and k copies of the Lagrangian Tz, so the hypothesis gate
+    runs: it glues Tx and Ty once each, Tz k times and the diagonal Tw
+    n-1 times. An assignment keeping Ty positive whose Tz signs sum to s
+    gives c1 = (-n, -n, -(n-1)-s) in torus coordinates, with divisibility
+    gcd(n, n-1+s). For each prime the first workable s is found by
+    scanning odd s upward from -(n-2), and k is the largest |s|. No form
+    is computed here: `SolveResult.witnesses` reads each prime's form off
+    the recipe's enumeration rather than trusting the arithmetic.
     """
     primes = tuple(int(p) for p in primes)
     if not primes:
@@ -339,46 +336,17 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
             raise ValueError(f"{p} is not an odd prime")
     n = math.prod(primes)
 
-    sign_sums: dict[int, int] = {}
-    for p in primes:
-        found = None
-        for s in range(-(n - 2), n - 1, 2):
-            if math.gcd(n, n - 1 + s) == p:
-                found = s
-                break
-        if found is None:
-            raise MathematicalInconsistencyError(
-                f"no sign sum below {n - 2} realizes divisibility {p}"
-            )
-        sign_sums[p] = found
+    # The scan cannot run out: s = p - n + 1 is odd and in range.
+    sign_sums = {
+        p: next(s for s in range(-(n - 2), n - 1, 2) if math.gcd(n, n - 1 + s) == p)
+        for p in primes
+    }
     k = max(abs(s) for s in sign_sums.values())
 
     manifold, (tx, ty, tz, tw) = build_t4()
-    gluings = (
-        Gluing(tx.label, (1,)),
-        Gluing(ty.label, (1,)),
-        Gluing(tz.label, (1,) * k),
-        Gluing(tw.label, (1,) * (n - 1)),
-    )
-    recipe = SumRecipe(
-        base=manifold,
-        tori=(tx, ty, tz, tw),
-        gluings=gluings,
-        name=f"primes-{'x'.join(str(p) for p in primes)}",
-    )
-
-    assignments: dict[int, tuple[int, ...]] = {}
-    for p, s in sign_sums.items():
-        plus = (k + s) // 2
-        if plus * 2 - k != s or not 0 <= plus <= k:
-            raise MathematicalInconsistencyError(
-                f"sign sum {s} is not realizable with {k} copies"
-            )
-        assignments[p] = (1, 1) + (1,) * plus + (-1,) * (k - plus) + (1,) * (n - 1)
     return SolveResult(
-        recipe=recipe,
+        recipe=build_theorem_recipe(manifold, (tz, tx, ty), n, tw, copies=k),
         n=n,
         lagrangian_copies=k,
-        assignments=assignments,
         sign_sums=sign_sums,
     )

@@ -371,15 +371,31 @@ class ReportBuilder:
         )
 
     def add_solve(self, result: SolveResult) -> None:
+        """The solve section; `add_witnesses` completes it once the
+        recipe is enumerated."""
         self.heading(f"sign solver (n = {result.n})")
         self.line(
             f"  recipe {result.recipe.name}: {result.recipe.total_copies} copies, "
             f"{result.lagrangian_copies} parallel Lagrangian copies"
         )
-        assignments_doc = {}
-        for p in sorted(result.assignments):
-            signs = result.assignments[p]
-            assignments_doc[_s(p)] = {
+        self.tasks.append(
+            {
+                "task": "solve",
+                "name": result.recipe.name,
+                "n": _s(result.n),
+                "lagrangian_copies": _s(result.lagrangian_copies),
+                "assignments": {},
+                "realization": "parallel Lagrangian copies of Tz",
+            }
+        )
+
+    def add_witnesses(self, result: SolveResult, witnesses: dict[int, FormClass]) -> None:
+        """Each prime's witness form, into the last task's solve section,
+        and its realized check."""
+        assignments = self.tasks[-1]["assignments"]
+        for p in sorted(witnesses):
+            signs = witnesses[p].signs_flat
+            assignments[_s(p)] = {
                 "signs": [_s(s) for s in signs],
                 "sign_sum": _s(result.sign_sums[p]),
             }
@@ -387,16 +403,8 @@ class ReportBuilder:
                 f"  prime {p}: sign sum {result.sign_sums[p]:+d}, "
                 f"signs {_sign_string(signs)}"
             )
-        self.tasks.append(
-            {
-                "task": "solve",
-                "name": result.recipe.name,
-                "n": _s(result.n),
-                "lagrangian_copies": _s(result.lagrangian_copies),
-                "assignments": assignments_doc,
-                "realization": "parallel Lagrangian copies of Tz",
-            }
-        )
+        for p in sorted(witnesses):
+            self.add_check(f"solve: prime {p} realized with exact divisibility {p}", "pass")
 
     def add_linking(
         self,

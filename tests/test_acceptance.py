@@ -74,10 +74,12 @@ def test_criterion_2_two_prime_solver():
         result = enumerate_forms(solution.recipe)
         assert {3, 5, 15} <= set(result.distinct_divisibilities)
         assert result.pi0_lower_bound >= 3
-        for p, signs in solution.assignments.items():
-            c1 = sum_c1(with_signs(solution.recipe, signs))
+        witnesses = solution.witnesses(result)
+        assert sorted(witnesses) == [3, 5]
+        for p, form in witnesses.items():
+            c1 = sum_c1(with_signs(solution.recipe, form.signs_flat))
             matching = [f for f in result.forms if f.c1 == c1]
-            assert matching and matching[0].divisibility.lower == p
+            assert matching == [form] and form.divisibility.lower == p
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.3f}s"
 

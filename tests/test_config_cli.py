@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +349,34 @@ def test_cli_solve_three_primes_enumerates_every_divisibility(capsys):
     assert doc["errors"] == []
 
 
+@pytest.mark.parametrize("primes", [(3, 5), (3, 5, 7)])
+def test_solve_report_keeps_the_benchmark_contract(primes, capsys):
+    # The benchmark's solve oracle reads only the report: the per-prime
+    # `assignments`, with signs in the gluing order Tx, Ty, k copies of
+    # Tz, n - 1 copies of Tw. Checked here by plain arithmetic.
+    from fibresum.construct import solve_signs
+
+    labels = [g.torus_label for g in solve_signs(primes).recipe.gluings]
+    assert labels == ["Tx", "Ty", "Tz", "Tw"]
+    assert main(["solve", "--primes", ",".join(map(str, primes)), "--output", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (solve,) = [t for t in doc["tasks"] if t["task"] == "solve"]
+    n, k = math.prod(primes), int(solve["lagrangian_copies"])
+    m = n - 1
+
+    def c1_of(signs):
+        assert len(signs) == 2 + k + m and signs[2 + k :] == [1] * m
+        return [-(signs[0] + m), -(signs[1] + m), -(sum(signs[2 : 2 + k]) + m), 0, 0, 0]
+
+    for form in doc["forms"]:
+        assert c1_of([int(x) for x in form["signs"]]) == [int(x) for x in form["c1"]]
+    assert sorted(int(p) for p in solve["assignments"]) == sorted(primes)
+    for p, entry in solve["assignments"].items():
+        signs = [int(x) for x in entry["signs"]]
+        assert signs[:2] == [1, 1]
+        assert math.gcd(*c1_of(signs)) == int(p)
+
+
 def test_cli_solve_sums_the_recipe_once(monkeypatch, capsys):
     # The CLI's runners import the layers when they run, so patching the
     # modules that hold a module-level reference covers every caller.
@@ -363,7 +392,7 @@ def test_cli_solve_sums_the_recipe_once(monkeypatch, capsys):
     for module in (gompfsum, construct):
         monkeypatch.setattr(module, "sum_invariants", counted)
     assert main(["solve", "--primes", "3,5"]) == 0
-    assert calls == ["primes-3x5"]
+    assert calls == ["T4-n15"]
 
 
 def test_each_form_pairing_row_is_computed_once(monkeypatch, capsys):
@@ -388,14 +417,13 @@ def test_each_form_pairing_row_is_computed_once(monkeypatch, capsys):
 
 
 def test_cli_solve_cap_error_keeps_the_solve_section(capsys):
-    # The realized checks read the enumeration, which the cap stops.
+    # The witnesses are read off the enumeration, which the cap stops, so
+    # no prime line is written.
     assert main(["solve", "--primes", "3,5", "--cap", "4"]) == 2
     assert capsys.readouterr().out.splitlines() == [
         "sign solver (n = 15)",
         "--------------------",
-        "  recipe primes-3x5: 27 copies, 11 parallel Lagrangian copies",
-        "  prime 3: sign sum -11, signs ++-----------++++++++++++++",
-        "  prime 5: sign sum -9, signs +++----------++++++++++++++",
+        "  recipe T4-n15: 27 copies, 11 parallel Lagrangian copies",
         "error: enumeration too large: more than 4 distinct Chern classes after gluing Tz",
     ]
 

@@ -289,6 +289,15 @@ def test_enumerate_forms_matches_brute_force_oracle():
     assert min(flippable) == 0 and max(flippable) == 10
 
 
+def solver_signs(result, p):
+    """Prime p's assignment by the closed form: Tx and Ty positive, the
+    Tz copies with their plus signs first summing to p's sign sum, every
+    Tw copy positive."""
+    k, s = result.lagrangian_copies, result.sign_sums[p]
+    plus = (k + s) // 2
+    return (1, 1) + (1,) * plus + (-1,) * (k - plus) + (1,) * (result.n - 1)
+
+
 def test_solve_signs_two_primes_matches_gcd_search_oracle():
     for primes in ((3,), (3, 5), (3, 5, 7), (7, 11, 13)):
         result = solve_signs(primes)
@@ -303,16 +312,33 @@ def test_solve_signs_two_primes_matches_gcd_search_oracle():
         assert result.lagrangian_copies == max(abs(s) for s in result.sign_sums.values())
         enumeration = enumerate_forms(result.recipe)
         assert set(primes) <= set(enumeration.distinct_divisibilities)
-        # Every assignment is an enumerated form with identical signs,
-        # and the one-recipe-per-assignment route gives the same c1.
-        forms = result.realized_forms(enumeration)
-        by_signs = {f.signs_flat: f for f in enumeration.forms}
-        for p, signs in result.assignments.items():
-            assert by_signs[signs] is forms[p]
-            c1 = sum_c1(with_signs(result.recipe, signs))
-            assert forms[p].c1 == c1
+        # Every witness is an enumerated form carrying the closed-form
+        # assignment, and the one-recipe-per-assignment route gives the
+        # same c1.
+        forms = result.witnesses(enumeration)
+        assert sorted(forms) == sorted(primes)
+        for p, form in forms.items():
+            assert any(f is form for f in enumeration.forms)
+            assert form.signs_flat == solver_signs(result, p)
+            c1 = sum_c1(with_signs(result.recipe, form.signs_flat))
+            assert form.c1 == c1
             assert gcd_content(c1) == p
     assert solve_signs((3, 5)).sign_sums == {3: -11, 5: -9}
+
+
+def test_solve_runs_the_hypothesis_gate_once(monkeypatch, capsys):
+    calls = []
+    original = construct.check_hypotheses
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(construct, "check_hypotheses", counted)
+    assert main(["solve", "--primes", "3,5"]) == 0
+    assert len(calls) == 1
+    manifold, tx, ty, tz, tw = t4_setup()
+    assert calls[0] == (manifold, (tz, tx, ty), 15, tw)
 
 
 def _doctored(enumeration, signs, change):
@@ -323,7 +349,7 @@ def _doctored(enumeration, signs, change):
 
 
 def test_solve_job_rejects_an_enumeration_missing_a_solved_form(monkeypatch, capsys):
-    signs = solve_signs((3, 5)).assignments[3]
+    signs = solver_signs(solve_signs((3, 5)), 3)
     original = construct.enumerate_forms
 
     def dropped(recipe, **kwargs):
@@ -348,11 +374,11 @@ def test_realized_forms_rejects_a_wrong_divisibility(report):
     result = solve_signs((3, 5))
     enumeration = _doctored(
         enumerate_forms(result.recipe),
-        result.assignments[5],
+        solver_signs(result, 5),
         lambda form: replace(form, divisibility=report),
     )
     with pytest.raises(MathematicalInconsistencyError, match="assignment for prime 5 yields divisibility"):
-        result.realized_forms(enumeration)
+        result.witnesses(enumeration)
 
 
 def test_solve_signs_single_prime_reproduces_section_construction():
@@ -385,8 +411,21 @@ def test_positive_assignment_divisible_by_n_and_flip_breaks_it(n):
     _, form = perform_recipe(recipe)
     assert form.divisibility.exact
     assert form.divisibility.lower % n == 0
+    # Flip the one Tz copy, wherever the builder glues it.
     signs = list(flat_signs(recipe))
-    signs[0] = -1
+    labels = [g.torus_label for g in recipe.gluings for _ in g.signs]
+    signs[labels.index("Tz")] = -1
     _, flipped = perform_recipe(with_signs(recipe, signs))
     assert flipped.divisibility.exact
     assert flipped.divisibility.lower % n != 0
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (5, 3), (15, 11)])
+def test_build_theorem_recipe_glues_the_first_torus_copies_times(n, k):
+    manifold, tx, ty, tz, tw = t4_setup()
+    recipe = build_theorem_recipe(manifold, (tz, tx, ty), n, tw, copies=k)
+    assert [(g.torus_label, g.copies) for g in recipe.gluings] == [
+        ("Tx", 1), ("Ty", 1), ("Tz", k), ("Tw", n - 1)
+    ]
+    assert all(s == 1 for g in recipe.gluings for s in g.signs)
+    assert recipe.name == f"T4-n{n}"

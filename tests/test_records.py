@@ -52,7 +52,7 @@ RECORDS = {
     "HypothesisReport": _hypothesis_report,
     "EnumerationResult": lambda: EnumerationResult(T4, (), 0),
     "SolveResult": lambda: SolveResult(
-        SumRecipe(T4, (TX,), (Gluing("Tx", (1,)),)), 3, 1, {3: (1,)}, {3: -1}
+        SumRecipe(T4, (TX,), (Gluing("Tx", (1,)),)), 3, 1, {3: -1}
     ),
     "TheoremTask": lambda: TheoremTask("verify", "T4", ("Tz", "Tx"), "Tw", 3),
     "EnumerateTask": lambda: EnumerateTask("cor15"),
@@ -81,7 +81,7 @@ def test_equal_fields_give_equal_records(name):
     assert a is not b
     assert a == b
     assert not a != b
-    if name != "SolveResult":  # its dict fields are unhashable, as they were
+    if name != "SolveResult":  # its dict field is unhashable, as it was
         assert hash(a) == hash(b)
     assert a != tuple(getattr(a, f) for f in a._fields)
     assert copy.deepcopy(a) == a
