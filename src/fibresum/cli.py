@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
 from .reports import ReportBuilder
@@ -29,6 +29,9 @@ from .settings import (
     parse_int_list,
 )
 
+if TYPE_CHECKING:
+    from .theoremreport import TheoremReportBuilder
+
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
@@ -42,7 +45,7 @@ def _theorem_inputs(task: TheoremTask, config: RunConfig):
     return manifold, tori, config.torus(task.manifold, task.sum_torus)
 
 
-def _run_verify(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> None:
+def _run_verify(task: TheoremTask, config: RunConfig, report: TheoremReportBuilder) -> None:
     from . import construct
 
     manifold, tori, sum_torus = _theorem_inputs(task, config)
@@ -52,7 +55,7 @@ def _run_verify(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> 
         raise FibresumError("hypothesis gate failed")
 
 
-def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> None:
+def _run_build(task: TheoremTask, config: RunConfig, report: TheoremReportBuilder) -> None:
     from . import construct
     from .config import recipe_config_section
     from .gompfsum import sum_invariants
@@ -62,7 +65,7 @@ def _run_build(task: TheoremTask, config: RunConfig, report: ReportBuilder) -> N
     report.add_recipe(recipe, sum_invariants(recipe), recipe_config_section(recipe, task.manifold))
 
 
-def _check_forms(name: str, result, recipe, report: ReportBuilder) -> None:
+def _check_forms(name: str, result, recipe, report: TheoremReportBuilder) -> None:
     from .gompfsum import check_c1_identities
 
     extras = {t.label: t.klass for t in recipe.tori}
@@ -74,7 +77,7 @@ def _check_forms(name: str, result, recipe, report: ReportBuilder) -> None:
         raise MathematicalInconsistencyError("c1 identity check failed")
 
 
-def _run_enumerate(task: EnumerateTask, config: RunConfig, report: ReportBuilder) -> None:
+def _run_enumerate(task: EnumerateTask, config: RunConfig, report: TheoremReportBuilder) -> None:
     from . import construct
 
     recipe = config.recipes[task.recipe]
@@ -84,7 +87,7 @@ def _run_enumerate(task: EnumerateTask, config: RunConfig, report: ReportBuilder
         _check_forms(task.recipe, result, recipe, report)
 
 
-def _run_solve(task: SolveTask, config: RunConfig, report: ReportBuilder) -> None:
+def _run_solve(task: SolveTask, config: RunConfig, report: TheoremReportBuilder) -> None:
     from . import construct
 
     result = construct.solve_signs(task.primes)
@@ -138,10 +141,14 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
     Partial results accumulated before an error are still emitted.
     """
     stream = stream or sys.stdout
-    report = ReportBuilder(seed=config.seed, cap=config.enumeration_cap)
     selected = [
         t for t in config.tasks if kinds is None or t.kind in kinds
     ]
+    # Only theorem tasks need the theorem sections' code.
+    builder = ReportBuilder
+    if any(t.kind != "linking" for t in selected):
+        from .theoremreport import TheoremReportBuilder as builder
+    report = builder(seed=config.seed, cap=config.enumeration_cap)
     code = EXIT_OK
     if not selected:
         wanted = ", ".join(sorted(kinds)) if kinds else "any"

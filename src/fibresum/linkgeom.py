@@ -11,10 +11,12 @@ Discrete Comput. Geom. 18).
 Linking numbers come from two independent routes: a signed-crossing
 count in a generic projection (exact integer output) and the Gauss
 linking integral evaluated as a sum of segment-pair solid angles
-(floating point, from the rational vertices; Klenin & Langowski 2000,
-Biopolymers 54). The two must agree to 1e-6; disagreement means a bug,
-never a rounding issue, because the solid-angle formula is exact up to
-floating summation error.
+(floating point; Klenin & Langowski 2000, Biopolymers 54). The Gauss sum
+reads each coordinate as an integer point divided by its curve's scale,
+the float nearest the rational vertex, so the link format refuses
+coordinates outside float range. The two must agree to 1e-6;
+disagreement means a bug, never a rounding issue, because the
+solid-angle formula is exact up to floating summation error.
 
 Crossing sign convention: at a projected crossing the sign is the
 orientation of the 2-frame (over-strand tangent, under-strand tangent)
@@ -34,7 +36,6 @@ from typing import Iterable, Optional, Sequence
 
 from ._record import Record, _set
 from .errors import EmbeddingError, GenericityError, IllConditionedError, MathematicalInconsistencyError
-from .intlat import IntVector
 
 __all__ = [
     "PolygonalCurve",
@@ -154,32 +155,42 @@ def _segment_distance_squared(p0: Point, d1: Point, q0: Point, d2: Point) -> tup
     return on_t, a * a
 
 
-def _closest(pairs: Iterable[tuple[int, _Segment, int, _Segment]]) -> tuple[int, int, Optional[tuple[int, int]]]:
-    """Exact minimum squared distance over indexed segment pairs, as
-    (numerator, denominator); numerator -1 when there are no pairs.
+def _closest(segs_a: Sequence[_Segment], segs_b: Sequence[_Segment]) -> tuple[int, int]:
+    """Exact minimum squared distance between a segment of `segs_a` and
+    one of `segs_b`, as (numerator, denominator); 0 as soon as a pair
+    touches.
 
-    Stops at the first pair that touches and returns its indices as the
-    third item, else None. A pair whose bounding boxes are already at
-    least the best distance apart is skipped: the box gap bounds the
-    segment distance from below.
+    A pair whose bounding boxes are already at least the best distance
+    apart is skipped: the box gap bounds the segment distance from below.
     """
     best_n, best_d = -1, 1
-    for i, sa, j, sb in pairs:
-        if best_n > 0:
-            lo_a, hi_a, lo_b, hi_b = sa[2], sa[3], sb[2], sb[3]
-            gap = 0
-            for k in (0, 1, 2):
-                g = max(lo_b[k] - hi_a[k], lo_a[k] - hi_b[k])
+    for p, d, lo_a, hi_a in segs_a:
+        for q, e, lo_b, hi_b in segs_b:
+            if best_n > 0:
+                gap = 0
+                g = lo_b[0] - hi_a[0]
+                if g <= 0:
+                    g = lo_a[0] - hi_b[0]
+                if g > 0:
+                    gap = g * g
+                g = lo_b[1] - hi_a[1]
+                if g <= 0:
+                    g = lo_a[1] - hi_b[1]
                 if g > 0:
                     gap += g * g
-            if gap * best_d >= best_n:
-                continue
-        n, d = _segment_distance_squared(sa[0], sa[1], sb[0], sb[1])
-        if best_n < 0 or n * best_d < best_n * d:
-            if n == 0:
-                return 0, 1, (i, j)
-            best_n, best_d = n, d
-    return best_n, best_d, None
+                g = lo_b[2] - hi_a[2]
+                if g <= 0:
+                    g = lo_a[2] - hi_b[2]
+                if g > 0:
+                    gap += g * g
+                if gap * best_d >= best_n:
+                    continue
+            n, m = _segment_distance_squared(p, d, q, e)
+            if best_n < 0 or n * best_d < best_n * m:
+                if n == 0:
+                    return 0, 1
+                best_n, best_d = n, m
+    return best_n, best_d
 
 
 class PolygonalCurve(Record):
@@ -219,14 +230,16 @@ class PolygonalCurve(Record):
             u, v = segs[i][1], segs[j][1]
             if _is_zero(_cross(u, v)) and _dot(u, v) < 0:
                 raise EmbeddingError(f"segments {i} and {j} backtrack along a common line")
-        touching = _closest(
-            (i, segs[i], j, segs[j])
-            for i in range(n)
-            for j in range(i + 2, n)
-            if not (i == 0 and j == n - 1)
-        )[2]
-        if touching is not None:
-            raise EmbeddingError(f"segments {touching[0]} and {touching[1]} intersect")
+        # Only whether a non-adjacent pair touches matters, so a pair whose
+        # bounding boxes are strictly apart is skipped without the exact test.
+        for i in range(n - 2):
+            p, d, (lx, ly, lz), (hx, hy, hz) = segs[i]
+            for j in range(i + 2, n - 1 if i == 0 else n):
+                q, e, lo, hi = segs[j]
+                if lo[0] > hx or hi[0] < lx or lo[1] > hy or hi[1] < ly or lo[2] > hz or hi[2] < lz:
+                    continue
+                if _segment_distance_squared(p, d, q, e)[0] == 0:
+                    raise EmbeddingError(f"segments {i} and {j} intersect")
 
 
 def _common_points(a: PolygonalCurve, b: PolygonalCurve) -> tuple[tuple[Point, ...], tuple[Point, ...], int]:
@@ -245,10 +258,7 @@ def _common_points(a: PolygonalCurve, b: PolygonalCurve) -> tuple[tuple[Point, .
 def _separation_squared(a: PolygonalCurve, b: PolygonalCurve) -> tuple[int, int]:
     """Exact squared distance between two curves, as (numerator, denominator)."""
     pa, pb, scale = _common_points(a, b)
-    segs_b = list(enumerate(_segments(pb)))
-    num, den, _ = _closest(
-        (i, sa, j, sb) for i, sa in enumerate(_segments(pa)) for j, sb in segs_b
-    )
+    num, den = _closest(_segments(pa), _segments(pb))
     return num, den * scale * scale
 
 
@@ -409,45 +419,14 @@ def linking_number_crossings(
 # ---------------------------------------------------------------------------
 
 
-def _float(p: Vec3) -> tuple[float, float, float]:
-    return (float(p[0]), float(p[1]), float(p[2]))
-
-
-def _fdot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _fcross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _fnorm(a) -> float:
-    return math.sqrt(_fdot(a, a))
-
-
-def _segment_pair_solid_angle(p0, p1, q0, q1) -> float:
-    """Signed solid angle of the quadrilateral of directions between two segments.
-
-    This is the exact contribution of the segment pair to 4*pi times the
-    Gauss linking integral (two spherical-triangle half-angle terms).
-    """
-    n1 = (p0[0] - q0[0], p0[1] - q0[1], p0[2] - q0[2])
-    n2 = (p0[0] - q1[0], p0[1] - q1[1], p0[2] - q1[2])
-    n3 = (p1[0] - q1[0], p1[1] - q1[1], p1[2] - q1[2])
-    n4 = (p1[0] - q0[0], p1[1] - q0[1], p1[2] - q0[2])
-    l1, l2, l3, l4 = _fnorm(n1), _fnorm(n2), _fnorm(n3), _fnorm(n4)
-    triple = _fdot(n1, _fcross(n2, n3))
-    d1 = l1 * l2 * l3 + _fdot(n1, n2) * l3 + _fdot(n2, n3) * l1 + _fdot(n3, n1) * l2
-    d2 = l1 * l3 * l4 + _fdot(n1, n3) * l4 + _fdot(n3, n4) * l1 + _fdot(n4, n1) * l3
-    return 2.0 * (math.atan2(triple, d1) + math.atan2(triple, d2))
-
-
 def linking_number_gauss(a: PolygonalCurve, b: PolygonalCurve) -> float:
     """Gauss linking integral via exact segment-pair solid angles.
+
+    A segment pair's term is the signed solid angle of the quadrilateral
+    of directions between the two segments, as two spherical-triangle
+    half-angle terms in the four differences of an end on `a` and an end
+    on `b`. Neighbouring pairs share those differences and their
+    lengths, so each is computed once per curve pair.
 
     The result is within 1e-6 of an integer for any pair of curves that
     passes the separation guard; near-touching curves are rejected as
@@ -458,15 +437,39 @@ def linking_number_gauss(a: PolygonalCurve, b: PolygonalCurve) -> float:
         raise IllConditionedError(
             f"ill-conditioned: curve separation below {GAUSS_MIN_SEPARATION}"
         )
-    fa = [_float(v) for v in a.vertices]
-    fb = [_float(v) for v in b.vertices]
+    # Integer over integer division rounds once, so each coordinate is the
+    # float nearest the rational vertex.
+    sa, sb = a._scale, b._scale
+    fa = [(x / sa, y / sa, z / sa) for x, y, z in a._points]
+    fb = [(x / sb, y / sb, z / sb) for x, y, z in b._points]
+    sqrt = math.sqrt
+    # rows[i][j]: vertex i of a minus vertex j of b, and its length.
+    rows = []
+    for px, py, pz in fa:
+        row = []
+        for qx, qy, qz in fb:
+            x, y, z = px - qx, py - qy, pz - qz
+            row.append((x, y, z, sqrt(x * x + y * y + z * z)))
+        rows.append(row)
+    atan2 = math.atan2
     total = 0.0
-    na, nb = len(fa), len(fb)
-    for i in range(na):
-        p0, p1 = fa[i], fa[(i + 1) % na]
-        for j in range(nb):
-            q0, q1 = fb[j], fb[(j + 1) % nb]
-            total += _segment_pair_solid_angle(p0, p1, q0, q1)
+    for r0, r1 in zip(rows, rows[1:] + rows[:1]):
+        # Segment i of a against segment j of b: n1 = p_i - q_j,
+        # n2 = p_i - q_j+1, n3 = p_i+1 - q_j+1, n4 = p_i+1 - q_j.
+        for (x1, y1, z1, l1), (x2, y2, z2, l2), (x3, y3, z3, l3), (x4, y4, z4, l4) in zip(
+            r0, r0[1:] + r0[:1], r1[1:] + r1[:1], r1
+        ):
+            triple = x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3) + z1 * (x2 * y3 - y2 * x3)
+            d13 = x3 * x1 + y3 * y1 + z3 * z1
+            d1 = (
+                l1 * l2 * l3 + (x1 * x2 + y1 * y2 + z1 * z2) * l3
+                + (x2 * x3 + y2 * y3 + z2 * z3) * l1 + d13 * l2
+            )
+            d2 = (
+                l1 * l3 * l4 + d13 * l4
+                + (x3 * x4 + y3 * y4 + z3 * z4) * l1 + (x4 * x1 + y4 * y1 + z4 * z1) * l3
+            )
+            total += 2.0 * (atan2(triple, d1) + atan2(triple, d2))
     return total / (4.0 * math.pi)
 
 
@@ -506,7 +509,7 @@ def linking_numbers(
     return matrix, [linking_number_verified(axis, comp, seed=seed) for comp in comps]
 
 
-def torus_relation(matrix: Sequence[Sequence[int]], axis_coords: Sequence[int]) -> IntVector:
+def torus_relation(matrix: Sequence[Sequence[int]], axis_coords: Sequence[int]) -> tuple[int, ...]:
     """The torus relation read off the surgery components' pairwise
     linking matrix and the axis's linking numbers with them.
 
@@ -521,13 +524,47 @@ def torus_relation(matrix: Sequence[Sequence[int]], axis_coords: Sequence[int]) 
             "torus relation undefined: the surgery components link each other, "
             "so their meridians are not a basis of H1 of the 0-surgery"
         )
-    return IntVector(tuple(axis_coords))
+    return tuple(int(v) for v in axis_coords)
 
 
 # ---------------------------------------------------------------------------
 # Plain-text link format: blocks of `x y z` rational triples, one component
 # per block, blank lines between blocks, `#` starts a comment.
 # ---------------------------------------------------------------------------
+
+
+# A nonzero number with a mantissa of k characters lies between 10^-k and
+# 10^k times ten to its exponent, and floats lie between about 10^-324 and
+# 10^308: beyond this bound plus k the exponent alone puts the value outside
+# float range.
+_EXPONENT_BOUND = 330
+
+
+def _coordinate(text: str) -> Fraction:
+    """A coordinate of the link format: a rational number that a float can
+    hold, since the Gauss sum reads each coordinate as a float.
+
+    An exponent past the bound is refused before the number is built,
+    which for an exponent in the millions would take minutes; so is a
+    zero mantissa with such an exponent.
+    """
+    mantissa, e, exponent = text.lower().partition("e")
+    try:
+        too_far = bool(e) and abs(int(exponent)) > _EXPONENT_BOUND + len(mantissa)
+    except ValueError:
+        too_far = False  # not a number; Fraction says why
+    if too_far:
+        raise ValueError(f"coordinate {text} has an exponent outside float range")
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational coordinate ({exc})") from None
+    try:
+        if float(x) or not x:
+            return x
+    except OverflowError:
+        pass
+    raise ValueError(f"coordinate {text} is outside float range")
 
 
 def parse_link_text(text: str) -> PolygonalLink:
@@ -544,9 +581,9 @@ def parse_link_text(text: str) -> PolygonalLink:
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected three coordinates, got {len(parts)}")
         try:
-            current.append((Fraction(parts[0]), Fraction(parts[1]), Fraction(parts[2])))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {lineno}: bad rational coordinate ({exc})") from None
+            current.append((_coordinate(parts[0]), _coordinate(parts[1]), _coordinate(parts[2])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if current:
         blocks.append(current)
     if not blocks:

@@ -1,7 +1,9 @@
 """Independent oracles used by the tests.
 
 None of these share code with the package routines they check: the
-linking oracle is direct quadrature of the double line integral, the
+linking oracle is direct quadrature of the double line integral (the
+Gauss reference is the per-pair solid-angle sum that the package's
+shared-term kernel replaced, kept to pin that kernel bit for bit), the
 segment-distance and crossing oracles redo the package's exact geometry
 on Fractions straight from the rational vertices (the package clears
 denominators and works on integers), the rank oracle is Gauss-Jordan elimination over the rationals (the package
@@ -59,6 +61,33 @@ def quadrature_linking(curve_a, curve_b, samples: int = 48) -> float:
                     total += (d[0] * cx[0] + d[1] * cx[1] + d[2] * cx[2]) / dist3 / (
                         samples * samples
                     )
+    return total / (4.0 * math.pi)
+
+
+def segment_pair_solid_angle(p0, p1, q0, q1) -> float:
+    """Signed solid angle of the quadrilateral of directions between the
+    float segments p0p1 and q0q1: the pair's term of 4*pi times the Gauss
+    linking integral (two spherical-triangle half-angle terms)."""
+    n1, n2, n3, n4 = _sub(p0, q0), _sub(p0, q1), _sub(p1, q1), _sub(p1, q0)
+    l1, l2, l3, l4 = (math.sqrt(_dot(n, n)) for n in (n1, n2, n3, n4))
+    triple = _dot(n1, _cross(n2, n3))
+    d1 = l1 * l2 * l3 + _dot(n1, n2) * l3 + _dot(n2, n3) * l1 + _dot(n3, n1) * l2
+    d2 = l1 * l3 * l4 + _dot(n1, n3) * l4 + _dot(n3, n4) * l1 + _dot(n4, n1) * l3
+    return 2.0 * (math.atan2(triple, d1) + math.atan2(triple, d2))
+
+
+def reference_gauss_linking(vertices_a, vertices_b) -> float:
+    """The Gauss linking integral as the package computed it before its
+    shared-term kernel: floats from the rational vertices, then one
+    `segment_pair_solid_angle` per segment pair, summed in row order.
+    Same formula and order, so the package's total must equal it bit for
+    bit."""
+    fa = [tuple(map(float, v)) for v in vertices_a]
+    fb = [tuple(map(float, v)) for v in vertices_b]
+    total = 0.0
+    for p0, p1 in _edges(fa):
+        for q0, q1 in _edges(fb):
+            total += segment_pair_solid_angle(p0, p1, q0, q1)
     return total / (4.0 * math.pi)
 
 

@@ -695,6 +695,17 @@ def test_an_empty_file_name_is_rejected(text, argv, tmp_path, capsys):
     assert doc["tasks"] == []
 
 
+def test_cli_linking_coordinate_outside_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "far.lnk"
+    path.write_text("0 0 0\n1e400 0 0\n0 1 0\n\n5 5 5\n6 5 5\n5 6 5\n")
+    assert main(["linking", "--link", str(path), "--output", "machine"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["errors"] == [
+        f"<args>: bad link file {path}: line 2: coordinate 1e400 has an exponent outside float range"
+    ]
+    assert doc["tasks"] == []
+
+
 def test_cli_linking_reads_the_axis_file_before_any_linking_number(
     tmp_path, monkeypatch, capsys
 ):
@@ -816,13 +827,13 @@ def test_check_entries_count_forms_not_messages():
     from types import SimpleNamespace
 
     from fibresum.gompfsum import CheckReport
-    from fibresum.reports import ReportBuilder
+    from fibresum.theoremreport import TheoremReportBuilder
 
     # A basis label and an extra class may share a name with different
     # vectors, so one form can report a message twice.
     forms = [SimpleNamespace(signs_flat=(1, 1)), SimpleNamespace(signs_flat=(1, -1))]
     reports = [CheckReport(("a", "a"), (), ("s",)), CheckReport(("a",), ("bad",), ())]
-    builder = ReportBuilder(seed=0, cap=0)
+    builder = TheoremReportBuilder(seed=0, cap=0)
     builder.add_form_checks("r", forms, reports)
     assert builder.checks == [
         {"check": "r: a", "status": "pass", "detail": "2 of 2 forms"},
@@ -849,8 +860,12 @@ def loaded(*names):
 assert [m for m in sys.modules if m.startswith("fibresum.")] == [], "on import"
 from fibresum.cli import main
 
+# A linking job loads neither the lattice layer nor the theorem sections
+# of the report, with or without an axis.
+assert main(["linking", "--link", "borromean.lnk"]) == 0
+assert loaded("construct", "fourman", "gompfsum", "config", "intlat", "theoremreport") == [], "linking"
 assert main(["linking", "--link", "borromean.lnk", "--axis", "axis.lnk"]) == 0
-assert loaded("construct", "fourman", "gompfsum", "config") == [], "linking"
+assert loaded("construct", "fourman", "gompfsum", "config", "intlat", "theoremreport") == [], "--axis"
 assert main(["solve", "--primes", "3,5"]) == 0
 assert loaded("config") == [], "solve"
 print("import check done", file=sys.stderr)

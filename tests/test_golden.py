@@ -4,15 +4,21 @@ Each case's ``tests/golden/<case>.json`` is the stdout of one CLI run
 with ``--output machine``, and its ``<case>.txt`` the stdout of the same
 run with ``--output table``. A change that alters any of them must
 regenerate the file on purpose and say why.
+
+The file also runs without pytest, on any supported Python:
+
+    python3 tests/test_golden.py
+
+replays every case in both formats from an empty temporary directory
+and exits 1 naming the first report that differs.
 """
 
 import contextlib
 import io
+import os
+import sys
+import tempfile
 from pathlib import Path
-
-import pytest
-
-from fibresum.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,23 +51,62 @@ CASES = {
 
 
 def _stdout(argv):
+    """The exit code and the standard output of one CLI run."""
+    from fibresum.cli import main
+
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    assert code == 0
-    return out.getvalue().encode("utf-8")
+    return code, out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("golden", sorted(CASES))
+def _expected(golden, output):
+    """The golden file of a case's report in one output format."""
+    name = golden if output == "machine" else Path(golden).with_suffix(".txt").name
+    return GOLDEN / name
+
+
+def pytest_generate_tests(metafunc):
+    # Parametrized here rather than by decorator, so running the file as a
+    # script needs no pytest.
+    if "golden" in metafunc.fixturenames:
+        metafunc.parametrize("golden", sorted(CASES))
+
+
 def test_machine_report_matches_golden(golden, tmp_path, monkeypatch):
     # An empty working directory, so the bundled names resolve to the
     # files shipped with the package.
     monkeypatch.chdir(tmp_path)
-    assert _stdout(CASES[golden] + ["--output", "machine"]) == (GOLDEN / golden).read_bytes()
+    expected = _expected(golden, "machine").read_bytes()
+    assert _stdout(CASES[golden] + ["--output", "machine"]) == (0, expected)
 
 
-@pytest.mark.parametrize("golden", sorted(CASES))
 def test_table_report_matches_golden(golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    table = Path(golden).with_suffix(".txt").name
-    assert _stdout(CASES[golden] + ["--output", "table"]) == (GOLDEN / table).read_bytes()
+    expected = _expected(golden, "table").read_bytes()
+    assert _stdout(CASES[golden] + ["--output", "table"]) == (0, expected)
+
+
+def replay() -> int:
+    """Every case in both formats, from an empty temporary directory:
+    0 when all match, else 1 after naming the first that differs."""
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as empty:
+        os.chdir(empty)
+        try:
+            for golden in sorted(CASES):
+                for output in ("machine", "table"):
+                    expected = _expected(golden, output)
+                    code, got = _stdout(CASES[golden] + ["--output", output])
+                    if (code, got) != (0, expected.read_bytes()):
+                        print(f"mismatch: {expected.name} (exit {code})", file=sys.stderr)
+                        return 1
+        finally:
+            os.chdir(start)
+    print(f"{2 * len(CASES)} golden reports match", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.exit(replay())

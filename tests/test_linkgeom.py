@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +35,10 @@ from oracles import (
     fraction_first_self_touch,
     fraction_segment_distance_squared,
     quadrature_linking,
+    reference_gauss_linking,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_hopf_link_is_plus_one_both_ways():
@@ -124,16 +128,16 @@ def test_far_loop_has_zero_coordinates():
 
 def test_torus_relation_from_builtin_data():
     rings = borromean_rings()
-    assert torus_relation(*linking_numbers(rings, borromean_axis())).coords == (1, 1, 1)
-    assert torus_relation(*linking_numbers(rings, borromean_meridian(0))).coords == (1, 0, 0)
+    assert torus_relation(*linking_numbers(rings, borromean_axis())) == (1, 1, 1)
+    assert torus_relation(*linking_numbers(rings, borromean_meridian(0))) == (1, 0, 0)
 
 
 def test_two_parallel_axis_copies():
     rings = borromean_rings()
     first = borromean_axis()
     second = borromean_axis(Fraction(1, 8))
-    assert torus_relation(*linking_numbers(rings, first)).coords == (1, 1, 1)
-    assert torus_relation(*linking_numbers(rings, second)).coords == (1, 1, 1)
+    assert torus_relation(*linking_numbers(rings, first)) == (1, 1, 1)
+    assert torus_relation(*linking_numbers(rings, second)) == (1, 1, 1)
     assert linking_number_crossings(first, second) == 0
     # The parallel copies really are disjoint from everything.
     PolygonalLink(rings.components + (first, second))
@@ -230,7 +234,9 @@ def test_random_skew_polygons_agree_across_methods():
         except EmbeddingError:
             continue
         exact = linking_number_crossings(a, b)
-        assert abs(linking_number_gauss(a, b) - exact) < 1e-6
+        gauss = linking_number_gauss(a, b)
+        assert abs(gauss - exact) < 1e-6
+        assert gauss == reference_gauss_linking(a.vertices, b.vertices)
         checked += 1
         linked += exact != 0
     assert linked > 0  # the corpus is not all trivial
@@ -316,6 +322,24 @@ def test_parse_link_text_errors():
         parse_link_text("1 2\n")
     with pytest.raises(ValueError, match="bad rational"):
         parse_link_text("1 2 x\n")
+    # Coordinates a float cannot hold, in a file with a second component.
+    # An exponent alone past float range is refused before the number is
+    # built; the others are refused once they are.
+    second = "\n5 5 5\n6 5 5\n5 6 5\n"
+    for far, why in (
+        ("1e400", "has an exponent outside"),
+        ("1e2000000", "has an exponent outside"),
+        ("-1E-2000000", "has an exponent outside"),
+        ("0e999", "has an exponent outside"),
+        ("1.8e308", "is outside"),
+        ("1e-330", "is outside"),
+        ("1" + "0" * 400, "is outside"),
+        ("1/" + "9" * 400, "is outside"),
+    ):
+        with pytest.raises(ValueError, match=f"^line 2: coordinate {far} {why} float range$"):
+            parse_link_text(f"0 0 0\n{far} 0 0\n0 1 0\n" + second)
+    # Zero and the extremes a float holds are accepted.
+    parse_link_text("0e99 0 0\n1.7e308 0 0\n0 5e-324 1\n" + second)
 
 
 def test_bundled_link_files_match_builders():
@@ -416,6 +440,9 @@ def test_kernel_matches_oracle_on_perturbed_refinements():
     comps = [perturb_curve(c, rng, denominator=1024, amplitude=16) for c in rings.components]
     moved_axis = perturb_curve(axis, rng, denominator=999, amplitude=16)
     for comp in comps:
+        assert linking_number_gauss(moved_axis, comp) == reference_gauss_linking(
+            moved_axis.vertices, comp.vertices
+        )
         assert _kernel_separation(moved_axis, comp) == fraction_curves_distance_squared(
             moved_axis.vertices, comp.vertices
         )
@@ -423,6 +450,44 @@ def test_kernel_matches_oracle_on_perturbed_refinements():
         assert _kernel_crossings(moved_axis, comp, d) == fraction_crossing_total(
             moved_axis.vertices, comp.vertices, d
         )
+
+
+@pytest.mark.parametrize("link, axis", [("borromean16.lnk", "borromean16-axis.lnk"), ("hopf32.lnk", None)])
+def test_gauss_kernel_matches_the_reference_on_golden_links(link, axis):
+    curves = load_link(GOLDEN / link).components
+    if axis is not None:
+        curves += load_link(GOLDEN / axis).components
+    for i, a in enumerate(curves):
+        for b in curves[i + 1 :]:
+            assert linking_number_gauss(a, b) == reference_gauss_linking(a.vertices, b.vertices)
+
+
+def test_kernels_match_the_references_off_the_dyadic_grid():
+    # Thirds, sevenths, tenths and 999ths round when read as floats, so the
+    # Gauss sum's association order shows in its last bits; the second
+    # curve is shifted by a random offset, so the separation scan prunes
+    # many segment pairs by their bounding boxes.
+    rng = random.Random(5)
+
+    def random_polygon(den, offset):
+        while True:
+            verts = [
+                tuple(Fraction(rng.randint(-3 * den, 3 * den), den) + o for o in offset)
+                for _ in range(rng.randint(3, 7))
+            ]
+            try:
+                return PolygonalCurve(verts)
+            except EmbeddingError:
+                continue
+
+    for _ in range(100):
+        den = rng.choice((3, 7, 10, 999))
+        a = random_polygon(den, (0, 0, 0))
+        b = random_polygon(den, tuple(rng.randint(-4, 4) for _ in range(3)))
+        separation = _kernel_separation(a, b)
+        assert separation == fraction_curves_distance_squared(a.vertices, b.vertices)
+        if separation > Fraction(1, 10**10):
+            assert linking_number_gauss(a, b) == reference_gauss_linking(a.vertices, b.vertices)
 
 
 SQUARE = PolygonalCurve(((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)))
@@ -454,6 +519,10 @@ def test_kernel_matches_oracle_on_built_cases(other, touching, direction, outcom
         assert expected == outcome
 
 
+def _parallel(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]) == (0, 0, 0)
+
+
 def test_self_touching_edges_named_like_the_oracle():
     for verts in (
         # The fourth vertex lies on the first edge.
@@ -467,6 +536,28 @@ def test_self_touching_edges_named_like_the_oracle():
         assert touch is not None
         with pytest.raises(EmbeddingError, match=f"segments {touch[0]} and {touch[1]} intersect"):
             PolygonalCurve(verts)
+    # Random integer polygons in a 4 x 4 x 4 box, where touches are
+    # common. Polygons with coinciding or backtracking neighbours are
+    # rejected before any touch test, so the corpus leaves them out.
+    rng = random.Random(1618)
+    accepted = rejected = 0
+    while accepted + rejected < 300:
+        verts = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(3, 8))]
+        edges = [tuple(q[k] - p[k] for k in range(3)) for p, q in zip(verts, verts[1:] + verts[:1])]
+        if any(e == (0, 0, 0) for e in edges) or any(
+            _parallel(u, v) and sum(a * b for a, b in zip(u, v)) < 0
+            for u, v in zip(edges, edges[1:] + edges[:1])
+        ):
+            continue
+        touch = fraction_first_self_touch(verts)
+        if touch is None:
+            PolygonalCurve(verts)
+            accepted += 1
+        else:
+            with pytest.raises(EmbeddingError, match=f"^segments {touch[0]} and {touch[1]} intersect$"):
+                PolygonalCurve(verts)
+            rejected += 1
+    assert accepted > 30 and rejected > 30
 
 
 @pytest.mark.parametrize("micro, ill_conditioned", [(Fraction(999, 1000), True), (Fraction(1001, 1000), False)])

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibresum import reports
+from fibresum import theoremreport
 from fibresum.cli import main
 from fibresum.gompfsum import CheckReport, FormClass
 from fibresum.intlat import DivisibilityReport, IntVector
-from fibresum.reports import ReportBuilder, _render_json
+from fibresum.reports import _render_json
+from fibresum.theoremreport import FormList, TheoremReportBuilder
 from oracles import form_doc, json_report, per_form_check_entries
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,7 +98,7 @@ def test_form_writer_matches_the_oracle(forms, wrappers):
             value = [value, "x"] if wrapper == "list" else {"a": "x", "forms": value, "z": []}
         return value
 
-    written = _render_json(nest(reports.FormList(forms)))
+    written = _render_json(nest(FormList(forms)))
     assert written == json_report(nest([form_doc(f) for f in forms]))
 
 
@@ -126,7 +127,7 @@ def _random_check_reports(rng):
 @pytest.mark.parametrize("seed", range(40))
 def test_grouped_form_checks_match_the_per_form_loop(seed):
     forms, reports = _random_check_reports(random.Random(seed))
-    builder = ReportBuilder(seed=0, cap=0)
+    builder = TheoremReportBuilder(seed=0, cap=0)
     builder.add_form_checks("r", forms, reports)
     assert (builder.checks, builder.table_lines) == per_form_check_entries("r", forms, reports)
 
@@ -153,15 +154,17 @@ def _refuse(*args):
 @pytest.mark.parametrize("case", sorted(FORMAT_CASES))
 def test_each_format_builds_only_its_own_per_form_output(case, monkeypatch):
     argv = FORMAT_CASES[case]
-    write_form, table_rows = reports._write_form, reports._table_rows
+    write_form, table_rows = FormList.write_item, theoremreport._table_rows
     written, rows = [], []
     with monkeypatch.context() as patch:
-        patch.setattr(reports, "_table_rows", _refuse)
-        patch.setattr(reports, "_write_form", lambda form, *a: written.append(form) or write_form(form, *a))
+        patch.setattr(theoremreport, "_table_rows", _refuse)
+        patch.setattr(
+            FormList, "write_item", staticmethod(lambda form, *a: written.append(form) or write_form(form, *a))
+        )
         machine = json.loads(_report(argv, "machine"))
     with monkeypatch.context() as patch:
-        patch.setattr(reports, "_write_form", _refuse)
-        patch.setattr(reports, "_table_rows", lambda forms: rows.extend(forms) or table_rows(forms))
+        patch.setattr(FormList, "write_item", staticmethod(_refuse))
+        patch.setattr(theoremreport, "_table_rows", lambda forms: rows.extend(forms) or table_rows(forms))
         _report(argv, "table")
     assert len(written) == len(rows) == len(machine["forms"]) > 0
 
