@@ -17,17 +17,20 @@ with one `key = value` pair per line and `#` comments:
     [task enumerate]
     recipe = cor15
 
-Custom manifolds mirror the record fields (euler, signature, b1, b2,
-basis, c1, pairing_row repeated per basis row with `?` for untracked
-entries) and declare their tori in `[torus NAME]` sections. Every
-reference is resolved and every record validated at load time. The
-parsed result is a `settings.RunConfig`.
+`KEYS` names the keys of each section kind and task kind. Custom
+manifolds mirror the record fields (euler, signature, b1, b2, basis, c1,
+pairing_row repeated per basis row with `?` for untracked entries) and
+declare their tori in `[torus NAME]` sections. Any other key is a
+`ConfigError` naming the key and its line, which exits 2 from the
+command line; so is a second value for a key that does not repeat.
+Every reference is resolved and every record validated at load time.
+The parsed result is a `settings.RunConfig`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ConfigError, RecipeError
 from .fourman import (
@@ -54,53 +57,120 @@ from .settings import (
 
 __all__ = ["parse_config", "parse_config_text"]
 
-BUILTIN_MANIFOLDS = ("T4", "E1")
+# The keys of each section kind, with task sections keyed by task kind;
+# a key marked `*` may repeat. A manifold section with `builtin` takes
+# that key alone. Top-level keys, under "", may repeat and the last holds.
+KEYS = {
+    "": "seed* cap* output*",
+    "builtin": "builtin",
+    "manifold": "euler signature b1 b2 basis c1 pairing_row* pi1_tori_generate simply_connected",
+    "torus": "manifold class kind dual parallel",
+    "recipe": "manifold glue*",
+    "task verify": "manifold tori sum n",
+    "task build": "manifold tori sum n",
+    "task enumerate": "recipe",
+    "task solve": "primes",
+    "task linking": "link axis",
+}
 
 
-def _builtin(name: str) -> tuple[FourManifold, dict[str, EmbeddedTorus]]:
-    if name == "T4":
-        manifold, tori = build_t4()
-        return manifold, {t.label: t for t in tori}
-    if name == "E1":
-        manifold, fibre = build_e1()
-        return manifold, {fibre.label: fibre}
-    raise ValueError(f"unknown builtin manifold {name}")
+def _e1() -> tuple[FourManifold, tuple[EmbeddedTorus, ...]]:
+    manifold, fibre = build_e1()
+    return manifold, (fibre,)
 
 
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
+# Each builtin record with its tori, by name.
+_BUILTINS = {"T4": build_t4, "E1": _e1}
+
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 
 
 class _Section:
-    def __init__(self, kind: str, name: str, line: int) -> None:
+    """One section's `key = value` pairs, read through `KEYS`. Its typed
+    reads report errors at the section's header line."""
+
+    def __init__(self, path: str, kind: str, name: str, line: Optional[int]) -> None:
+        self.path = path
         self.kind = kind
         self.name = name
         self.line = line
         self.pairs: list[tuple[str, str, int]] = []
+        self.values: dict[str, str] = {}
 
-    def get(self, key: str, path: str) -> Optional[str]:
-        values = [v for k, v, _ in self.pairs if k == key]
-        if not values:
-            return None
-        if len(values) > 1:
-            raise ConfigError(f"duplicate key {key!r} in [{self.kind} {self.name}]", path=path, line=self.line)
-        return values[0]
+    def __str__(self) -> str:
+        return f"[{self.kind} {self.name}]"
 
-    def require(self, key: str, path: str) -> str:
-        value = self.get(key, path)
-        if value is None:
-            raise ConfigError(f"missing key {key!r} in [{self.kind} {self.name}]", path=path, line=self.line)
-        return value
+    def error(self, message: str, line: Optional[int] = None) -> ConfigError:
+        return ConfigError(message, path=self.path, line=line or self.line)
+
+    def read(self) -> None:
+        """Take each key's value, refusing a key that `KEYS` does not name
+        for this section and a second value for a key that does not repeat."""
+        entry = self.kind
+        if self.kind == "task":
+            entry = f"task {self.name}"
+            if entry not in KEYS:
+                kinds = ", ".join(k.split()[1] for k in KEYS if k.startswith("task "))
+                raise self.error(f"unknown task kind {self.name!r} ({kinds})")
+        elif self.kind == "manifold" and any(key == "builtin" for key, _, _ in self.pairs):
+            entry = "builtin"
+        keys = KEYS[entry].split()
+        for key, value, line in self.pairs:
+            if key + "*" in keys:
+                continue
+            if key not in keys:
+                where = f"key {key!r} in {self}" if self.kind else f"top-level key {key!r}"
+                raise self.error(f"unknown {where}", line)
+            if key in self.values:
+                raise self.error(f"duplicate key {key!r} in {self}")
+            self.values[key] = value
+
+    def get(self, key: str) -> Optional[str]:
+        return self.values.get(key)
+
+    def require(self, key: str) -> str:
+        if key not in self.values:
+            raise self.error(f"missing key {key!r} in {self}")
+        return self.values[key]
 
     def all(self, key: str) -> list[tuple[str, int]]:
+        """The values of a repeated key, each with its line."""
         return [(v, ln) for k, v, ln in self.pairs if k == key]
 
+    def integer(self, key: str) -> int:
+        return parse_int(self.require(key), key, self.path, self.line)
 
-def _split_sections(text: str, path: str) -> tuple[list[tuple[str, str, int]], list[_Section]]:
-    top: list[tuple[str, str, int]] = []
+    def vector(self, key: str, required: bool = True) -> Optional[IntVector]:
+        value = self.require(key) if required else self.get(key)
+        return None if value is None else IntVector(parse_int_list(value, key, self.path, self.line))
+
+    def flag(self, key: str) -> bool:
+        value = self.get(key) or "false"
+        if value.lower() not in _FLAGS:
+            raise self.error(f"{key}: expected a boolean, got {value!r}")
+        return _FLAGS[value.lower()]
+
+    def new_name(self, taken: dict, owner: str = "") -> str:
+        """The section's name, refused when empty or already in `taken`."""
+        if not self.name:
+            raise self.error(f"{self.kind} section needs a name")
+        if self.name in taken:
+            raise self.error(f"{self.kind} {self.name!r}{owner} defined twice")
+        return self.name
+
+    def manifold(self, config: RunConfig) -> str:
+        """The loaded manifold that the `manifold` key names."""
+        name = self.require("manifold")
+        if name not in config.manifolds:
+            raise self.error(f"unknown manifold {name!r}")
+        return name
+
+
+def _split_sections(text: str, path: str) -> tuple[_Section, list[_Section]]:
+    """The top-level keys and the sections, each read through `KEYS`."""
+    top = current = _Section(path, "", "", None)
     sections: list[_Section] = []
-    current: Optional[_Section] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,11 +181,11 @@ def _split_sections(text: str, path: str) -> tuple[list[tuple[str, str, int]], l
             tokens = line[1:-1].split()
             if not tokens:
                 raise ConfigError("empty section header", path=path, line=lineno)
-            kind = tokens[0]
-            name = tokens[1] if len(tokens) > 1 else ""
             if len(tokens) > 2:
                 raise ConfigError("section header takes at most two words", path=path, line=lineno)
-            current = _Section(kind=kind, name=name, line=lineno)
+            if tokens[0] not in _LOADERS:
+                raise ConfigError(f"unknown section kind {tokens[0]!r}", path=path, line=lineno)
+            current = _Section(path, tokens[0], tokens[1] if len(tokens) > 1 else "", lineno)
             sections.append(current)
             continue
         if "=" not in line:
@@ -123,74 +193,37 @@ def _split_sections(text: str, path: str) -> tuple[list[tuple[str, str, int]], l
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError("empty key", path=path, line=lineno)
-        if current is None:
-            top.append((key, value, lineno))
-        else:
-            current.pairs.append((key, value, lineno))
+        current.pairs.append((key, value, lineno))
+    for section in [top] + sections:
+        section.read()
     return top, sections
-
-
-def _parse_bool(value: str, what: str, path: str, line: int) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{what}: expected a boolean, got {value!r}", path=path, line=line)
-
-
-def _parse_signs(tokens: Sequence[str], path: str, line: int) -> tuple[int, ...]:
-    signs = []
-    for tok in tokens:
-        if tok in ("+", "+1"):
-            signs.append(1)
-        elif tok in ("-", "-1"):
-            signs.append(-1)
-        else:
-            raise ConfigError(f"expected a sign (+ or -), got {tok!r}", path=path, line=line)
-    return tuple(signs)
 
 
 def parse_config_text(text: str, *, path: str = "<config>", base_dir: Optional[Path] = None) -> RunConfig:
     top, sections = _split_sections(text, path)
     config = RunConfig(path=path, base_dir=base_dir or Path.cwd())
 
-    for key, value, lineno in top:
-        if key == "seed":
-            seed = parse_int(value, "seed", path, lineno)
-            config.seed = check_limit("seed", seed, path=path, line=lineno)
-        elif key == "cap":
-            cap = parse_int(value, "cap", path, lineno)
-            config.enumeration_cap = check_limit("cap", cap, path=path, line=lineno)
-        elif key == "output":
+    for key, value, lineno in top.pairs:
+        if key == "output":
             if value not in ("table", "machine"):
-                raise ConfigError(f"output must be 'table' or 'machine', got {value!r}", path=path, line=lineno)
+                raise top.error(f"output must be 'table' or 'machine', got {value!r}", lineno)
             config.output_format = value
+            continue
+        number = check_limit(key, parse_int(value, key, path, lineno), path=path, line=lineno)
+        if key == "seed":
+            config.seed = number
         else:
-            raise ConfigError(f"unknown top-level key {key!r}", path=path, line=lineno)
+            config.enumeration_cap = number
 
     # Manifolds first, then tori, then recipes, then tasks, so sections
-    # may appear in any order in the file.
-    for section in sections:
-        if section.kind == "manifold":
-            _load_manifold(section, config)
-    for section in sections:
-        if section.kind == "torus":
-            _load_torus(section, config)
-    for name, manifold in config.manifolds.items():
-        problems = validate(manifold, tuple(config.tori.get(name, {}).values()))
-        if problems:
-            raise ConfigError(
-                f"manifold {name!r} is inconsistent: " + "; ".join(problems), path=path
-            )
-    for section in sections:
-        if section.kind == "recipe":
-            _load_recipe(section, config)
-    for section in sections:
-        if section.kind == "task":
-            _load_task(section, config)
-        elif section.kind not in ("manifold", "torus", "recipe"):
-            raise ConfigError(f"unknown section kind {section.kind!r}", path=path, line=section.line)
+    # may appear in any order in the file. The records are validated
+    # once their tori are in.
+    for kind, load in _LOADERS.items():
+        if kind == "recipe":
+            _validate_records(config)
+        for section in sections:
+            if section.kind == kind:
+                load(section, config)
 
     if not config.tasks:
         raise ConfigError("no tasks", path=path)
@@ -198,140 +231,84 @@ def parse_config_text(text: str, *, path: str = "<config>", base_dir: Optional[P
 
 
 def _load_manifold(section: _Section, config: RunConfig) -> None:
-    path = config.path
-    name = section.name
-    if not name:
-        raise ConfigError("manifold section needs a name", path=path, line=section.line)
-    if name in config.manifolds:
-        raise ConfigError(f"manifold {name!r} defined twice", path=path, line=section.line)
-    builtin = section.get("builtin", path)
+    name = section.new_name(config.manifolds)
+    builtin = section.get("builtin")
     if builtin is not None:
-        if builtin not in BUILTIN_MANIFOLDS:
-            raise ConfigError(
-                f"unknown builtin {builtin!r} (available: {', '.join(BUILTIN_MANIFOLDS)})",
-                path=path,
-                line=section.line,
-            )
-        manifold, tori = _builtin(builtin)
+        if builtin not in _BUILTINS:
+            raise section.error(f"unknown builtin {builtin!r} (available: {', '.join(_BUILTINS)})")
+        manifold, tori = _BUILTINS[builtin]()
         config.manifolds[name] = manifold
-        config.tori[name] = tori
+        config.tori[name] = {t.label: t for t in tori}
         return
-    basis = tuple(section.require("basis", path).split())
+    basis = tuple(section.require("basis").split())
     dim = len(basis)
     rows = []
     for value, lineno in section.all("pairing_row"):
         entries = []
         for tok in value.split():
-            entries.append(None if tok == "?" else parse_int(tok, "pairing entry", path, lineno))
+            entries.append(None if tok == "?" else parse_int(tok, "pairing entry", config.path, lineno))
         if len(entries) != dim:
-            raise ConfigError(
-                f"pairing row has {len(entries)} entries, expected {dim}", path=path, line=lineno
-            )
+            raise section.error(f"pairing row has {len(entries)} entries, expected {dim}", lineno)
         rows.append(tuple(entries))
     if len(rows) != dim:
-        raise ConfigError(
-            f"manifold {name!r} needs {dim} pairing rows, got {len(rows)}",
-            path=path,
-            line=section.line,
-        )
+        raise section.error(f"manifold {name!r} needs {dim} pairing rows, got {len(rows)}")
+    c1 = section.vector("c1", required=False)
     try:
-        pairing = PairingMatrix(tuple(rows))
-    except ValueError as exc:
-        raise ConfigError(str(exc), path=path, line=section.line) from None
-    c1_value = section.get("c1", path)
-    c1 = (
-        IntVector(parse_int_list(c1_value, "c1", path, section.line))
-        if c1_value is not None
-        else IntVector.zero(dim)
-    )
-    try:
-        manifold = FourManifold(
+        config.manifolds[name] = FourManifold(
             name=name,
-            euler=parse_int(section.require("euler", path), "euler", path, section.line),
-            signature=parse_int(section.require("signature", path), "signature", path, section.line),
-            b1=parse_int(section.require("b1", path), "b1", path, section.line),
-            b2=parse_int(section.require("b2", path), "b2", path, section.line),
+            euler=section.integer("euler"),
+            signature=section.integer("signature"),
+            b1=section.integer("b1"),
+            b2=section.integer("b2"),
             lattice_basis_labels=basis,
-            pairing=pairing,
-            c1=c1,
-            pi1_normally_generated_by_tori=_parse_bool(
-                section.get("pi1_tori_generate", path) or "false",
-                "pi1_tori_generate",
-                path,
-                section.line,
-            ),
-            simply_connected=_parse_bool(
-                section.get("simply_connected", path) or "false",
-                "simply_connected",
-                path,
-                section.line,
-            ),
+            pairing=PairingMatrix(tuple(rows)),
+            c1=IntVector.zero(dim) if c1 is None else c1,
+            pi1_normally_generated_by_tori=section.flag("pi1_tori_generate"),
+            simply_connected=section.flag("simply_connected"),
         )
     except ValueError as exc:
-        raise ConfigError(str(exc), path=path, line=section.line) from None
-    config.manifolds[name] = manifold
-    config.tori.setdefault(name, {})
+        raise section.error(str(exc)) from None
+    config.tori[name] = {}
 
 
 def _load_torus(section: _Section, config: RunConfig) -> None:
-    path = config.path
-    label = section.name
-    if not label:
-        raise ConfigError("torus section needs a name", path=path, line=section.line)
-    manifold_name = section.require("manifold", path)
-    if manifold_name not in config.manifolds:
-        raise ConfigError(f"unknown manifold {manifold_name!r}", path=path, line=section.line)
-    table = config.tori.setdefault(manifold_name, {})
-    if label in table:
-        raise ConfigError(
-            f"torus {label!r} on {manifold_name!r} defined twice", path=path, line=section.line
-        )
-    kind = section.require("kind", path)
+    manifold_name = section.manifold(config)
+    table = config.tori[manifold_name]
+    label = section.new_name(table, f" on {manifold_name!r}")
+    kind = section.require("kind")
     if kind not in (SYMPLECTIC, LAGRANGIAN):
-        raise ConfigError(
-            f"torus kind must be {SYMPLECTIC!r} or {LAGRANGIAN!r}, got {kind!r}",
-            path=path,
-            line=section.line,
-        )
-    klass = IntVector(parse_int_list(section.require("class", path), "class", path, section.line))
-    dual_value = section.get("dual", path)
-    dual = (
-        IntVector(parse_int_list(dual_value, "dual", path, section.line))
-        if dual_value is not None
-        else None
-    )
+        raise section.error(f"torus kind must be {SYMPLECTIC!r} or {LAGRANGIAN!r}, got {kind!r}")
     table[label] = EmbeddedTorus(
         label=label,
-        klass=klass,
+        klass=section.vector("class"),
         kind=kind,
-        dual=dual,
-        parallel_copies_available=_parse_bool(
-            section.get("parallel", path) or "false", "parallel", path, section.line
-        ),
+        dual=section.vector("dual", required=False),
+        parallel_copies_available=section.flag("parallel"),
     )
+
+
+def _validate_records(config: RunConfig) -> None:
+    for name, manifold in config.manifolds.items():
+        problems = validate(manifold, tuple(config.tori[name].values()))
+        if problems:
+            raise ConfigError(
+                f"manifold {name!r} is inconsistent: " + "; ".join(problems), path=config.path
+            )
 
 
 def _load_recipe(section: _Section, config: RunConfig) -> None:
-    path = config.path
-    name = section.name
-    if not name:
-        raise ConfigError("recipe section needs a name", path=path, line=section.line)
-    if name in config.recipes:
-        raise ConfigError(f"recipe {name!r} defined twice", path=path, line=section.line)
-    manifold_name = section.require("manifold", path)
-    if manifold_name not in config.manifolds:
-        raise ConfigError(f"unknown manifold {manifold_name!r}", path=path, line=section.line)
+    name = section.new_name(config.recipes)
+    manifold_name = section.manifold(config)
     gluings = []
     for value, lineno in section.all("glue"):
         tokens = value.split()
         if len(tokens) < 2:
-            raise ConfigError(
-                "glue needs a torus label and at least one sign", path=path, line=lineno
-            )
-        label = tokens[0]
-        config.torus(manifold_name, label, line=lineno)
-        signs = _parse_signs(tokens[1:], path, lineno)
-        gluings.append(Gluing(label, signs))
+            raise section.error("glue needs a torus label and at least one sign", lineno)
+        config.torus(manifold_name, tokens[0], line=lineno)
+        for tok in tokens[1:]:
+            if tok not in _SIGNS:
+                raise section.error(f"expected a sign (+ or -), got {tok!r}", lineno)
+        gluings.append(Gluing(tokens[0], tuple(_SIGNS[tok] for tok in tokens[1:])))
     try:
         config.recipes[name] = SumRecipe(
             base=config.manifolds[manifold_name],
@@ -340,44 +317,35 @@ def _load_recipe(section: _Section, config: RunConfig) -> None:
             name=name,
         )
     except RecipeError as exc:
-        raise ConfigError(f"recipe {name!r} is invalid: {exc}", path=path, line=section.line) from None
+        raise section.error(f"recipe {name!r} is invalid: {exc}") from None
 
 
 def _load_task(section: _Section, config: RunConfig) -> None:
-    path = config.path
     kind = section.name
-    line = section.line
     if kind in ("verify", "build"):
-        manifold_name = section.require("manifold", path)
-        if manifold_name not in config.manifolds:
-            raise ConfigError(f"unknown manifold {manifold_name!r}", path=path, line=line)
-        tori_labels = tuple(section.require("tori", path).split())
-        for label in tori_labels:
-            config.torus(manifold_name, label, line=line)
-        sum_label = section.require("sum", path)
-        config.torus(manifold_name, sum_label, line=line)
-        n = parse_int(section.require("n", path), "n", path, line)
+        manifold_name = section.manifold(config)
+        tori_labels = tuple(section.require("tori").split())
+        sum_label = section.require("sum")
+        for label in tori_labels + (sum_label,):
+            config.torus(manifold_name, label, line=section.line)
+        n = section.integer("n")
         config.tasks.append(TheoremTask(kind, manifold_name, tori_labels, sum_label, n))
     elif kind == "enumerate":
-        recipe_name = section.require("recipe", path)
+        recipe_name = section.require("recipe")
         if recipe_name not in config.recipes:
-            raise ConfigError(f"unknown recipe {recipe_name!r}", path=path, line=line)
+            raise section.error(f"unknown recipe {recipe_name!r}")
         config.tasks.append(EnumerateTask(recipe_name))
     elif kind == "solve":
-        primes = parse_int_list(section.require("primes", path), "primes", path, line)
+        primes = section.vector("primes").coords
         if not primes:
-            raise ConfigError("solve task needs at least one prime", path=path, line=line)
+            raise section.error("solve task needs at least one prime")
         config.tasks.append(SolveTask(primes))
-    elif kind == "linking":
-        link = section.require("link", path)
-        axis = section.get("axis", path)
-        config.tasks.append(LinkingTask(link, axis))
     else:
-        raise ConfigError(
-            f"unknown task kind {kind!r} (verify, build, enumerate, solve, linking)",
-            path=path,
-            line=line,
-        )
+        config.tasks.append(LinkingTask(section.require("link"), section.get("axis")))
+
+
+# Each section kind's loader, in load order.
+_LOADERS = {"manifold": _load_manifold, "torus": _load_torus, "recipe": _load_recipe, "task": _load_task}
 
 
 def parse_config(path: "str | Path") -> RunConfig:
