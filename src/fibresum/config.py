@@ -126,9 +126,6 @@ class _Section:
                 raise self.error(f"duplicate key {key!r} in {self}")
             self.values[key] = value
 
-    def get(self, key: str) -> Optional[str]:
-        return self.values.get(key)
-
     def require(self, key: str) -> str:
         if key not in self.values:
             raise self.error(f"missing key {key!r} in {self}")
@@ -142,11 +139,11 @@ class _Section:
         return parse_int(self.require(key), key, self.path, self.line)
 
     def vector(self, key: str, required: bool = True) -> Optional[IntVector]:
-        value = self.require(key) if required else self.get(key)
+        value = self.require(key) if required else self.values.get(key)
         return None if value is None else IntVector(parse_int_list(value, key, self.path, self.line))
 
     def flag(self, key: str) -> bool:
-        value = self.get(key) or "false"
+        value = self.values.get(key) or "false"
         if value.lower() not in _FLAGS:
             raise self.error(f"{key}: expected a boolean, got {value!r}")
         return _FLAGS[value.lower()]
@@ -232,7 +229,7 @@ def parse_config_text(text: str, *, path: str = "<config>", base_dir: Optional[P
 
 def _load_manifold(section: _Section, config: RunConfig) -> None:
     name = section.new_name(config.manifolds)
-    builtin = section.get("builtin")
+    builtin = section.values.get("builtin")
     if builtin is not None:
         if builtin not in _BUILTINS:
             raise section.error(f"unknown builtin {builtin!r} (available: {', '.join(_BUILTINS)})")
@@ -341,7 +338,7 @@ def _load_task(section: _Section, config: RunConfig) -> None:
             raise section.error("solve task needs at least one prime")
         config.tasks.append(SolveTask(primes))
     else:
-        config.tasks.append(LinkingTask(section.require("link"), section.get("axis")))
+        config.tasks.append(LinkingTask(section.require("link"), section.values.get("axis")))
 
 
 # Each section kind's loader, in load order.
