@@ -1,18 +1,23 @@
 """Command-line interface: subcommand dispatch and task execution.
 
-Exit codes: 0 success, 1 standard output closed before the report was
-written, 2 validation failure (bad config, unresolved reference, failed
-hypothesis gate, a task too large for the enumeration cap or for
-memory), 3 mathematical inconsistency (an internal invariant
-check failed, so the run's results must not be trusted).
+Exit codes: 0 success (also after `--help`), 1 standard output closed
+before the report was written, 2 validation failure (bad config,
+unresolved reference, failed hypothesis gate, a task too large for the
+enumeration cap or for memory) or usage error (no or unknown command,
+unknown or repeated flag, missing or bad value, missing `--config`),
+3 mathematical inconsistency (an internal invariant check failed, so the
+run's results must not be trusted).
+
+The command line is read through one flag table, `_COMMANDS`: flags are
+spelled in full, as `--flag value` or `--flag=value`, each at most once.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
@@ -175,7 +180,7 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
     return code
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: SimpleNamespace) -> RunConfig:
     from .config import parse_config
 
     if args.config is None:
@@ -190,111 +195,150 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> None:
-    if getattr(args, "output", None):
+def _apply_overrides(config: RunConfig, args: SimpleNamespace) -> None:
+    if args.output is not None:
         config.output_format = args.output
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.seed = check_limit("seed", args.seed, path="--seed")
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         config.enumeration_cap = check_limit("cap", args.cap, path="--cap")
 
 
-def _synthetic_config(args: argparse.Namespace, tasks: list[Task]) -> RunConfig:
+def _synthetic_config(args: SimpleNamespace, tasks: list[Task]) -> RunConfig:
     config = RunConfig(tasks=tasks, base_dir=Path.cwd(), path="<args>")
     _apply_overrides(config, args)
     return config
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, *, config_required: bool) -> None:
-    parser.add_argument(
-        "--config",
-        metavar="PATH",
-        required=config_required,
-        help="configuration file (bundled names like corollary15.cfg also resolve)",
+# Each flag's value name and help.
+_FLAGS = {
+    "config": ("PATH", "configuration file (bundled names like corollary15.cfg also resolve)"),
+    "output": ("table|machine", "report format"),
+    "seed": ("N", "seed for the projection directions of linking numbers"),
+    "cap": ("N", "most distinct Chern classes the sign enumeration may hold after a gluing"),
+    "primes": ("P1,P2,...", "distinct odd primes"),
+    "link": ("PATH", "link file (surgery components)"),
+    "axis": ("PATH", "axis curve file"),
+}
+# Each command's help and flags; a flag marked `!` is required.
+_COMMANDS = {
+    "verify": ("run the hypothesis gate for the config's verify tasks", "config! output seed cap"),
+    "build": ("synthesize recipes for the config's build tasks", "config! output seed cap"),
+    "enumerate": ("enumerate sign assignments for the config's enumerate tasks", "config! output seed cap"),
+    "run": ("run every task in the config, in order", "config! output seed cap"),
+    "solve": ("realize one divisibility per prime", "config output seed cap primes"),
+    "linking": ("linking numbers and the torus relation", "config output seed cap link axis"),
+}
+_HELP = ("-h", "--help")
+
+
+class _Usage(Exception):
+    """A command line that cannot run; args: the command or None, the message."""
+
+
+def _flags(command: str) -> dict[str, bool]:
+    """The command's flags, each with whether it is required."""
+    return {flag.rstrip("!"): flag.endswith("!") for flag in _COMMANDS[command][1].split()}
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: fibresum COMMAND [--FLAG VALUE ...]"
+    words = (
+        f"--{flag} {_FLAGS[flag][0]}" if required else f"[--{flag} {_FLAGS[flag][0]}]"
+        for flag, required in _flags(command).items()
     )
-    parser.add_argument(
-        "--output", choices=("table", "machine"), default=None, help="report format"
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="seed for the projection directions of linking numbers",
-    )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="most distinct Chern classes the sign enumeration may hold after a gluing",
-    )
+    return " ".join(["usage: fibresum", command, *words])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fibresum",
-        description=(
-            "Exact bookkeeping for torus fibre sums of four-manifolds: "
-            "hypothesis checks, Chern class sign enumeration, divisibility "
-            "certificates, and polygonal linking numbers."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("verify", "run the hypothesis gate for the config's verify tasks"),
-        ("build", "synthesize recipes for the config's build tasks"),
-        ("enumerate", "enumerate sign assignments for the config's enumerate tasks"),
-        ("run", "run every task in the config, in order"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p, config_required=True)
-
-    p = sub.add_parser("solve", help="realize one divisibility per prime")
-    _add_common_flags(p, config_required=False)
-    p.add_argument("--primes", metavar="P1,P2,...", help="distinct odd primes")
-
-    p = sub.add_parser("linking", help="linking numbers and the torus relation")
-    _add_common_flags(p, config_required=False)
-    p.add_argument("--link", metavar="PATH", help="link file (surgery components)")
-    p.add_argument("--axis", metavar="PATH", help="axis curve file")
-    return parser
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        about = "Exact bookkeeping for torus fibre sums. `fibresum COMMAND --help` lists a command's flags."
+        rows = [(name, text) for name, (text, _) in _COMMANDS.items()]
+    else:
+        about = _COMMANDS[command][0]
+        rows = [(f"--{flag} {_FLAGS[flag][0]}", _FLAGS[flag][1]) for flag in _flags(command)]
+    return "\n".join([_usage(command), "", about, "", *(f"  {name:<24}{text}" for name, text in rows)])
 
 
-def _reject_config(args: argparse.Namespace, flag: str) -> None:
+def _read_command_line(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The command and each flag's value (None when not given), or None
+    once `--help` is answered."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        print(_help(None))
+        return None
+    if command not in _COMMANDS:
+        what = f"unknown command {command!r}" if command else "expected a command"
+        raise _Usage(None, f"{what} ({', '.join(_COMMANDS)})")
+    flags = _flags(command)
+    args = SimpleNamespace(command=command, **dict.fromkeys(_FLAGS))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            print(_help(command))
+            return None
+        name, equals, value = token.partition("=")
+        flag = name[2:]
+        if not name.startswith("--") or flag not in flags:
+            raise _Usage(command, f"unknown flag {name!r} for {command}")
+        if getattr(args, flag) is not None:
+            raise _Usage(command, f"{name} given twice")
+        if not equals:
+            # The next token is the value even when it starts with a dash.
+            value = next(tokens, None)
+            if value is None:
+                raise _Usage(command, f"{name} expects a value")
+        if flag in ("seed", "cap"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise _Usage(command, f"{name}: expected an integer, got {value!r}") from None
+        elif flag == "output" and value not in ("table", "machine"):
+            raise _Usage(command, f"{name} must be 'table' or 'machine', got {value!r}")
+        setattr(args, flag, value)
+    for flag, required in flags.items():
+        if required and getattr(args, flag) is None:
+            raise _Usage(command, f"{command} needs --{flag}")
+    return args
+
+
+def _reject_config(args: SimpleNamespace, flag: str) -> None:
     if args.config is not None:
         raise ConfigError(f"--config and {flag} cannot be combined")
 
 
-def _plan(args: argparse.Namespace) -> tuple[RunConfig, Optional[set[str]]]:
+def _plan(args: SimpleNamespace) -> tuple[RunConfig, Optional[set[str]]]:
     """The configuration a command line names, and the task kinds to run
     from it (None for all)."""
-    if args.command == "solve" and args.primes is not None:
+    # Only `solve` takes --primes, and only `linking` --link and --axis.
+    if args.primes is not None:
         _reject_config(args, "--primes")
         primes = parse_int_list(args.primes, "--primes", None, None)
         if not primes:
             raise ConfigError("--primes: expected at least one prime")
         return _synthetic_config(args, [SolveTask(primes)]), {"solve"}
-    if args.command == "linking":
-        if args.link is not None:
-            _reject_config(args, "--link")
-            if not args.link:
-                raise ConfigError("--link: expected a file name")
-            return _synthetic_config(args, [LinkingTask(args.link, args.axis)]), {"linking"}
-        if args.axis is not None:
-            _reject_config(args, "--axis")
+    if args.link is not None:
+        _reject_config(args, "--link")
+        if not args.link:
+            raise ConfigError("--link: expected a file name")
+        return _synthetic_config(args, [LinkingTask(args.link, args.axis)]), {"linking"}
+    if args.axis is not None:
+        _reject_config(args, "--axis")
     config = _load_config(args)
     return config, None if args.command == "run" else {args.command}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = run(*_plan(args))
+        args = _read_command_line(sys.argv[1:] if argv is None else argv)
+        code = EXIT_OK if args is None else run(*_plan(args))
         # Flushed here, so a closed pipe is met below rather than at exit.
         sys.stdout.flush()
+    except _Usage as usage:
+        command, message = usage.args
+        print(f"{_usage(command)}\nfibresum: error: {message}", file=sys.stderr)
+        return EXIT_VALIDATION
     except FibresumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -23,8 +23,9 @@ pairing_row repeated per basis row with `?` for untracked entries) and
 declare their tori in `[torus NAME]` sections. Any other key is a
 `ConfigError` naming the key and its line, which exits 2 from the
 command line; so is a second value for a key that does not repeat.
-Every reference is resolved and every record validated at load time.
-The parsed result is a `settings.RunConfig`.
+Every reference, file names included, is resolved and every record
+validated at load time; a record's problems are reported at its
+`[manifold NAME]` header. The parsed result is a `settings.RunConfig`.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class _Section:
         self.line = line
         self.pairs: list[tuple[str, str, int]] = []
         self.values: dict[str, str] = {}
+        self.lines: dict[str, int] = {}
 
     def __str__(self) -> str:
         return f"[{self.kind} {self.name}]"
@@ -125,6 +127,7 @@ class _Section:
             if key in self.values:
                 raise self.error(f"duplicate key {key!r} in {self}")
             self.values[key] = value
+            self.lines[key] = line
 
     def require(self, key: str) -> str:
         if key not in self.values:
@@ -155,6 +158,14 @@ class _Section:
         if self.name in taken:
             raise self.error(f"{self.kind} {self.name!r}{owner} defined twice")
         return self.name
+
+    def file(self, key: str, config: RunConfig, required: bool = True) -> Optional[str]:
+        """The file name under `key`, once it resolves to a file; a name
+        that does not is reported at the key's line."""
+        name = self.require(key) if required else self.values.get(key)
+        if name is not None:
+            config.resolve_file(name, line=self.lines[key])
+        return name
 
     def manifold(self, config: RunConfig) -> str:
         """The loaded manifold that the `manifold` key names."""
@@ -217,7 +228,7 @@ def parse_config_text(text: str, *, path: str = "<config>", base_dir: Optional[P
     # once their tori are in.
     for kind, load in _LOADERS.items():
         if kind == "recipe":
-            _validate_records(config)
+            _validate_records(sections, config)
         for section in sections:
             if section.kind == kind:
                 load(section, config)
@@ -284,13 +295,14 @@ def _load_torus(section: _Section, config: RunConfig) -> None:
     )
 
 
-def _validate_records(config: RunConfig) -> None:
-    for name, manifold in config.manifolds.items():
-        problems = validate(manifold, tuple(config.tori[name].values()))
-        if problems:
-            raise ConfigError(
-                f"manifold {name!r} is inconsistent: " + "; ".join(problems), path=config.path
-            )
+def _validate_records(sections: list[_Section], config: RunConfig) -> None:
+    """Check each loaded record with its tori, naming the record's header line."""
+    for section in sections:
+        if section.kind == "manifold":
+            name = section.name
+            problems = validate(config.manifolds[name], tuple(config.tori[name].values()))
+            if problems:
+                raise section.error(f"manifold {name!r} is inconsistent: " + "; ".join(problems))
 
 
 def _load_recipe(section: _Section, config: RunConfig) -> None:
@@ -338,7 +350,8 @@ def _load_task(section: _Section, config: RunConfig) -> None:
             raise section.error("solve task needs at least one prime")
         config.tasks.append(SolveTask(primes))
     else:
-        config.tasks.append(LinkingTask(section.require("link"), section.values.get("axis")))
+        link = section.file("link", config)
+        config.tasks.append(LinkingTask(link, section.file("axis", config, required=False)))
 
 
 # Each section kind's loader, in load order.

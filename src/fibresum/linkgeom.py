@@ -65,7 +65,8 @@ _GAUSS_TOLERANCE = 1e-6
 def _vec(p: Sequence) -> Vec3:
     if len(p) != 3:
         raise ValueError(f"expected a 3-vector, got {len(p)} coordinates")
-    return (Fraction(p[0]), Fraction(p[1]), Fraction(p[2]))
+    # Parsed coordinates are Fractions already; only other inputs are converted.
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p)
 
 
 def _dot(a: Point, b: Point) -> int:

@@ -96,10 +96,10 @@ class RunConfig:
             )
         return table[label]
 
-    def resolve_file(self, name: str) -> Path:
+    def resolve_file(self, name: str, *, line: Optional[int] = None) -> Path:
         if not name:
             # An empty name would resolve to the base directory itself.
-            raise ConfigError("expected a file name, got an empty value", path=self.path)
+            raise ConfigError("expected a file name, got an empty value", path=self.path, line=line)
         candidate = Path(name)
         if not candidate.is_absolute():
             candidate = self.base_dir / name
@@ -108,7 +108,7 @@ class RunConfig:
         bundled = bundled_path(name)
         if bundled is not None:
             return bundled
-        raise ConfigError(f"file not found: {name}", path=self.path)
+        raise ConfigError(f"file not found: {name}", path=self.path, line=line)
 
 
 def bundled_path(name: str) -> Optional[Path]:

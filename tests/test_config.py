@@ -98,7 +98,7 @@ ERRORS = [
     ("seed = 0\n", "cfg: no tasks"),
     (
         M.replace("euler = 4", "euler = 5") + SOLVE,
-        "cfg: manifold 'M' is inconsistent: M: simply connected but euler = 5 != 2 + b2 = 4",
+        "cfg:1: manifold 'M' is inconsistent: M: simply connected but euler = 5 != 2 + b2 = 4",
     ),
     (
         T4 + "[recipe r]\nmanifold = T4\nglue = Tx -\n",
@@ -177,7 +177,8 @@ RECORD_PROBLEMS = [
 def test_record_problems_in_a_config_exit_2(text, problem, tmp_path, capsys):
     code, path = _run(tmp_path, text, "run")
     assert code == 2
-    assert capsys.readouterr().err == f"error: {path}: manifold 'M' is inconsistent: {problem}\n"
+    # Line 1 holds the `[manifold M]` header.
+    assert capsys.readouterr().err == f"error: {path}:1: manifold 'M' is inconsistent: {problem}\n"
 
 
 # Two hyperbolic pairs F1.G1 = F2.G2 = 1, with tori on F1 (Lagrangian),

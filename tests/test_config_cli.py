@@ -483,6 +483,107 @@ def test_cli_rejects_empty_and_conflicting_inline_flags(argv, message, capsys):
     assert captured.out == ""
 
 
+TOP_USAGE = "usage: fibresum COMMAND [--FLAG VALUE ...]\n"
+COMMANDS = "(verify, build, enumerate, run, solve, linking)"
+VERIFY_USAGE = "usage: fibresum verify --config PATH [--output table|machine] [--seed N] [--cap N]\n"
+ENUMERATE_USAGE = VERIFY_USAGE.replace("verify", "enumerate")
+SOLVE_USAGE = (
+    "usage: fibresum solve [--config PATH] [--output table|machine] [--seed N] [--cap N] "
+    "[--primes P1,P2,...]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([], TOP_USAGE + f"fibresum: error: expected a command {COMMANDS}\n"),
+        (["frobnicate"], TOP_USAGE + f"fibresum: error: unknown command 'frobnicate' {COMMANDS}\n"),
+        (
+            ["verify", "--config", "corollary15.cfg", "--out", "machine"],
+            VERIFY_USAGE + "fibresum: error: unknown flag '--out' for verify\n",
+        ),
+        (
+            ["verify", "corollary15.cfg"],
+            VERIFY_USAGE + "fibresum: error: unknown flag 'corollary15.cfg' for verify\n",
+        ),
+        (
+            ["enumerate", "--config", "corollary15.cfg", "--primes", "3"],
+            ENUMERATE_USAGE + "fibresum: error: unknown flag '--primes' for enumerate\n",
+        ),
+        (["solve", "--primes"], SOLVE_USAGE + "fibresum: error: --primes expects a value\n"),
+        (
+            ["solve", "--primes", "3", "--seed", "x"],
+            SOLVE_USAGE + "fibresum: error: --seed: expected an integer, got 'x'\n",
+        ),
+        (
+            ["solve", "--primes", "3", "--output", "xml"],
+            SOLVE_USAGE + "fibresum: error: --output must be 'table' or 'machine', got 'xml'\n",
+        ),
+        (["verify", "--seed", "1"], VERIFY_USAGE + "fibresum: error: verify needs --config\n"),
+        (
+            ["solve", "--primes", "3", "--primes", "5"],
+            SOLVE_USAGE + "fibresum: error: --primes given twice\n",
+        ),
+        (
+            ["solve", "--primes=3", "--seed=x"],
+            SOLVE_USAGE + "fibresum: error: --seed: expected an integer, got 'x'\n",
+        ),
+        # Past the reader, a `--flag=value` value meets the config rules.
+        (["solve", "--primes=3", "--cap=0"], "error: --cap: cap must be positive\n"),
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "prefix-flag",
+        "positional",
+        "other-command-flag",
+        "missing-value",
+        "bad-int",
+        "bad-choice",
+        "missing-config",
+        "repeated-flag",
+        "equals-bad-int",
+        "equals-cap",
+    ],
+)
+def test_usage_errors_exit_2_with_usage_on_stderr(argv, err, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_help_lists_commands_and_flags_and_exits_0(capsys):
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] + "\n" == TOP_USAGE
+    assert lines[4] == "  verify                  run the hypothesis gate for the config's verify tasks"
+    assert [line.split()[0] for line in lines[4:]] == COMMANDS.strip("()").split(", ")
+    # `--help` wins wherever it stands, with or without other flags.
+    assert main(["solve", "--primes", "3", "--help"]) == 0
+    assert capsys.readouterr().out == SOLVE_USAGE + (
+        "\n"
+        "realize one divisibility per prime\n"
+        "\n"
+        "  --config PATH           configuration file (bundled names like corollary15.cfg also resolve)\n"
+        "  --output table|machine  report format\n"
+        "  --seed N                seed for the projection directions of linking numbers\n"
+        "  --cap N                 most distinct Chern classes the sign enumeration may hold after a gluing\n"
+        "  --primes P1,P2,...      distinct odd primes\n"
+    )
+
+
+def test_readme_command_line_names_every_command_and_flag():
+    from fibresum.cli import _COMMANDS, _FLAGS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert [c for c in _COMMANDS if f"fibresum {c} " not in section] == []
+    assert [f for f in _FLAGS if f"--{f}" not in section] == []
+
+
 def test_closed_output_pipe_exits_1_without_a_traceback():
     import os
 
@@ -684,15 +785,38 @@ def test_cli_linking_unreadable_link_file_exits_2(tmp_path, capsys):
 )
 def test_an_empty_file_name_is_rejected(text, argv, tmp_path, capsys):
     # An empty name would resolve to the directory names are read from.
-    source = "<args>"
-    if text is not None:
-        source = tmp_path / "empty.cfg"
-        source.write_text(text)
-        argv = argv + ["--config", str(source)]
-    assert main(argv + ["--output", "machine"]) == 2
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["errors"] == [f"{source}: expected a file name, got an empty value"]
-    assert doc["tasks"] == []
+    if text is None:
+        assert main(argv + ["--output", "machine"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["errors"] == ["<args>: expected a file name, got an empty value"]
+        assert doc["tasks"] == []
+        return
+    # A config's file names resolve when it loads, so the error names the
+    # line of the empty key, the text's last.
+    source = tmp_path / "empty.cfg"
+    source.write_text(text)
+    assert main(argv + ["--config", str(source), "--output", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = text.count("\n")
+    assert captured.err == f"error: {source}:{line}: expected a file name, got an empty value\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[task linking]\nlink = missing.lnk\n", 2),
+        ("[task linking]\nlink = borromean.lnk\naxis = missing.lnk\n", 3),
+    ],
+    ids=["link", "axis"],
+)
+def test_a_missing_file_in_a_config_names_its_line(text, line, tmp_path, capsys):
+    path = tmp_path / "nolink.cfg"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:{line}: file not found: missing.lnk\n"
 
 
 def test_cli_linking_coordinate_outside_float_range_exits_2(tmp_path, capsys):
@@ -878,6 +1002,33 @@ print("import check done", file=sys.stderr)
     )
     assert proc.returncode == 0, proc.stderr
     assert "import check done" in proc.stderr
+    # A cold `python -m fibresum` run of each command reads its command
+    # line without argparse, and so without gettext or locale.
+    cold = """
+import runpy
+import sys
+
+try:
+    runpy.run_module("fibresum", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+loaded = [name for name in ("argparse", "gettext", "locale") if name in sys.modules]
+assert loaded == [], loaded
+print("cold run done", file=sys.stderr)
+"""
+    for argv in (
+        ["verify", "--config", "corollary15.cfg"],
+        ["build", "--config", str(GOLDEN / "build.cfg")],
+        ["enumerate", "--config", "corollary15.cfg"],
+        ["run", "--config", "corollary15.cfg"],
+        ["solve", "--primes", "3,5"],
+        ["linking", "--link", "borromean.lnk", "--axis", "axis.lnk"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", cold, *argv], cwd=tmp_path, capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert "cold run done" in proc.stderr, argv
 
 
 def test_jobs_without_geometry_do_not_import_linkgeom(tmp_path):
