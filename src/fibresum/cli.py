@@ -4,12 +4,15 @@ Exit codes: 0 success (also after `--help`), 1 standard output closed
 before the report was written, 2 validation failure (bad config,
 unresolved reference, failed hypothesis gate, a task too large for the
 enumeration cap or for memory) or usage error (no or unknown command,
-unknown or repeated flag, missing or bad value, missing `--config`),
-3 mathematical inconsistency (an internal invariant check failed, so the
+unknown or repeated flag, missing value, no input to run), 3
+mathematical inconsistency (an internal invariant check failed, so the
 run's results must not be trusted).
 
-The command line is read through one flag table, `_COMMANDS`: flags are
-spelled in full, as `--flag value` or `--flag=value`, each at most once.
+A command line is a config, read through the key table `settings.KEYS`:
+`--output`, `--seed` and `--cap` are top-level keys, read after those of
+a `--config` file, and the other flags of `solve` and `linking` spell
+their task section. Flags are spelled in full, as `--flag value` or
+`--flag=value`, each at most once.
 """
 
 from __future__ import annotations
@@ -17,21 +20,20 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import ConfigError, FibresumError, MathematicalInconsistencyError
+from .errors import ConfigError, FibresumError, MathematicalInconsistencyError, MissingKeyError
 from .reports import ReportBuilder
 from .settings import (
+    FLAG_TASKS,
+    FLAGS,
     EnumerateTask,
     LinkingTask,
     RunConfig,
     SolveTask,
-    Task,
     TheoremTask,
-    bundled_path,
-    check_limit,
-    parse_int_list,
+    flag_config,
+    key_names,
 )
 
 if TYPE_CHECKING:
@@ -180,54 +182,14 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
     return code
 
 
-def _load_config(args: SimpleNamespace) -> RunConfig:
-    from .config import parse_config
-
-    if args.config is None:
-        raise ConfigError("a --config file is required for this subcommand")
-    path = Path(args.config)
-    if not path.exists():
-        bundled = bundled_path(args.config)
-        if bundled is not None:
-            path = bundled
-    config = parse_config(path)
-    _apply_overrides(config, args)
-    return config
-
-
-def _apply_overrides(config: RunConfig, args: SimpleNamespace) -> None:
-    if args.output is not None:
-        config.output_format = args.output
-    if args.seed is not None:
-        config.seed = check_limit("seed", args.seed, path="--seed")
-    if args.cap is not None:
-        config.enumeration_cap = check_limit("cap", args.cap, path="--cap")
-
-
-def _synthetic_config(args: SimpleNamespace, tasks: list[Task]) -> RunConfig:
-    config = RunConfig(tasks=tasks, base_dir=Path.cwd(), path="<args>")
-    _apply_overrides(config, args)
-    return config
-
-
-# Each flag's value name and help.
-_FLAGS = {
-    "config": ("PATH", "configuration file (bundled names like corollary15.cfg also resolve)"),
-    "output": ("table|machine", "report format"),
-    "seed": ("N", "seed for the projection directions of linking numbers"),
-    "cap": ("N", "most distinct Chern classes the sign enumeration may hold after a gluing"),
-    "primes": ("P1,P2,...", "distinct odd primes"),
-    "link": ("PATH", "link file (surgery components)"),
-    "axis": ("PATH", "axis curve file"),
-}
-# Each command's help and flags; a flag marked `!` is required.
+# Each command's help.
 _COMMANDS = {
-    "verify": ("run the hypothesis gate for the config's verify tasks", "config! output seed cap"),
-    "build": ("synthesize recipes for the config's build tasks", "config! output seed cap"),
-    "enumerate": ("enumerate sign assignments for the config's enumerate tasks", "config! output seed cap"),
-    "run": ("run every task in the config, in order", "config! output seed cap"),
-    "solve": ("realize one divisibility per prime", "config output seed cap primes"),
-    "linking": ("linking numbers and the torus relation", "config output seed cap link axis"),
+    "verify": "run the hypothesis gate for the config's verify tasks",
+    "build": "synthesize recipes for the config's build tasks",
+    "enumerate": "enumerate sign assignments for the config's enumerate tasks",
+    "run": "run every task in the config, in order",
+    "solve": "realize one divisibility per prime",
+    "linking": "linking numbers and the torus relation",
 }
 _HELP = ("-h", "--help")
 
@@ -236,34 +198,33 @@ class _Usage(Exception):
     """A command line that cannot run; args: the command or None, the message."""
 
 
-def _flags(command: str) -> dict[str, bool]:
-    """The command's flags, each with whether it is required."""
-    return {flag.rstrip("!"): flag.endswith("!") for flag in _COMMANDS[command][1].split()}
+def _flags(command: str) -> list[str]:
+    """The command's flags: `--config`, the top-level keys and the keys
+    of its task section when that is one of `FLAG_TASKS`."""
+    return ["config", *key_names(""), *(key_names(f"task {command}") if command in FLAG_TASKS else ())]
 
 
 def _usage(command: Optional[str]) -> str:
     if command is None:
         return "usage: fibresum COMMAND [--FLAG VALUE ...]"
-    words = (
-        f"--{flag} {_FLAGS[flag][0]}" if required else f"[--{flag} {_FLAGS[flag][0]}]"
-        for flag, required in _flags(command).items()
-    )
+    words = [f"[--{flag} {FLAGS[flag][0]}]" for flag in _flags(command)]
+    if command not in FLAG_TASKS:
+        words[0] = words[0][1:-1]  # only a config file can give its task
     return " ".join(["usage: fibresum", command, *words])
 
 
 def _help(command: Optional[str]) -> str:
     if command is None:
         about = "Exact bookkeeping for torus fibre sums. `fibresum COMMAND --help` lists a command's flags."
-        rows = [(name, text) for name, (text, _) in _COMMANDS.items()]
+        rows = list(_COMMANDS.items())
     else:
-        about = _COMMANDS[command][0]
-        rows = [(f"--{flag} {_FLAGS[flag][0]}", _FLAGS[flag][1]) for flag in _flags(command)]
+        about = _COMMANDS[command]
+        rows = [(f"--{flag} {FLAGS[flag][0]}", FLAGS[flag][1]) for flag in _flags(command)]
     return "\n".join([_usage(command), "", about, "", *(f"  {name:<24}{text}" for name, text in rows)])
 
 
-def _read_command_line(argv: Sequence[str]) -> Optional[SimpleNamespace]:
-    """The command and each flag's value (None when not given), or None
-    once `--help` is answered."""
+def _read_command_line(argv: Sequence[str]) -> Optional[tuple[str, dict[str, str]]]:
+    """The command and its flags' values, or None once `--help` is answered."""
     command = argv[0] if argv else None
     if command in _HELP:
         print(_help(None))
@@ -272,7 +233,7 @@ def _read_command_line(argv: Sequence[str]) -> Optional[SimpleNamespace]:
         what = f"unknown command {command!r}" if command else "expected a command"
         raise _Usage(None, f"{what} ({', '.join(_COMMANDS)})")
     flags = _flags(command)
-    args = SimpleNamespace(command=command, **dict.fromkeys(_FLAGS))
+    values: dict[str, str] = {}
     tokens = iter(argv[1:])
     for token in tokens:
         if token in _HELP:
@@ -282,57 +243,43 @@ def _read_command_line(argv: Sequence[str]) -> Optional[SimpleNamespace]:
         flag = name[2:]
         if not name.startswith("--") or flag not in flags:
             raise _Usage(command, f"unknown flag {name!r} for {command}")
-        if getattr(args, flag) is not None:
+        if flag in values:
             raise _Usage(command, f"{name} given twice")
         if not equals:
             # The next token is the value even when it starts with a dash.
             value = next(tokens, None)
             if value is None:
                 raise _Usage(command, f"{name} expects a value")
-        if flag in ("seed", "cap"):
-            try:
-                value = int(value)
-            except ValueError:
-                raise _Usage(command, f"{name}: expected an integer, got {value!r}") from None
-        elif flag == "output" and value not in ("table", "machine"):
-            raise _Usage(command, f"{name} must be 'table' or 'machine', got {value!r}")
-        setattr(args, flag, value)
-    for flag, required in flags.items():
-        if required and getattr(args, flag) is None:
-            raise _Usage(command, f"{command} needs --{flag}")
-    return args
+        values[flag] = value
+    return command, values
 
 
-def _reject_config(args: SimpleNamespace, flag: str) -> None:
-    if args.config is not None:
-        raise ConfigError(f"--config and {flag} cannot be combined")
+def _configure(command: str, values: dict[str, str]) -> RunConfig:
+    """The `--config` file with the top-level flags read after its own
+    keys, or else the config that the flags spell."""
+    flags = tuple((key, value, f"--{key}") for key, value in values.items() if key != "config")
+    if "config" not in values:
+        if command not in FLAG_TASKS:
+            raise _Usage(command, f"{command} needs --config")
+        try:
+            return flag_config(command, flags)
+        except MissingKeyError as exc:
+            raise _Usage(command, f"{command} needs --config or --{exc.key}") from None
+    for key, _, flag in flags:
+        if key not in key_names(""):
+            raise ConfigError(f"--config and {flag} cannot be combined")
+    from .config import parse_config
 
-
-def _plan(args: SimpleNamespace) -> tuple[RunConfig, Optional[set[str]]]:
-    """The configuration a command line names, and the task kinds to run
-    from it (None for all)."""
-    # Only `solve` takes --primes, and only `linking` --link and --axis.
-    if args.primes is not None:
-        _reject_config(args, "--primes")
-        primes = parse_int_list(args.primes, "--primes", None, None)
-        if not primes:
-            raise ConfigError("--primes: expected at least one prime")
-        return _synthetic_config(args, [SolveTask(primes)]), {"solve"}
-    if args.link is not None:
-        _reject_config(args, "--link")
-        if not args.link:
-            raise ConfigError("--link: expected a file name")
-        return _synthetic_config(args, [LinkingTask(args.link, args.axis)]), {"linking"}
-    if args.axis is not None:
-        _reject_config(args, "--axis")
-    config = _load_config(args)
-    return config, None if args.command == "run" else {args.command}
+    return parse_config(RunConfig().resolve_file(values["config"], line="--config"), flags)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _read_command_line(sys.argv[1:] if argv is None else argv)
-        code = EXIT_OK if args is None else run(*_plan(args))
+        command_line = _read_command_line(sys.argv[1:] if argv is None else argv)
+        code = EXIT_OK
+        if command_line is not None:
+            command, values = command_line
+            code = run(_configure(command, values), None if command == "run" else {command})
         # Flushed here, so a closed pipe is met below rather than at exit.
         sys.stdout.flush()
     except _Usage as usage:

@@ -1,4 +1,5 @@
-"""The config-file parser: parsing, validation, name resolution.
+"""The config-file reader and its record sections: parsing, validation,
+name resolution.
 
 A configuration is a sequence of sections introduced by bracket headers,
 with one `key = value` pair per line and `#` comments:
@@ -17,7 +18,7 @@ with one `key = value` pair per line and `#` comments:
     [task enumerate]
     recipe = cor15
 
-`KEYS` names the keys of each section kind and task kind. Custom
+`settings.KEYS` names the keys of each section kind and task kind. Custom
 manifolds mirror the record fields (euler, signature, b1, b2, basis, c1,
 pairing_row repeated per basis row with `?` for untracked entries) and
 declare their tori in `[torus NAME]` sections. Any other key is a
@@ -25,7 +26,9 @@ declare their tori in `[torus NAME]` sections. Any other key is a
 command line; so is a second value for a key that does not repeat.
 Every reference, file names included, is resolved and every record
 validated at load time; a record's problems are reported at its
-`[manifold NAME]` header. The parsed result is a `settings.RunConfig`.
+`[manifold NAME]` header. The top-level keys and the task sections are
+read by `settings`, which also reads them from a command line. The
+parsed result is a `settings.RunConfig`.
 """
 
 from __future__ import annotations
@@ -45,35 +48,9 @@ from .fourman import (
 )
 from .gompfsum import Gluing, SumRecipe
 from .intlat import IntVector, PairingMatrix
-from .settings import (
-    EnumerateTask,
-    LinkingTask,
-    RunConfig,
-    SolveTask,
-    TheoremTask,
-    check_limit,
-    parse_int,
-    parse_int_list,
-)
+from .settings import RunConfig, Section, load_task, load_top
 
 __all__ = ["parse_config", "parse_config_text"]
-
-# The keys of each section kind, with task sections keyed by task kind;
-# a key marked `*` may repeat. A manifold section with `builtin` takes
-# that key alone. Top-level keys, under "", may repeat and the last holds.
-KEYS = {
-    "": "seed* cap* output*",
-    "builtin": "builtin",
-    "manifold": "euler signature b1 b2 basis c1 pairing_row* pi1_tori_generate simply_connected",
-    "torus": "manifold class kind dual parallel",
-    "recipe": "manifold glue*",
-    "task verify": "manifold tori sum n",
-    "task build": "manifold tori sum n",
-    "task enumerate": "recipe",
-    "task solve": "primes",
-    "task linking": "link axis",
-}
-
 
 def _e1() -> tuple[FourManifold, tuple[EmbeddedTorus, ...]]:
     manifold, fibre = build_e1()
@@ -83,102 +60,13 @@ def _e1() -> tuple[FourManifold, tuple[EmbeddedTorus, ...]]:
 # Each builtin record with its tori, by name.
 _BUILTINS = {"T4": build_t4, "E1": _e1}
 
-_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 
 
-class _Section:
-    """One section's `key = value` pairs, read through `KEYS`. Its typed
-    reads report errors at the section's header line."""
-
-    def __init__(self, path: str, kind: str, name: str, line: Optional[int]) -> None:
-        self.path = path
-        self.kind = kind
-        self.name = name
-        self.line = line
-        self.pairs: list[tuple[str, str, int]] = []
-        self.values: dict[str, str] = {}
-        self.lines: dict[str, int] = {}
-
-    def __str__(self) -> str:
-        return f"[{self.kind} {self.name}]"
-
-    def error(self, message: str, line: Optional[int] = None) -> ConfigError:
-        return ConfigError(message, path=self.path, line=line or self.line)
-
-    def read(self) -> None:
-        """Take each key's value, refusing a key that `KEYS` does not name
-        for this section and a second value for a key that does not repeat."""
-        entry = self.kind
-        if self.kind == "task":
-            entry = f"task {self.name}"
-            if entry not in KEYS:
-                kinds = ", ".join(k.split()[1] for k in KEYS if k.startswith("task "))
-                raise self.error(f"unknown task kind {self.name!r} ({kinds})")
-        elif self.kind == "manifold" and any(key == "builtin" for key, _, _ in self.pairs):
-            entry = "builtin"
-        keys = KEYS[entry].split()
-        for key, value, line in self.pairs:
-            if key + "*" in keys:
-                continue
-            if key not in keys:
-                where = f"key {key!r} in {self}" if self.kind else f"top-level key {key!r}"
-                raise self.error(f"unknown {where}", line)
-            if key in self.values:
-                raise self.error(f"duplicate key {key!r} in {self}")
-            self.values[key] = value
-            self.lines[key] = line
-
-    def require(self, key: str) -> str:
-        if key not in self.values:
-            raise self.error(f"missing key {key!r} in {self}")
-        return self.values[key]
-
-    def all(self, key: str) -> list[tuple[str, int]]:
-        """The values of a repeated key, each with its line."""
-        return [(v, ln) for k, v, ln in self.pairs if k == key]
-
-    def integer(self, key: str) -> int:
-        return parse_int(self.require(key), key, self.path, self.line)
-
-    def vector(self, key: str, required: bool = True) -> Optional[IntVector]:
-        value = self.require(key) if required else self.values.get(key)
-        return None if value is None else IntVector(parse_int_list(value, key, self.path, self.line))
-
-    def flag(self, key: str) -> bool:
-        value = self.values.get(key) or "false"
-        if value.lower() not in _FLAGS:
-            raise self.error(f"{key}: expected a boolean, got {value!r}")
-        return _FLAGS[value.lower()]
-
-    def new_name(self, taken: dict, owner: str = "") -> str:
-        """The section's name, refused when empty or already in `taken`."""
-        if not self.name:
-            raise self.error(f"{self.kind} section needs a name")
-        if self.name in taken:
-            raise self.error(f"{self.kind} {self.name!r}{owner} defined twice")
-        return self.name
-
-    def file(self, key: str, config: RunConfig, required: bool = True) -> Optional[str]:
-        """The file name under `key`, once it resolves to a file; a name
-        that does not is reported at the key's line."""
-        name = self.require(key) if required else self.values.get(key)
-        if name is not None:
-            config.resolve_file(name, line=self.lines[key])
-        return name
-
-    def manifold(self, config: RunConfig) -> str:
-        """The loaded manifold that the `manifold` key names."""
-        name = self.require("manifold")
-        if name not in config.manifolds:
-            raise self.error(f"unknown manifold {name!r}")
-        return name
-
-
-def _split_sections(text: str, path: str) -> tuple[_Section, list[_Section]]:
-    """The top-level keys and the sections, each read through `KEYS`."""
-    top = current = _Section(path, "", "", None)
-    sections: list[_Section] = []
+def _split_sections(text: str, path: str) -> tuple[Section, list[Section]]:
+    """The top-level keys and the sections, in file order."""
+    top = current = Section(path, "", "", None)
+    sections: list[Section] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -193,7 +81,7 @@ def _split_sections(text: str, path: str) -> tuple[_Section, list[_Section]]:
                 raise ConfigError("section header takes at most two words", path=path, line=lineno)
             if tokens[0] not in _LOADERS:
                 raise ConfigError(f"unknown section kind {tokens[0]!r}", path=path, line=lineno)
-            current = _Section(path, tokens[0], tokens[1] if len(tokens) > 1 else "", lineno)
+            current = Section(path, tokens[0], tokens[1] if len(tokens) > 1 else "", lineno)
             sections.append(current)
             continue
         if "=" not in line:
@@ -202,26 +90,20 @@ def _split_sections(text: str, path: str) -> tuple[_Section, list[_Section]]:
         if not key:
             raise ConfigError("empty key", path=path, line=lineno)
         current.pairs.append((key, value, lineno))
-    for section in [top] + sections:
-        section.read()
     return top, sections
 
 
-def parse_config_text(text: str, *, path: str = "<config>", base_dir: Optional[Path] = None) -> RunConfig:
+def parse_config_text(
+    text: str, *, path: str = "<config>", base_dir: Optional[Path] = None, flags: tuple = ()
+) -> RunConfig:
+    """Load a config's text; `flags` holds top-level (key, value, flag)
+    triples, read after the text's own top-level keys."""
     top, sections = _split_sections(text, path)
+    top.pairs += flags
+    for section in [top] + sections:
+        section.read()
     config = RunConfig(path=path, base_dir=base_dir or Path.cwd())
-
-    for key, value, lineno in top.pairs:
-        if key == "output":
-            if value not in ("table", "machine"):
-                raise top.error(f"output must be 'table' or 'machine', got {value!r}", lineno)
-            config.output_format = value
-            continue
-        number = check_limit(key, parse_int(value, key, path, lineno), path=path, line=lineno)
-        if key == "seed":
-            config.seed = number
-        else:
-            config.enumeration_cap = number
+    load_top(top, config)
 
     # Manifolds first, then tori, then recipes, then tasks, so sections
     # may appear in any order in the file. The records are validated
@@ -238,7 +120,7 @@ def parse_config_text(text: str, *, path: str = "<config>", base_dir: Optional[P
     return config
 
 
-def _load_manifold(section: _Section, config: RunConfig) -> None:
+def _load_manifold(section: Section, config: RunConfig) -> None:
     name = section.new_name(config.manifolds)
     builtin = section.values.get("builtin")
     if builtin is not None:
@@ -254,13 +136,13 @@ def _load_manifold(section: _Section, config: RunConfig) -> None:
     for value, lineno in section.all("pairing_row"):
         entries = []
         for tok in value.split():
-            entries.append(None if tok == "?" else parse_int(tok, "pairing entry", config.path, lineno))
+            entries.append(None if tok == "?" else section.parse_int(tok, "pairing entry", lineno))
         if len(entries) != dim:
             raise section.error(f"pairing row has {len(entries)} entries, expected {dim}", lineno)
         rows.append(tuple(entries))
     if len(rows) != dim:
         raise section.error(f"manifold {name!r} needs {dim} pairing rows, got {len(rows)}")
-    c1 = section.vector("c1", required=False)
+    c1 = section.integers("c1", required=False)
     try:
         config.manifolds[name] = FourManifold(
             name=name,
@@ -270,32 +152,33 @@ def _load_manifold(section: _Section, config: RunConfig) -> None:
             b2=section.integer("b2"),
             lattice_basis_labels=basis,
             pairing=PairingMatrix(tuple(rows)),
-            c1=IntVector.zero(dim) if c1 is None else c1,
-            pi1_normally_generated_by_tori=section.flag("pi1_tori_generate"),
-            simply_connected=section.flag("simply_connected"),
+            c1=IntVector.zero(dim) if c1 is None else IntVector(c1),
+            pi1_normally_generated_by_tori=section.boolean("pi1_tori_generate"),
+            simply_connected=section.boolean("simply_connected"),
         )
     except ValueError as exc:
         raise section.error(str(exc)) from None
     config.tori[name] = {}
 
 
-def _load_torus(section: _Section, config: RunConfig) -> None:
+def _load_torus(section: Section, config: RunConfig) -> None:
     manifold_name = section.manifold(config)
     table = config.tori[manifold_name]
     label = section.new_name(table, f" on {manifold_name!r}")
     kind = section.require("kind")
     if kind not in (SYMPLECTIC, LAGRANGIAN):
         raise section.error(f"torus kind must be {SYMPLECTIC!r} or {LAGRANGIAN!r}, got {kind!r}")
+    dual = section.integers("dual", required=False)
     table[label] = EmbeddedTorus(
         label=label,
-        klass=section.vector("class"),
+        klass=IntVector(section.integers("class")),
         kind=kind,
-        dual=section.vector("dual", required=False),
-        parallel_copies_available=section.flag("parallel"),
+        dual=None if dual is None else IntVector(dual),
+        parallel_copies_available=section.boolean("parallel"),
     )
 
 
-def _validate_records(sections: list[_Section], config: RunConfig) -> None:
+def _validate_records(sections: list[Section], config: RunConfig) -> None:
     """Check each loaded record with its tori, naming the record's header line."""
     for section in sections:
         if section.kind == "manifold":
@@ -305,7 +188,7 @@ def _validate_records(sections: list[_Section], config: RunConfig) -> None:
                 raise section.error(f"manifold {name!r} is inconsistent: " + "; ".join(problems))
 
 
-def _load_recipe(section: _Section, config: RunConfig) -> None:
+def _load_recipe(section: Section, config: RunConfig) -> None:
     name = section.new_name(config.recipes)
     manifold_name = section.manifold(config)
     gluings = []
@@ -329,43 +212,19 @@ def _load_recipe(section: _Section, config: RunConfig) -> None:
         raise section.error(f"recipe {name!r} is invalid: {exc}") from None
 
 
-def _load_task(section: _Section, config: RunConfig) -> None:
-    kind = section.name
-    if kind in ("verify", "build"):
-        manifold_name = section.manifold(config)
-        tori_labels = tuple(section.require("tori").split())
-        sum_label = section.require("sum")
-        for label in tori_labels + (sum_label,):
-            config.torus(manifold_name, label, line=section.line)
-        n = section.integer("n")
-        config.tasks.append(TheoremTask(kind, manifold_name, tori_labels, sum_label, n))
-    elif kind == "enumerate":
-        recipe_name = section.require("recipe")
-        if recipe_name not in config.recipes:
-            raise section.error(f"unknown recipe {recipe_name!r}")
-        config.tasks.append(EnumerateTask(recipe_name))
-    elif kind == "solve":
-        primes = section.vector("primes").coords
-        if not primes:
-            raise section.error("solve task needs at least one prime")
-        config.tasks.append(SolveTask(primes))
-    else:
-        link = section.file("link", config)
-        config.tasks.append(LinkingTask(link, section.file("axis", config, required=False)))
-
-
 # Each section kind's loader, in load order.
-_LOADERS = {"manifold": _load_manifold, "torus": _load_torus, "recipe": _load_recipe, "task": _load_task}
+_LOADERS = {"manifold": _load_manifold, "torus": _load_torus, "recipe": _load_recipe, "task": load_task}
 
 
-def parse_config(path: "str | Path") -> RunConfig:
-    """Load and fully validate a configuration file."""
+def parse_config(path: "str | Path", flags: tuple = ()) -> RunConfig:
+    """Load and fully validate a configuration file, with top-level
+    `flags` as in `parse_config_text`."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path=str(path)) from None
-    return parse_config_text(text, path=str(p), base_dir=p.parent)
+    return parse_config_text(text, path=str(p), base_dir=p.parent, flags=flags)
 
 
 def recipe_config_section(recipe: SumRecipe, manifold_name: str) -> str:

@@ -32,12 +32,20 @@ class MathematicalInconsistencyError(FibresumError):
 
 
 class ConfigError(FibresumError):
-    """A configuration file is malformed or references unknown names."""
+    """A configuration is malformed or references unknown names. A value
+    from a file is reported at `path:line`; one from a command-line flag
+    at the flag, given as `line`."""
 
-    def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
-        prefix = ""
-        if path is not None:
-            prefix = path if line is None else f"{path}:{line}"
-        super().__init__(f"{prefix}: {message}" if prefix else message)
-        self.path = path
-        self.line = line
+    def __init__(self, message: str, *, path: str | None = None, line: int | str | None = None):
+        where = path if line is None else f"{path}:{line}"
+        if isinstance(line, str):  # a flag
+            where = line
+        super().__init__(f"{where}: {message}" if where else message)
+
+
+class MissingKeyError(ConfigError):
+    """A section lacks a key that its kind requires; `key` names it."""
+
+    def __init__(self, key: str, message: str, **where) -> None:
+        super().__init__(message, **where)
+        self.key = key

@@ -1,11 +1,17 @@
-"""Run settings and task records: what a command line or a config file asks for.
+"""The key table, run settings and task records: what a config file or a
+command line asks for.
+
+`KEYS` names the keys of each section kind and task kind, and `Section`
+reads one section's `key = value` pairs through it. A command line is a
+config: the top-level keys are flags of every command, and the keys of a
+task in `FLAG_TASKS` are flags of its command, so `solve --primes 3,5`
+reads as `[task solve] primes = 3,5`. Each value is reported where it
+was given: at `path:line` in a file, at its flag on a command line.
 
 `RunConfig` holds a run's records, tasks and top-level settings, and the
-task records name the work. The rules for the seed and the cap, and the
-integer lists of config values and of ``--primes``, are shared by the
-config-file parser (`config`) and the command line (`cli`). This module
-imports nothing that computes, so a command that builds its
-configuration from flags loads only what its task runs.
+task records name the work. This module imports nothing that computes,
+so a command that spells its configuration in flags loads only what its
+task runs; the file reader and the record sections are in `config`.
 """
 
 from __future__ import annotations
@@ -14,13 +20,17 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from ._record import Record
-from .errors import ConfigError
+from .errors import ConfigError, MissingKeyError
 
 if TYPE_CHECKING:
     from .fourman import EmbeddedTorus, FourManifold
     from .gompfsum import SumRecipe
 
 __all__ = [
+    "KEYS",
+    "FLAG_TASKS",
+    "FLAGS",
+    "Section",
     "RunConfig",
     "TheoremTask",
     "EnumerateTask",
@@ -30,17 +40,51 @@ __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_ENUMERATION_CAP",
     "bundled_path",
-    "check_limit",
-    "parse_int",
-    "parse_int_list",
+    "key_names",
+    "load_top",
+    "load_task",
+    "flag_config",
 ]
 
 DEFAULT_SEED = 0
 DEFAULT_ENUMERATION_CAP = 2**20
 
-# Smallest allowed value and the error message, per top-level integer
-# setting; config files and command-line flags share these rules.
-_LIMITS = {"seed": (0, "seed must be nonnegative"), "cap": (1, "cap must be positive")}
+# The keys of each section kind, with task sections keyed by task kind;
+# a key marked `*` may repeat. A manifold section with `builtin` takes
+# that key alone. Top-level keys, under "", may repeat and the last holds.
+KEYS = {
+    "": "output* seed* cap*",
+    "builtin": "builtin",
+    "manifold": "euler signature b1 b2 basis c1 pairing_row* pi1_tori_generate simply_connected",
+    "torus": "manifold class kind dual parallel",
+    "recipe": "manifold glue*",
+    "task verify": "manifold tori sum n",
+    "task build": "manifold tori sum n",
+    "task enumerate": "recipe",
+    "task solve": "primes",
+    "task linking": "link axis",
+}
+# The tasks whose section names no other section, so that a command line
+# may give it in flags instead of a config file.
+FLAG_TASKS = ("solve", "linking")
+# Each flag's value name and help: `--config`, then every key that is a flag.
+FLAGS = {
+    "config": ("PATH", "configuration file (bundled names like corollary15.cfg also resolve)"),
+    "output": ("table|machine", "report format"),
+    "seed": ("N", "seed for the projection directions of linking numbers"),
+    "cap": ("N", "most distinct Chern classes the sign enumeration may hold after a gluing"),
+    "primes": ("P1,P2,...", "distinct odd primes"),
+    "link": ("PATH", "link file (surgery components)"),
+    "axis": ("PATH", "axis curve file"),
+}
+
+# Per integer top-level key: its `RunConfig` attribute, its least value
+# and the error below that.
+_LIMITS = {
+    "seed": ("seed", 0, "seed must be nonnegative"),
+    "cap": ("enumeration_cap", 1, "cap must be positive"),
+}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class TheoremTask(Record):
@@ -70,16 +114,11 @@ Task = Union[TheoremTask, EnumerateTask, SolveTask, LinkingTask]
 
 
 class RunConfig:
-    def __init__(
-        self,
-        tasks: Optional[list[Task]] = None,
-        base_dir: Optional[Path] = None,
-        path: str = "<config>",
-    ) -> None:
+    def __init__(self, base_dir: Optional[Path] = None, path: str = "<config>") -> None:
         self.manifolds: dict[str, FourManifold] = {}
         self.tori: dict[str, dict[str, EmbeddedTorus]] = {}
         self.recipes: dict[str, SumRecipe] = {}
-        self.tasks = [] if tasks is None else tasks
+        self.tasks: list[Task] = []
         self.output_format = "table"
         self.seed = DEFAULT_SEED
         self.enumeration_cap = DEFAULT_ENUMERATION_CAP
@@ -96,7 +135,7 @@ class RunConfig:
             )
         return table[label]
 
-    def resolve_file(self, name: str, *, line: Optional[int] = None) -> Path:
+    def resolve_file(self, name: str, *, line: Union[int, str, None] = None) -> Path:
         if not name:
             # An empty name would resolve to the base directory itself.
             raise ConfigError("expected a file name, got an empty value", path=self.path, line=line)
@@ -111,6 +150,11 @@ class RunConfig:
         raise ConfigError(f"file not found: {name}", path=self.path, line=line)
 
 
+def key_names(entry: str) -> list[str]:
+    """The keys of a `KEYS` entry, without their markers."""
+    return KEYS[entry].replace("*", "").split()
+
+
 def bundled_path(name: str) -> Optional[Path]:
     """Path of a bundled data file (configs and link files shipped with
     the package), or None when no such file exists."""
@@ -120,22 +164,159 @@ def bundled_path(name: str) -> Optional[Path]:
     return candidate if candidate.exists() else None
 
 
-def check_limit(key: str, value: int, *, path: str, line: Optional[int] = None) -> int:
-    """Return the value of setting `key` (seed or cap) if it is in range."""
-    least, message = _LIMITS[key]
-    if value < least:
-        raise ConfigError(message, path=path, line=line)
-    return value
+class Section:
+    """One section's `key = value` pairs, read through `KEYS`; each pair
+    keeps where it was given, a file line or a flag. The typed reads
+    report errors at the section's header: its line in a file, its first
+    flag on a command line."""
 
+    def __init__(self, path: str, kind: str, name: str, line: Union[int, str, None]) -> None:
+        self.path = path
+        self.kind = kind
+        self.name = name
+        self.line = line
+        self.pairs: list[tuple[str, str, Union[int, str]]] = []
+        self.values: dict[str, str] = {}
+        self.lines: dict[str, Union[int, str]] = {}
 
-def parse_int(value: str, what: str, path: Optional[str], line: Optional[int]) -> int:
-    try:
+    def __str__(self) -> str:
+        return f"[{self.kind} {self.name}]"
+
+    def error(self, message: str, line: Union[int, str, None] = None) -> ConfigError:
+        return ConfigError(message, path=self.path, line=line or self.line)
+
+    def read(self) -> None:
+        """Take each key's value, refusing a key that `KEYS` does not name
+        for this section and a second value for a key that does not repeat."""
+        entry = self.kind
+        if self.kind == "task":
+            entry = f"task {self.name}"
+            if entry not in KEYS:
+                kinds = ", ".join(k.split()[1] for k in KEYS if k.startswith("task "))
+                raise self.error(f"unknown task kind {self.name!r} ({kinds})")
+        elif self.kind == "manifold" and any(key == "builtin" for key, _, _ in self.pairs):
+            entry = "builtin"
+        keys = KEYS[entry].split()
+        for key, value, line in self.pairs:
+            if key + "*" in keys:
+                continue
+            if key not in keys:
+                where = f"key {key!r} in {self}" if self.kind else f"top-level key {key!r}"
+                raise self.error(f"unknown {where}", line)
+            if key in self.values:
+                raise self.error(f"duplicate key {key!r} in {self}")
+            self.values[key] = value
+            self.lines[key] = line
+
+    def require(self, key: str) -> str:
+        if key not in self.values:
+            raise MissingKeyError(key, f"missing key {key!r} in {self}", path=self.path, line=self.line)
+        return self.values[key]
+
+    def all(self, key: str) -> list[tuple[str, int]]:
+        """The values of a repeated key, each with its line."""
+        return [(v, ln) for k, v, ln in self.pairs if k == key]
+
+    def parse_int(self, value: str, what: str, line: Union[int, str, None] = None) -> int:
+        """An optional sign and ASCII digits, the one integer form of files and flags."""
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        if not (digits.isascii() and digits.isdigit()):
+            raise self.error(f"{what}: expected an integer, got {value!r}", line)
         return int(value)
-    except ValueError:
-        raise ConfigError(f"{what}: expected an integer, got {value!r}", path=path, line=line) from None
+
+    def integer(self, key: str) -> int:
+        return self.parse_int(self.require(key), key)
+
+    def integers(self, key: str, required: bool = True) -> Optional[tuple[int, ...]]:
+        """The integers under `key`, separated by commas or spaces."""
+        value = self.require(key) if required else self.values.get(key)
+        if value is None:
+            return None
+        return tuple(self.parse_int(part, key) for part in value.replace(",", " ").split())
+
+    def boolean(self, key: str) -> bool:
+        value = self.values.get(key, "false")
+        if value.lower() not in _BOOLEANS:
+            raise self.error(f"{key}: expected a boolean, got {value!r}")
+        return _BOOLEANS[value.lower()]
+
+    def new_name(self, taken: dict, owner: str = "") -> str:
+        """The section's name, refused when empty or already in `taken`."""
+        if not self.name:
+            raise self.error(f"{self.kind} section needs a name")
+        if self.name in taken:
+            raise self.error(f"{self.kind} {self.name!r}{owner} defined twice")
+        return self.name
+
+    def file(self, key: str, config: RunConfig, required: bool = True) -> Optional[str]:
+        """The file name under `key`, once it resolves to a file; a name
+        that does not is reported where the key was given."""
+        name = self.require(key) if required else self.values.get(key)
+        if name is not None:
+            config.resolve_file(name, line=self.lines[key])
+        return name
+
+    def manifold(self, config: RunConfig) -> str:
+        """The loaded manifold that the `manifold` key names."""
+        name = self.require("manifold")
+        if name not in config.manifolds:
+            raise self.error(f"unknown manifold {name!r}")
+        return name
 
 
-def parse_int_list(value: str, what: str, path: Optional[str], line: Optional[int]) -> tuple[int, ...]:
-    """Integers separated by commas or spaces (config values and --primes)."""
-    parts = value.replace(",", " ").split()
-    return tuple(parse_int(p, what, path, line) for p in parts)
+def load_top(top: Section, config: RunConfig) -> None:
+    """Set the top-level keys, each value over the one before."""
+    for key, value, line in top.pairs:
+        if key == "output":
+            if value not in ("table", "machine"):
+                raise top.error(f"output must be 'table' or 'machine', got {value!r}", line)
+            config.output_format = value
+            continue
+        attribute, least, message = _LIMITS[key]
+        number = top.parse_int(value, key, line)
+        if number < least:
+            raise top.error(message, line)
+        setattr(config, attribute, number)
+
+
+def load_task(section: Section, config: RunConfig) -> None:
+    kind = section.name
+    if kind in ("verify", "build"):
+        manifold_name = section.manifold(config)
+        tori_labels = tuple(section.require("tori").split())
+        sum_label = section.require("sum")
+        for label in tori_labels + (sum_label,):
+            config.torus(manifold_name, label, line=section.line)
+        n = section.integer("n")
+        config.tasks.append(TheoremTask(kind, manifold_name, tori_labels, sum_label, n))
+    elif kind == "enumerate":
+        recipe_name = section.require("recipe")
+        if recipe_name not in config.recipes:
+            raise section.error(f"unknown recipe {recipe_name!r}")
+        config.tasks.append(EnumerateTask(recipe_name))
+    elif kind == "solve":
+        primes = section.integers("primes")
+        if not primes:
+            raise section.error("solve task needs at least one prime")
+        config.tasks.append(SolveTask(primes))
+    else:
+        link = section.file("link", config)
+        config.tasks.append(LinkingTask(link, section.file("axis", config, required=False)))
+
+
+def flag_config(command: str, flags: list[tuple[str, str, str]]) -> RunConfig:
+    """The config a command line without `--config` spells: its top-level
+    keys and its command's task section, from (key, value, flag) triples
+    in command-line order."""
+    config = RunConfig(path="<args>")
+    top = Section(config.path, "", "", None)
+    task = Section(config.path, "task", command, None)
+    for triple in flags:
+        (top if triple[0] in key_names("") else task).pairs.append(triple)
+    # Where a file reports a section at its header line, flags name the first flag.
+    task.line = task.pairs[0][2] if task.pairs else None
+    for section in (top, task):
+        section.read()
+    load_top(top, config)
+    load_task(task, config)
+    return config

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from fibresum.cli import main
-from fibresum.config import KEYS, parse_config_text
+from fibresum.config import parse_config_text
 from fibresum.errors import ConfigError
+from fibresum.settings import KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,6 +41,15 @@ ERRORS = [
     (
         M + TORUS_A + "parallel = often\n" + SOLVE,
         "cfg:10: parallel: expected a boolean, got 'often'",
+    ),
+    # An empty boolean is no boolean, not false.
+    (M.replace("= true", "=") + SOLVE, "cfg:1: simply_connected: expected a boolean, got ''"),
+    (M + TORUS_A + "parallel =\n" + SOLVE, "cfg:10: parallel: expected a boolean, got ''"),
+    # An integer is an optional sign and ASCII digits, nothing `int()` also takes.
+    ("seed = 1_0\n", "cfg:1: seed: expected an integer, got '1_0'"),
+    (
+        T4 + "[task verify]\nmanifold = T4\ntori = Tz Tx Ty\nsum = Tw\nn = \uff15\n",
+        "cfg:3: n: expected an integer, got '\uff15'",
     ),
     (T4 + "[recipe r]\nmanifold = T4\nglue = Tz x\n", "cfg:5: expected a sign (+ or -), got 'x'"),
     ("[widget w]\n" + SOLVE, "cfg:1: unknown section kind 'widget'"),

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from fibresum.cli import main, run
+from fibresum.cli import _COMMANDS, main, run
 from fibresum.config import parse_config, parse_config_text
 from fibresum.errors import ConfigError
-from fibresum.settings import bundled_path
+from fibresum.settings import bundled_path, key_names
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -460,8 +460,8 @@ def test_cli_solve_input_errors_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "--primes", ""], "--primes: expected at least one prime"),
-        (["linking", "--link", ""], "--link: expected a file name"),
+        (["solve", "--primes", ""], "--primes: solve task needs at least one prime"),
+        (["linking", "--link", ""], "--link: expected a file name, got an empty value"),
         (
             ["solve", "--config", "corollary15.cfg", "--primes", "3"],
             "--config and --primes cannot be combined",
@@ -491,6 +491,10 @@ SOLVE_USAGE = (
     "usage: fibresum solve [--config PATH] [--output table|machine] [--seed N] [--cap N] "
     "[--primes P1,P2,...]\n"
 )
+LINKING_USAGE = (
+    "usage: fibresum linking [--config PATH] [--output table|machine] [--seed N] [--cap N] "
+    "[--link PATH] [--axis PATH]\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -511,24 +515,28 @@ SOLVE_USAGE = (
             ENUMERATE_USAGE + "fibresum: error: unknown flag '--primes' for enumerate\n",
         ),
         (["solve", "--primes"], SOLVE_USAGE + "fibresum: error: --primes expects a value\n"),
-        (
-            ["solve", "--primes", "3", "--seed", "x"],
-            SOLVE_USAGE + "fibresum: error: --seed: expected an integer, got 'x'\n",
-        ),
-        (
-            ["solve", "--primes", "3", "--output", "xml"],
-            SOLVE_USAGE + "fibresum: error: --output must be 'table' or 'machine', got 'xml'\n",
-        ),
         (["verify", "--seed", "1"], VERIFY_USAGE + "fibresum: error: verify needs --config\n"),
         (
             ["solve", "--primes", "3", "--primes", "5"],
             SOLVE_USAGE + "fibresum: error: --primes given twice\n",
         ),
+        (["solve"], SOLVE_USAGE + "fibresum: error: solve needs --config or --primes\n"),
         (
-            ["solve", "--primes=3", "--seed=x"],
-            SOLVE_USAGE + "fibresum: error: --seed: expected an integer, got 'x'\n",
+            ["linking", "--seed", "1"],
+            LINKING_USAGE + "fibresum: error: linking needs --config or --link\n",
         ),
-        # Past the reader, a `--flag=value` value meets the config rules.
+        (
+            ["linking", "--axis", "axis.lnk"],
+            LINKING_USAGE + "fibresum: error: linking needs --config or --link\n",
+        ),
+        # Past the reader, a flag's value meets the config rules and is
+        # reported at the flag.
+        (["solve", "--primes", "3", "--seed", "x"], "error: --seed: seed: expected an integer, got 'x'\n"),
+        (
+            ["solve", "--primes", "3", "--output", "xml"],
+            "error: --output: output must be 'table' or 'machine', got 'xml'\n",
+        ),
+        (["solve", "--primes=3", "--seed=x"], "error: --seed: seed: expected an integer, got 'x'\n"),
         (["solve", "--primes=3", "--cap=0"], "error: --cap: cap must be positive\n"),
     ],
     ids=[
@@ -538,10 +546,13 @@ SOLVE_USAGE = (
         "positional",
         "other-command-flag",
         "missing-value",
-        "bad-int",
-        "bad-choice",
         "missing-config",
         "repeated-flag",
+        "no-primes",
+        "no-link",
+        "axis-without-link",
+        "bad-int",
+        "bad-choice",
         "equals-bad-int",
         "equals-cap",
     ],
@@ -575,13 +586,28 @@ def test_help_lists_commands_and_flags_and_exits_0(capsys):
     )
 
 
-def test_readme_command_line_names_every_command_and_flag():
-    from fibresum.cli import _COMMANDS, _FLAGS
+# Each command whose task section is given in flags, and that section's keys.
+TASK_FLAGS = {"solve": key_names("task solve"), "linking": key_names("task linking")}
 
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_the_key_table_drives_the_flags(command, capsys):
+    keys = key_names("") + TASK_FLAGS.get(command, [])
+    assert main([command, "--help"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[4:]]
+    assert listed == ["--config"] + [f"--{key}" for key in keys]
+    for key in keys:
+        # A flag the command takes is refused only for its missing value.
+        assert main([command, f"--{key}"]) == 2
+        assert capsys.readouterr().err.endswith(f"fibresum: error: --{key} expects a value\n")
+
+
+def test_readme_command_line_names_every_command_and_flag():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     assert [c for c in _COMMANDS if f"fibresum {c} " not in section] == []
-    assert [f for f in _FLAGS if f"--{f}" not in section] == []
+    keys = ["config", *key_names("")] + [key for keys in TASK_FLAGS.values() for key in keys]
+    assert [key for key in keys if f"--{key}" not in section] == []
 
 
 def test_closed_output_pipe_exits_1_without_a_traceback():
@@ -763,7 +789,7 @@ def test_recipe_without_gluings_in_config_exits_2(tmp_path, capsys):
 def test_cli_solve_rejects_a_non_integer_prime(capsys):
     assert main(["solve", "--primes", "3,x"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: --primes: expected an integer, got 'x'\n"
+    assert captured.err == "error: --primes: primes: expected an integer, got 'x'\n"
     assert captured.out == ""
 
 
@@ -785,21 +811,18 @@ def test_cli_linking_unreadable_link_file_exits_2(tmp_path, capsys):
 )
 def test_an_empty_file_name_is_rejected(text, argv, tmp_path, capsys):
     # An empty name would resolve to the directory names are read from.
-    if text is None:
-        assert main(argv + ["--output", "machine"]) == 2
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["errors"] == ["<args>: expected a file name, got an empty value"]
-        assert doc["tasks"] == []
-        return
-    # A config's file names resolve when it loads, so the error names the
-    # line of the empty key, the text's last.
-    source = tmp_path / "empty.cfg"
-    source.write_text(text)
-    assert main(argv + ["--config", str(source), "--output", "machine"]) == 2
+    # File names resolve when the config loads, so the error names the
+    # empty key's flag, or its line: the text's last.
+    where = "--axis"
+    if text is not None:
+        source = tmp_path / "empty.cfg"
+        source.write_text(text)
+        argv = argv + ["--config", str(source)]
+        where = f"{source}:{text.count(chr(10))}"
+    assert main(argv + ["--output", "machine"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    line = text.count("\n")
-    assert captured.err == f"error: {source}:{line}: expected a file name, got an empty value\n"
+    assert captured.err == f"error: {where}: expected a file name, got an empty value\n"
 
 
 @pytest.mark.parametrize(
@@ -817,6 +840,43 @@ def test_a_missing_file_in_a_config_names_its_line(text, line, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}:{line}: file not found: missing.lnk\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--link", "missing.lnk"], "--link"),
+        (["--link", "borromean.lnk", "--axis", "missing.lnk"], "--axis"),
+    ],
+    ids=["link", "axis"],
+)
+def test_a_missing_file_flag_is_named_before_any_task_runs(argv, flag, capsys):
+    assert main(["linking", *argv, "--output", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: file not found: missing.lnk\n"
+
+
+# Each command line beside the config text that it spells.
+SPELLED = [
+    (["solve", "--primes", "3,5"], "[task solve]\nprimes = 3,5\n"),
+    (
+        ["linking", "--link", "borromean.lnk", "--axis", "axis.lnk", "--seed", "3", "--cap", "7"],
+        "seed = 3\ncap = 7\n[task linking]\nlink = borromean.lnk\naxis = axis.lnk\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("output", ["table", "machine"])
+@pytest.mark.parametrize("argv, text", SPELLED, ids=[argv[0] for argv, _ in SPELLED])
+def test_a_command_line_is_the_config_it_spells(argv, text, output, tmp_path, capsys):
+    assert main(argv + ["--output", output]) == 0
+    from_flags = capsys.readouterr()
+    path = tmp_path / "spelled.cfg"
+    path.write_text(f"output = {output}\n" + text)
+    assert main([argv[0], "--config", str(path)]) == 0
+    assert capsys.readouterr() == from_flags
+    assert from_flags.err == ""
 
 
 def test_cli_linking_coordinate_outside_float_range_exits_2(tmp_path, capsys):
