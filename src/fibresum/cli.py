@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConfigError, FibresumError, MathematicalInconsistencyError, MissingKeyError
@@ -45,19 +44,11 @@ EXIT_VALIDATION = 2
 EXIT_INCONSISTENT = 3
 
 
-def _theorem_inputs(task: TheoremTask, config: RunConfig):
-    """The task's manifold, its tori and its sum torus."""
-    manifold = config.manifolds[task.manifold]
-    tori = tuple(config.torus(task.manifold, label) for label in task.tori)
-    return manifold, tori, config.torus(task.manifold, task.sum_torus)
-
-
 def _run_verify(task: TheoremTask, config: RunConfig, report: TheoremReportBuilder) -> None:
     from . import construct
 
-    manifold, tori, sum_torus = _theorem_inputs(task, config)
-    hypothesis = construct.check_hypotheses(manifold, tori, task.n, sum_torus)
-    report.add_hypothesis_report(f"{task.manifold} n={task.n}", hypothesis)
+    hypothesis = construct.check_hypotheses(task.manifold, task.tori, task.n, task.sum_torus)
+    report.add_hypothesis_report(f"{task.name} n={task.n}", hypothesis)
     if not hypothesis.overall:
         raise FibresumError("hypothesis gate failed")
 
@@ -67,9 +58,8 @@ def _run_build(task: TheoremTask, config: RunConfig, report: TheoremReportBuilde
     from .config import recipe_config_section
     from .gompfsum import sum_invariants
 
-    manifold, tori, sum_torus = _theorem_inputs(task, config)
-    recipe = construct.build_theorem_recipe(manifold, tori, task.n, sum_torus)
-    report.add_recipe(recipe, sum_invariants(recipe), recipe_config_section(recipe, task.manifold))
+    recipe = construct.build_theorem_recipe(task.manifold, task.tori, task.n, task.sum_torus)
+    report.add_recipe(recipe, sum_invariants(recipe), recipe_config_section(recipe, task.name))
 
 
 def _check_forms(name: str, result, recipe, report: TheoremReportBuilder) -> None:
@@ -87,11 +77,11 @@ def _check_forms(name: str, result, recipe, report: TheoremReportBuilder) -> Non
 def _run_enumerate(task: EnumerateTask, config: RunConfig, report: TheoremReportBuilder) -> None:
     from . import construct
 
-    recipe = config.recipes[task.recipe]
+    recipe = task.recipe
     result = construct.enumerate_forms(recipe, cap=config.enumeration_cap)
-    report.add_enumeration(task.recipe, result)
+    report.add_enumeration(recipe.name, result)
     if result.manifold.simply_connected:
-        _check_forms(task.recipe, result, recipe, report)
+        _check_forms(recipe.name, result, recipe, report)
 
 
 def _run_solve(task: SolveTask, config: RunConfig, report: TheoremReportBuilder) -> None:
@@ -106,12 +96,11 @@ def _run_solve(task: SolveTask, config: RunConfig, report: TheoremReportBuilder)
         _check_forms(result.recipe.name, enumeration, result.recipe, report)
 
 
-def _load_geometry(config: RunConfig, name: str, loader, what: str):
-    path = config.resolve_file(name)
+def _load_geometry(config: RunConfig, path, loader, what: str):
     try:
         return loader(path)
     except (OSError, ValueError, FibresumError) as exc:
-        raise ConfigError(f"bad {what} file {name}: {exc}", path=config.path) from None
+        raise ConfigError(f"bad {what} file {path}: {exc}", path=config.path) from None
 
 
 def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) -> None:
@@ -128,7 +117,7 @@ def _run_linking(task: LinkingTask, config: RunConfig, report: ReportBuilder) ->
     finally:
         # The matrix and the axis numbers are reported even when the
         # relation is rejected.
-        report.add_linking(Path(task.link).name, matrix, axis_coords, relation)
+        report.add_linking(task.link.name, matrix, axis_coords, relation)
     report.add_check("linking: crossing count agrees with Gauss integral", "pass")
 
 

@@ -221,7 +221,7 @@ def parse_config(path: "str | Path", flags: tuple = ()) -> RunConfig:
     `flags` as in `parse_config_text`."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path=str(path)) from None
     return parse_config_text(text, path=str(p), base_dir=p.parent, flags=flags)

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._record import Record, _set
 from .errors import RecipeError
-from .fourman import LAGRANGIAN, EmbeddedTorus, FourManifold
+from .fourman import LAGRANGIAN, EmbeddedTorus, FourManifold, validate
 from .intlat import IntVector, row_pairing
 
 __all__ = [
@@ -64,11 +64,10 @@ class Gluing(Record):
 class SumRecipe(Record):
     """Ordered gluings of a base manifold with copies of E(1).
 
-    A recipe checks itself when it is built: every torus label is
-    declared once, every class and dual has the base's tracked rank,
-    there is at least one gluing, every gluing names a declared torus,
-    signs flip only on Lagrangian tori, and parallel copies go only
-    where the torus declares them available.
+    A recipe checks itself when it is built: the base and its tori pass
+    `fourman.validate`, there is at least one gluing, every gluing names
+    a declared torus, signs flip only on Lagrangian tori, and parallel
+    copies go only where the torus declares them available.
     Any violation raises one RecipeError listing all of them.
     """
 
@@ -83,22 +82,8 @@ class SumRecipe(Record):
     ) -> None:
         tori = tuple(tori)
         gluings = tuple(gluings)
-        violations: list[str] = []
-        table: dict[str, EmbeddedTorus] = {}
-        for torus in tori:
-            if torus.label in table:
-                violations.append(f"torus {torus.label}: declared twice")
-            table[torus.label] = torus
-            if len(torus.klass) != base.rank:
-                violations.append(
-                    f"torus {torus.label}: class length {len(torus.klass)} != "
-                    f"tracked rank {base.rank}"
-                )
-            if torus.dual is not None and len(torus.dual) != base.rank:
-                violations.append(
-                    f"torus {torus.label}: dual length {len(torus.dual)} != "
-                    f"tracked rank {base.rank}"
-                )
+        violations = validate(base, tori)
+        table = {t.label: t for t in tori}
         if not gluings:
             violations.append("no gluings")
         for gluing in gluings:

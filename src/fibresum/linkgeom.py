@@ -593,7 +593,7 @@ def parse_link_text(text: str) -> PolygonalLink:
 
 
 def load_link(path) -> PolygonalLink:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_link_text(fh.read())
 
 

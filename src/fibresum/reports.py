@@ -5,8 +5,10 @@ every integer rendered as an exact decimal string, so reports can be
 diffed byte-for-byte in CI. Nothing time- or environment-dependent goes
 in. It is written by a small indent-2 writer whose bytes equal
 ``json.dumps(doc, indent=2, sort_keys=True)``; unlike ``json.dumps`` with
-an indent, it escapes every string with the C encoder. Table output
-carries the same numeric content in aligned text.
+an indent, it escapes every string with the C encoder. The table prints
+every task's section in aligned text, but the machine document's
+top-level `manifold` is only the last build's or enumeration's, so an
+earlier summed record is in the table alone (ROADMAP item 7).
 
 `ReportBuilder` holds what every task reports: lines, checks, task
 documents, errors and the linking section. The theorem tasks' sections,

@@ -89,12 +89,15 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 
 class TheoremTask(Record):
     """The theorem's inputs: `verify` runs the hypothesis gate on them,
-    `build` also synthesizes the recipe."""
+    `build` also synthesizes the recipe. `name` is the config's name for
+    the manifold record, which the report prints."""
 
-    __slots__ = ("kind", "manifold", "tori", "sum_torus", "n")
+    __slots__ = ("kind", "name", "manifold", "tori", "sum_torus", "n")
 
 
 class EnumerateTask(Record):
+    """The recipe whose forms to enumerate, as its config built it."""
+
     __slots__ = ("recipe",)
     kind = "enumerate"
 
@@ -105,6 +108,8 @@ class SolveTask(Record):
 
 
 class LinkingTask(Record):
+    """The resolved link file and axis file (or None)."""
+
     __slots__ = ("link", "axis")
     kind = "linking"
 
@@ -125,13 +130,13 @@ class RunConfig:
         self.base_dir = Path.cwd() if base_dir is None else base_dir
         self.path = path
 
-    def torus(self, manifold_name: str, label: str, *, line: int = 0) -> EmbeddedTorus:
+    def torus(self, manifold_name: str, label: str, *, line: Union[int, str, None]) -> EmbeddedTorus:
         table = self.tori.get(manifold_name, {})
         if label not in table:
             raise ConfigError(
                 f"unknown torus {label!r} on manifold {manifold_name!r}",
                 path=self.path,
-                line=line or None,
+                line=line,
             )
         return table[label]
 
@@ -166,9 +171,9 @@ def bundled_path(name: str) -> Optional[Path]:
 
 class Section:
     """One section's `key = value` pairs, read through `KEYS`; each pair
-    keeps where it was given, a file line or a flag. The typed reads
-    report errors at the section's header: its line in a file, its first
-    flag on a command line."""
+    keeps where it was given, a file line or a flag, and a bad value is
+    reported there. A problem of the whole section is reported at its
+    header: its line in a file, its first flag on a command line."""
 
     def __init__(self, path: str, kind: str, name: str, line: Union[int, str, None]) -> None:
         self.path = path
@@ -204,7 +209,7 @@ class Section:
                 where = f"key {key!r} in {self}" if self.kind else f"top-level key {key!r}"
                 raise self.error(f"unknown {where}", line)
             if key in self.values:
-                raise self.error(f"duplicate key {key!r} in {self}")
+                raise self.error(f"duplicate key {key!r} in {self}", line)
             self.values[key] = value
             self.lines[key] = line
 
@@ -225,19 +230,19 @@ class Section:
         return int(value)
 
     def integer(self, key: str) -> int:
-        return self.parse_int(self.require(key), key)
+        return self.parse_int(self.require(key), key, self.lines[key])
 
     def integers(self, key: str, required: bool = True) -> Optional[tuple[int, ...]]:
         """The integers under `key`, separated by commas or spaces."""
         value = self.require(key) if required else self.values.get(key)
         if value is None:
             return None
-        return tuple(self.parse_int(part, key) for part in value.replace(",", " ").split())
+        return tuple(self.parse_int(part, key, self.lines[key]) for part in value.replace(",", " ").split())
 
     def boolean(self, key: str) -> bool:
         value = self.values.get(key, "false")
         if value.lower() not in _BOOLEANS:
-            raise self.error(f"{key}: expected a boolean, got {value!r}")
+            raise self.error(f"{key}: expected a boolean, got {value!r}", self.lines[key])
         return _BOOLEANS[value.lower()]
 
     def new_name(self, taken: dict, owner: str = "") -> str:
@@ -248,19 +253,17 @@ class Section:
             raise self.error(f"{self.kind} {self.name!r}{owner} defined twice")
         return self.name
 
-    def file(self, key: str, config: RunConfig, required: bool = True) -> Optional[str]:
-        """The file name under `key`, once it resolves to a file; a name
-        that does not is reported where the key was given."""
+    def file(self, key: str, config: RunConfig, required: bool = True) -> Optional[Path]:
+        """The file that the name under `key` resolves to; a name that
+        does not resolve is reported where the key was given."""
         name = self.require(key) if required else self.values.get(key)
-        if name is not None:
-            config.resolve_file(name, line=self.lines[key])
-        return name
+        return None if name is None else config.resolve_file(name, line=self.lines[key])
 
     def manifold(self, config: RunConfig) -> str:
-        """The loaded manifold that the `manifold` key names."""
+        """The name of the loaded manifold that the `manifold` key names."""
         name = self.require("manifold")
         if name not in config.manifolds:
-            raise self.error(f"unknown manifold {name!r}")
+            raise self.error(f"unknown manifold {name!r}", self.lines["manifold"])
         return name
 
 
@@ -280,24 +283,26 @@ def load_top(top: Section, config: RunConfig) -> None:
 
 
 def load_task(section: Section, config: RunConfig) -> None:
+    """Append the section's task with every name it gives resolved."""
     kind = section.name
+    lines = section.lines
     if kind in ("verify", "build"):
-        manifold_name = section.manifold(config)
-        tori_labels = tuple(section.require("tori").split())
+        name = section.manifold(config)
+        labels = section.require("tori").split()
         sum_label = section.require("sum")
-        for label in tori_labels + (sum_label,):
-            config.torus(manifold_name, label, line=section.line)
+        tori = tuple(config.torus(name, label, line=lines["tori"]) for label in labels)
+        sum_torus = config.torus(name, sum_label, line=lines["sum"])
         n = section.integer("n")
-        config.tasks.append(TheoremTask(kind, manifold_name, tori_labels, sum_label, n))
+        config.tasks.append(TheoremTask(kind, name, config.manifolds[name], tori, sum_torus, n))
     elif kind == "enumerate":
         recipe_name = section.require("recipe")
         if recipe_name not in config.recipes:
-            raise section.error(f"unknown recipe {recipe_name!r}")
-        config.tasks.append(EnumerateTask(recipe_name))
+            raise section.error(f"unknown recipe {recipe_name!r}", lines["recipe"])
+        config.tasks.append(EnumerateTask(config.recipes[recipe_name]))
     elif kind == "solve":
         primes = section.integers("primes")
         if not primes:
-            raise section.error("solve task needs at least one prime")
+            raise section.error("solve task needs at least one prime", lines["primes"])
         config.tasks.append(SolveTask(primes))
     else:
         link = section.file("link", config)

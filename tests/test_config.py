@@ -24,6 +24,8 @@ M = (
 TORUS_A = "[torus A]\nmanifold = M\nclass = 1 0\nkind = lagrangian\ndual = 0 1\n"
 SOLVE = "[task solve]\nprimes = 3\n"
 
+# A bad value is reported at its key's line, a problem of the whole
+# section at the section's header.
 ERRORS = [
     ("[manifold T4\n", "cfg:1: unterminated section header"),
     ("seed = 0\n[ ]\n", "cfg:2: empty section header"),
@@ -36,20 +38,20 @@ ERRORS = [
     ("seed = -1\n", "cfg:1: seed must be nonnegative"),
     (
         M.replace("= true", "= maybe") + SOLVE,
-        "cfg:1: simply_connected: expected a boolean, got 'maybe'",
+        "cfg:9: simply_connected: expected a boolean, got 'maybe'",
     ),
     (
         M + TORUS_A + "parallel = often\n" + SOLVE,
-        "cfg:10: parallel: expected a boolean, got 'often'",
+        "cfg:15: parallel: expected a boolean, got 'often'",
     ),
     # An empty boolean is no boolean, not false.
-    (M.replace("= true", "=") + SOLVE, "cfg:1: simply_connected: expected a boolean, got ''"),
-    (M + TORUS_A + "parallel =\n" + SOLVE, "cfg:10: parallel: expected a boolean, got ''"),
+    (M.replace("= true", "=") + SOLVE, "cfg:9: simply_connected: expected a boolean, got ''"),
+    (M + TORUS_A + "parallel =\n" + SOLVE, "cfg:15: parallel: expected a boolean, got ''"),
     # An integer is an optional sign and ASCII digits, nothing `int()` also takes.
     ("seed = 1_0\n", "cfg:1: seed: expected an integer, got '1_0'"),
     (
         T4 + "[task verify]\nmanifold = T4\ntori = Tz Tx Ty\nsum = Tw\nn = \uff15\n",
-        "cfg:3: n: expected an integer, got '\uff15'",
+        "cfg:7: n: expected an integer, got '\uff15'",
     ),
     (T4 + "[recipe r]\nmanifold = T4\nglue = Tz x\n", "cfg:5: expected a sign (+ or -), got 'x'"),
     ("[widget w]\n" + SOLVE, "cfg:1: unknown section kind 'widget'"),
@@ -67,7 +69,7 @@ ERRORS = [
         "cfg:6: recipe 'r' defined twice",
     ),
     ("[manifold K]\nbuiltin = K3\n", "cfg:1: unknown builtin 'K3' (available: T4, E1)"),
-    (M.replace("euler = 4", "euler = x"), "cfg:1: euler: expected an integer, got 'x'"),
+    (M.replace("euler = 4", "euler = x"), "cfg:2: euler: expected an integer, got 'x'"),
     (
         M.replace("pairing_row = 1 0", "pairing_row = 1 x"),
         "cfg:8: pairing entry: expected an integer, got 'x'",
@@ -94,16 +96,21 @@ ERRORS = [
         T4 + "[recipe r]\nmanifold = T4\nglue = Tq +\n",
         "cfg:5: unknown torus 'Tq' on manifold 'T4'",
     ),
-    ("[task solve]\nprimes =\n", "cfg:1: solve task needs at least one prime"),
-    ("[torus F]\nmanifold = K\n", "cfg:1: unknown manifold 'K'"),
-    ("[recipe r]\nmanifold = K\n", "cfg:1: unknown manifold 'K'"),
-    ("[task verify]\nmanifold = K\ntori = Tz\nsum = Tz\nn = 3\n", "cfg:1: unknown manifold 'K'"),
+    ("[task solve]\nprimes =\n", "cfg:2: solve task needs at least one prime"),
+    ("[torus F]\nmanifold = K\n", "cfg:2: unknown manifold 'K'"),
+    ("[recipe r]\nmanifold = K\n", "cfg:2: unknown manifold 'K'"),
+    ("[task verify]\nmanifold = K\ntori = Tz\nsum = Tz\nn = 3\n", "cfg:2: unknown manifold 'K'"),
     (
-        T4 + "[task verify]\nmanifold = T4\ntori = Tz Tq\nsum = Tw\nn = 3\n",
-        "cfg:3: unknown torus 'Tq' on manifold 'T4'",
+        T4 + "[task verify]\nmanifold = T4\nsum = Tw\ntori = Tz Tq\nn = 3\n",
+        "cfg:6: unknown torus 'Tq' on manifold 'T4'",
     ),
-    (T4 + "[task enumerate]\nrecipe = r\n", "cfg:3: unknown recipe 'r'"),
-    ("[task solve]\nprimes = 3\nprimes = 5\n", "cfg:1: duplicate key 'primes' in [task solve]"),
+    (
+        T4 + "[task verify]\nmanifold = T4\ntori = Tz Tx Ty\nn = 3\nsum = Tq\n",
+        "cfg:7: unknown torus 'Tq' on manifold 'T4'",
+    ),
+    (T4 + "[task enumerate]\nrecipe = r\n", "cfg:4: unknown recipe 'r'"),
+    # A repeated key is reported at its second line.
+    ("[task solve]\nprimes = 3\nprimes = 5\n", "cfg:3: duplicate key 'primes' in [task solve]"),
     ("[task solve]\n", "cfg:1: missing key 'primes' in [task solve]"),
     ("seed = 0\n", "cfg: no tasks"),
     (

@@ -879,6 +879,34 @@ def test_a_command_line_is_the_config_it_spells(argv, text, output, tmp_path, ca
     assert from_flags.err == ""
 
 
+def test_tasks_hold_what_their_config_resolved(tmp_path):
+    # A task keeps the records and files that its config named, so a run
+    # looks none of them up again: not in the config's tables, and not
+    # in the directory that the file names were resolved against.
+    for name in ("borromean16.lnk", "borromean16-axis.lnk"):
+        (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+    linking = tmp_path / "linking.cfg"
+    linking.write_text("[task linking]\nlink = borromean16.lnk\naxis = borromean16-axis.lnk\n")
+    for path, golden in ((GOLDEN / "build.cfg", "build.json"), (linking, "borromean16_linking.json")):
+        config = parse_config(path)
+        config.output_format = "machine"
+        config.manifolds.clear()
+        config.tori.clear()
+        config.recipes.clear()
+        config.base_dir = tmp_path / "elsewhere"
+        out = io.StringIO()
+        assert run(config, stream=out) == 0
+        assert out.getvalue().encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def test_a_config_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufeffseed = 4\n[task solve]\nprimes = 3\n", encoding="utf-8")
+    config = parse_config(path)
+    assert config.seed == 4
+    assert [task.primes for task in config.tasks] == [(3,)]
+
+
 def test_cli_linking_coordinate_outside_float_range_exits_2(tmp_path, capsys):
     path = tmp_path / "far.lnk"
     path.write_text("0 0 0\n1e400 0 0\n0 1 0\n\n5 5 5\n6 5 5\n5 6 5\n")

@@ -68,6 +68,39 @@ def test_check_hypotheses_rejects_wrong_sum_class():
     assert any("expected" in r for r in report.condition2_reasons)
 
 
+_T4, (_TX, _TY, _TZ, _TW) = build_t4()
+# Gate inputs that each break one check, with the report field that
+# names it and the reason.
+GATE_REASONS = [
+    (
+        replace(_T4, pairing=_T4.pairing.masked({2})),
+        (_TZ, _TX, _TY),
+        "condition1_reasons",
+        "Tz: self-pairing untracked",
+    ),
+    # Ty + Uy pairs to 2 with itself.
+    (
+        _T4,
+        (_TZ, _TX, replace(_TY, klass=IntVector((0, 1, 0, 0, 1, 0)))),
+        "condition1_reasons",
+        "Ty: not square-zero",
+    ),
+    (
+        _T4,
+        (_TZ, replace(_TX, kind="spiky"), _TY),
+        "condition2_reasons",
+        "Tx: no symplectic representative (spiky)",
+    ),
+]
+
+
+@pytest.mark.parametrize("manifold, tori, field, reason", GATE_REASONS, ids=[r for *_, r in GATE_REASONS])
+def test_check_hypotheses_names_each_broken_check(manifold, tori, field, reason):
+    report = check_hypotheses(manifold, tori, 3, _TW)
+    assert reason in getattr(report, field)
+    assert not report.overall
+
+
 def test_check_hypotheses_fails_safe_on_indeterminate_divisibility():
     from fibresum.fourman import FourManifold
 

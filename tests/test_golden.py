@@ -2,15 +2,16 @@
 
 Each case's ``tests/golden/<case>.json`` is the stdout of one CLI run
 with ``--output machine``, and its ``<case>.txt`` the stdout of the same
-run with ``--output table``. A change that alters any of them must
-regenerate the file on purpose and say why.
+run with ``--output table``; both runs exit with the case's code. A
+change that alters any of them must regenerate the file on purpose and
+say why.
 
 The file also runs without pytest, on any supported Python:
 
     python3 tests/test_golden.py
 
 replays every case in both formats from an empty temporary directory
-and exits 1 naming the first report that differs.
+and exits 1 naming the first report or exit code that differs.
 """
 
 import contextlib
@@ -23,47 +24,54 @@ from pathlib import Path
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
-    "corollary15.json": ["run", "--config", "corollary15.cfg"],
-    "mcmullen_taubes.json": ["run", "--config", "mcmullen_taubes.cfg"],
-    "solve35.json": ["run", "--config", "solve35.cfg"],
-    "borromean_linking.json": ["linking", "--link", "borromean.lnk", "--axis", "axis.lnk"],
+    "corollary15.json": (0, ["run", "--config", "corollary15.cfg"]),
+    # A run that fails part way prints what it did before the error: the
+    # hypothesis report, then the enumeration's error, and exits 2.
+    "corollary15_cap2.json": (2, ["run", "--config", "corollary15.cfg", "--cap", "2"]),
+    "mcmullen_taubes.json": (0, ["run", "--config", "mcmullen_taubes.cfg"]),
+    "solve35.json": (0, ["run", "--config", "solve35.cfg"]),
+    "borromean_linking.json": (0, ["linking", "--link", "borromean.lnk", "--axis", "axis.lnk"]),
     # Seeded refinements with perturbed rational vertices, so the exact
     # geometry works with large denominators.
-    "borromean16_linking.json": [
-        "linking",
-        "--link",
-        str(GOLDEN / "borromean16.lnk"),
-        "--axis",
-        str(GOLDEN / "borromean16-axis.lnk"),
-    ],
-    "hopf32_linking.json": ["linking", "--link", str(GOLDEN / "hopf32.lnk")],
+    "borromean16_linking.json": (
+        0,
+        [
+            "linking",
+            "--link",
+            str(GOLDEN / "borromean16.lnk"),
+            "--axis",
+            str(GOLDEN / "borromean16-axis.lnk"),
+        ],
+    ),
+    "hopf32_linking.json": (0, ["linking", "--link", str(GOLDEN / "hopf32.lnk")]),
     # A custom record and T4 verify, build and enumerate tasks: covers the
     # build report's per-gluing copies and its c1 trace.
-    "build.json": ["run", "--config", str(GOLDEN / "build.cfg")],
+    "build.json": (0, ["run", "--config", str(GOLDEN / "build.cfg")]),
     # A small record like the benchmark's `wide` ones: every sign assignment
     # is a distinct form, and one identity check per dual class is skipped.
-    "wide3.json": ["run", "--config", str(GOLDEN / "wide3.cfg")],
+    "wide3.json": (0, ["run", "--config", str(GOLDEN / "wide3.cfg")]),
     # Records that are not simply connected, whose forms include bounds
     # that do not meet and the zero class: reports exact = false and
     # undefined = true, and a nonzero inexact count.
-    "inexact.json": ["run", "--config", str(GOLDEN / "inexact.cfg")],
+    "inexact.json": (0, ["run", "--config", str(GOLDEN / "inexact.cfg")]),
 }
 
 
-def _stdout(argv):
-    """The exit code and the standard output of one CLI run."""
+def _run(golden, output):
+    """The exit code and the standard output of a case's CLI run."""
     from fibresum.cli import main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = main(CASES[golden][1] + ["--output", output])
     return code, out.getvalue().encode("utf-8")
 
 
 def _expected(golden, output):
-    """The golden file of a case's report in one output format."""
+    """A case's exit code and the golden file of its report in one
+    output format."""
     name = golden if output == "machine" else Path(golden).with_suffix(".txt").name
-    return GOLDEN / name
+    return CASES[golden][0], GOLDEN / name
 
 
 def pytest_generate_tests(metafunc):
@@ -77,14 +85,14 @@ def test_machine_report_matches_golden(golden, tmp_path, monkeypatch):
     # An empty working directory, so the bundled names resolve to the
     # files shipped with the package.
     monkeypatch.chdir(tmp_path)
-    expected = _expected(golden, "machine").read_bytes()
-    assert _stdout(CASES[golden] + ["--output", "machine"]) == (0, expected)
+    code, expected = _expected(golden, "machine")
+    assert _run(golden, "machine") == (code, expected.read_bytes())
 
 
 def test_table_report_matches_golden(golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    expected = _expected(golden, "table").read_bytes()
-    assert _stdout(CASES[golden] + ["--output", "table"]) == (0, expected)
+    code, expected = _expected(golden, "table")
+    assert _run(golden, "table") == (code, expected.read_bytes())
 
 
 def replay() -> int:
@@ -96,10 +104,10 @@ def replay() -> int:
         try:
             for golden in sorted(CASES):
                 for output in ("machine", "table"):
-                    expected = _expected(golden, output)
-                    code, got = _stdout(CASES[golden] + ["--output", output])
-                    if (code, got) != (0, expected.read_bytes()):
-                        print(f"mismatch: {expected.name} (exit {code})", file=sys.stderr)
+                    code, expected = _expected(golden, output)
+                    got = _run(golden, output)
+                    if got != (code, expected.read_bytes()):
+                        print(f"mismatch: {expected.name} (exit {got[0]})", file=sys.stderr)
                         return 1
         finally:
             os.chdir(start)

@@ -88,7 +88,7 @@ def test_sum_invariants_zero_gluings_returns_base():
     manifold, tori, _ = t4_tables()
     with pytest.raises(RecipeError) as caught:
         SumRecipe(manifold, tori + tori[:1], (), name="x")
-    assert str(caught.value) == "torus Tx: declared twice; no gluings"
+    assert str(caught.value) == "torus Tx: duplicate label; no gluings"
 
 
 def test_perform_recipe_zero_copies_returns_base():
@@ -148,15 +148,24 @@ _SHORT_DUAL_TZ = EmbeddedTorus(
     dual=IntVector((0, 0, 0, 0, 1)),
     parallel_copies_available=False,
 )
+_SPIKY_TQ = EmbeddedTorus("Tq", IntVector((0, 0, 1, 0, 0, 0)), "spiky", None, False)
+# Tx + Ux pairs to 2 with itself.
+_SQUARE_TWO_TQ = EmbeddedTorus("Tq", IntVector((1, 0, 0, 1, 0, 0)), LAGRANGIAN, None, False)
 
 
 @pytest.mark.parametrize(
     "tori, gluings, message",
     [
         (_T4_TORI, (Gluing("nope", (1,)),), "gluing references undeclared torus nope"),
-        (_T4_TORI + _T4_TORI[:1], (Gluing("Tx", (1,)),), "torus Tx: declared twice"),
-        (_T4_TORI[:2] + (_SHORT_TZ,), (Gluing("Tx", (1,)),), "torus Tz: class length 3 != tracked rank 6"),
-        (_T4_TORI[:2] + (_SHORT_DUAL_TZ,), (Gluing("Tx", (1,)),), "torus Tz: dual length 5 != tracked rank 6"),
+        (_T4_TORI + _T4_TORI[:1], (Gluing("Tx", (1,)),), "torus Tx: duplicate label"),
+        (_T4_TORI[:2] + (_SHORT_TZ,), (Gluing("Tx", (1,)),), "torus Tz: class length 3 != rank 6"),
+        (_T4_TORI[:2] + (_SHORT_DUAL_TZ,), (Gluing("Tx", (1,)),), "torus Tz: dual length 5 != rank 6"),
+        (_T4_TORI + (_SPIKY_TQ,), (Gluing("Tx", (1,)),), "torus Tq: unknown kind 'spiky'"),
+        (
+            _T4_TORI + (_SQUARE_TWO_TQ,),
+            (Gluing("Tx", (1,)),),
+            "torus Tq: not square-zero (self-pairing 2)",
+        ),
         (
             _T4_TORI,
             (Gluing("Tw", (-1,)),),
@@ -174,6 +183,8 @@ _SHORT_DUAL_TZ = EmbeddedTorus(
         "duplicate-label",
         "class-length",
         "dual-length",
+        "unknown-kind",
+        "not-square-zero",
         "flip-on-symplectic-torus",
         "every-violation-joined",
     ],

@@ -315,6 +315,13 @@ def test_parse_link_text_rationals_and_comments():
     assert len(link.components) == 2
 
 
+def test_load_link_accepts_a_byte_order_mark(tmp_path):
+    text = "0 0 0\n1 0 0\n0 1 0\n\n5 5 5\n6 5 5\n5 6 5\n"
+    path = tmp_path / "bom.lnk"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_link(path) == parse_link_text(text)
+
+
 def test_parse_link_text_errors():
     with pytest.raises(ValueError, match="no components"):
         parse_link_text("# nothing here\n")

@@ -54,8 +54,8 @@ RECORDS = {
     "SolveResult": lambda: SolveResult(
         SumRecipe(T4, (TX,), (Gluing("Tx", (1,)),)), 3, 1, {3: -1}
     ),
-    "TheoremTask": lambda: TheoremTask("verify", "T4", ("Tz", "Tx"), "Tw", 3),
-    "EnumerateTask": lambda: EnumerateTask("cor15"),
+    "TheoremTask": lambda: TheoremTask("verify", "T4", T4, (TZ, TX), TW, 3),
+    "EnumerateTask": lambda: EnumerateTask(SumRecipe(T4, (TZ,), (Gluing("Tz", (1, -1)),), name="r")),
     "SolveTask": lambda: SolveTask((3, 5)),
     "LinkingTask": lambda: LinkingTask("borromean.lnk", None),
     "PolygonalCurve": lambda: PolygonalCurve(TRIANGLE),
@@ -196,7 +196,7 @@ def test_replace_reruns_the_constructor_checks():
         (
             lambda: SumRecipe(T4, (TX, TX), (Gluing("Tq", (1,)),)),
             RecipeError,
-            "torus Tx: declared twice; gluing references undeclared torus Tq",
+            "torus Tx: duplicate label; gluing references undeclared torus Tq",
         ),
         (
             lambda: replace(T4, lattice_basis_labels=("Tx",)),
