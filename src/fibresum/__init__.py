@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "fourman": (
         "LAGRANGIAN", "SYMPLECTIC", "EmbeddedTorus", "FourManifold",
-        "build_e1", "build_t4", "form_parity", "validate",
+        "build_e1", "build_t4", "form_parity",
     ),
     "gompfsum": (
         "CheckReport", "FormClass", "Gluing", "SumRecipe", "check_c1_identities", "sum_c1",

@@ -65,7 +65,7 @@ def _run_build(task: TheoremTask, config: RunConfig, report: TheoremReportBuilde
 def _check_forms(name: str, result, recipe, report: TheoremReportBuilder) -> None:
     from .gompfsum import check_c1_identities
 
-    extras = {t.label: t.klass for t in recipe.tori}
+    extras = {t.label: t.klass for t in recipe.base.tori}
     identities = check_c1_identities(result.manifold, result.forms, extras)
     report.add_form_checks(name, result.forms, identities)
     any_failed = not all(identity.ok for identity in identities)

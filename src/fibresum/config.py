@@ -20,15 +20,16 @@ with one `key = value` pair per line and `#` comments:
 
 `settings.KEYS` names the keys of each section kind and task kind. Custom
 manifolds mirror the record fields (euler, signature, b1, b2, basis, c1,
-pairing_row repeated per basis row with `?` for untracked entries) and
-declare their tori in `[torus NAME]` sections. Any other key is a
-`ConfigError` naming the key and its line, which exits 2 from the
-command line; so is a second value for a key that does not repeat.
-Every reference, file names included, is resolved and every record
-validated at load time; a record's problems are reported at its
-`[manifold NAME]` header. The top-level keys and the task sections are
-read by `settings`, which also reads them from a command line. The
-parsed result is a `settings.RunConfig`.
+pairing_row repeated per basis row with `?` for untracked entries); a
+`[torus NAME]` section gives a torus to the manifold it names, a builtin
+included. Any other key is a `ConfigError` naming the key and its line,
+which exits 2 from the command line; so is a second value for a key
+that does not repeat. Every reference, file names included, is resolved
+at load time, and each record is built, and so checked, once with all
+its tori; a record's problems are reported at its `[manifold NAME]`
+header. The top-level keys and the task sections are read by
+`settings`, which also reads them from a command line. The parsed
+result is a `settings.RunConfig`.
 """
 
 from __future__ import annotations
@@ -37,28 +38,17 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, RecipeError
-from .fourman import (
-    LAGRANGIAN,
-    SYMPLECTIC,
-    EmbeddedTorus,
-    FourManifold,
-    build_e1,
-    build_t4,
-    validate,
-)
+from .fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_e1, build_t4
 from .gompfsum import Gluing, SumRecipe
 from .intlat import IntVector, PairingMatrix
 from .settings import RunConfig, Section, load_task, load_top
 
 __all__ = ["parse_config", "parse_config_text"]
 
-def _e1() -> tuple[FourManifold, tuple[EmbeddedTorus, ...]]:
-    manifold, fibre = build_e1()
-    return manifold, (fibre,)
-
-
-# Each builtin record with its tori, by name.
-_BUILTINS = {"T4": build_t4, "E1": _e1}
+# Each builtin record, by name.
+_BUILTINS = {"T4": build_t4, "E1": build_e1}
+# The section kinds, in load order.
+_KINDS = ("manifold", "torus", "recipe", "task")
 
 _SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 
@@ -79,7 +69,7 @@ def _split_sections(text: str, path: str) -> tuple[Section, list[Section]]:
                 raise ConfigError("empty section header", path=path, line=lineno)
             if len(tokens) > 2:
                 raise ConfigError("section header takes at most two words", path=path, line=lineno)
-            if tokens[0] not in _LOADERS:
+            if tokens[0] not in _KINDS:
                 raise ConfigError(f"unknown section kind {tokens[0]!r}", path=path, line=lineno)
             current = Section(path, tokens[0], tokens[1] if len(tokens) > 1 else "", lineno)
             sections.append(current)
@@ -106,29 +96,36 @@ def parse_config_text(
     load_top(top, config)
 
     # Manifolds first, then tori, then recipes, then tasks, so sections
-    # may appear in any order in the file. The records are validated
-    # once their tori are in.
-    for kind, load in _LOADERS.items():
-        if kind == "recipe":
-            _validate_records(sections, config)
-        for section in sections:
-            if section.kind == kind:
-                load(section, config)
+    # may appear in any order in the file. Each record is built once its
+    # tori are read.
+    of_kind = {kind: [s for s in sections if s.kind == kind] for kind in _KINDS}
+    records: dict = {}
+    for section in of_kind["manifold"]:
+        _load_manifold(section, records)
+    for section in of_kind["torus"]:
+        _load_torus(section, records)
+    config.manifolds = {name: _build_record(*record) for name, record in records.items()}
+    for section in of_kind["recipe"]:
+        _load_recipe(section, config)
+    for section in of_kind["task"]:
+        load_task(section, config)
 
     if not config.tasks:
         raise ConfigError("no tasks", path=path)
     return config
 
 
-def _load_manifold(section: Section, config: RunConfig) -> None:
-    name = section.new_name(config.manifolds)
+def _load_manifold(section: Section, records: dict) -> None:
+    """Enter (section, fields but the tori, tori by label) in `records`
+    under the section's name; a builtin gives its whole record as fields."""
+    name = section.new_name(records)
     builtin = section.values.get("builtin")
     if builtin is not None:
         if builtin not in _BUILTINS:
-            raise section.error(f"unknown builtin {builtin!r} (available: {', '.join(_BUILTINS)})")
-        manifold, tori = _BUILTINS[builtin]()
-        config.manifolds[name] = manifold
-        config.tori[name] = {t.label: t for t in tori}
+            message = f"unknown builtin {builtin!r} (available: {', '.join(_BUILTINS)})"
+            raise section.error(message, section.lines["builtin"])
+        manifold = _BUILTINS[builtin]()
+        records[name] = (section, manifold, manifold.torus_table)
         return
     basis = tuple(section.require("basis").split())
     dim = len(basis)
@@ -144,30 +141,31 @@ def _load_manifold(section: Section, config: RunConfig) -> None:
         raise section.error(f"manifold {name!r} needs {dim} pairing rows, got {len(rows)}")
     c1 = section.integers("c1", required=False)
     try:
-        config.manifolds[name] = FourManifold(
-            name=name,
-            euler=section.integer("euler"),
-            signature=section.integer("signature"),
-            b1=section.integer("b1"),
-            b2=section.integer("b2"),
-            lattice_basis_labels=basis,
-            pairing=PairingMatrix(tuple(rows)),
-            c1=IntVector.zero(dim) if c1 is None else IntVector(c1),
-            pi1_normally_generated_by_tori=section.boolean("pi1_tori_generate"),
-            simply_connected=section.boolean("simply_connected"),
+        fields = (
+            name,
+            section.integer("euler"),
+            section.integer("signature"),
+            section.integer("b1"),
+            section.integer("b2"),
+            basis,
+            PairingMatrix(tuple(rows)),
+            IntVector.zero(dim) if c1 is None else IntVector(c1),
+            section.boolean("pi1_tori_generate"),
+            section.boolean("simply_connected"),
         )
     except ValueError as exc:
         raise section.error(str(exc)) from None
-    config.tori[name] = {}
+    records[name] = (section, fields, {})
 
 
-def _load_torus(section: Section, config: RunConfig) -> None:
-    manifold_name = section.manifold(config)
-    table = config.tori[manifold_name]
+def _load_torus(section: Section, records: dict) -> None:
+    manifold_name = section.manifold(records)
+    table = records[manifold_name][2]
     label = section.new_name(table, f" on {manifold_name!r}")
     kind = section.require("kind")
     if kind not in (SYMPLECTIC, LAGRANGIAN):
-        raise section.error(f"torus kind must be {SYMPLECTIC!r} or {LAGRANGIAN!r}, got {kind!r}")
+        message = f"torus kind must be {SYMPLECTIC!r} or {LAGRANGIAN!r}, got {kind!r}"
+        raise section.error(message, section.lines["kind"])
     dual = section.integers("dual", required=False)
     table[label] = EmbeddedTorus(
         label=label,
@@ -178,19 +176,22 @@ def _load_torus(section: Section, config: RunConfig) -> None:
     )
 
 
-def _validate_records(sections: list[Section], config: RunConfig) -> None:
-    """Check each loaded record with its tori, naming the record's header line."""
-    for section in sections:
-        if section.kind == "manifold":
-            name = section.name
-            problems = validate(config.manifolds[name], tuple(config.tori[name].values()))
-            if problems:
-                raise section.error(f"manifold {name!r} is inconsistent: " + "; ".join(problems))
+def _build_record(section: Section, fields: "tuple | FourManifold", tori: dict) -> FourManifold:
+    """The record with its tori, its problems reported at its header; a
+    builtin is rebuilt only when the config gives it more tori."""
+    if isinstance(fields, FourManifold):
+        if len(tori) == len(fields.tori):
+            return fields
+        fields = fields._values()[:-1]
+    try:
+        return FourManifold(*fields, tuple(tori.values()))
+    except ValueError as exc:
+        raise section.error(str(exc)) from None
 
 
 def _load_recipe(section: Section, config: RunConfig) -> None:
     name = section.new_name(config.recipes)
-    manifold_name = section.manifold(config)
+    manifold_name = section.manifold(config.manifolds)
     gluings = []
     for value, lineno in section.all("glue"):
         tokens = value.split()
@@ -202,18 +203,9 @@ def _load_recipe(section: Section, config: RunConfig) -> None:
                 raise section.error(f"expected a sign (+ or -), got {tok!r}", lineno)
         gluings.append(Gluing(tokens[0], tuple(_SIGNS[tok] for tok in tokens[1:])))
     try:
-        config.recipes[name] = SumRecipe(
-            base=config.manifolds[manifold_name],
-            tori=tuple(config.tori[manifold_name].values()),
-            gluings=tuple(gluings),
-            name=name,
-        )
+        config.recipes[name] = SumRecipe(config.manifolds[manifold_name], tuple(gluings), name)
     except RecipeError as exc:
         raise section.error(f"recipe {name!r} is invalid: {exc}") from None
-
-
-# Each section kind's loader, in load order.
-_LOADERS = {"manifold": _load_manifold, "torus": _load_torus, "recipe": _load_recipe, "task": load_task}
 
 
 def parse_config(path: "str | Path", flags: tuple = ()) -> RunConfig:

@@ -123,7 +123,7 @@ class SolveResult(Record):
         sign sum, checked to have exact divisibility p. A missing form is
         an inconsistency.
         """
-        t, n = self.recipe.torus_table, self.n
+        t, n = self.recipe.base.torus_table, self.n
         fixed = self.recipe.base.c1 - (t["Tx"].klass + t["Ty"].klass) * n
         by_c1 = {f.c1.coords: f for f in enumeration.forms}
         forms = {}
@@ -244,12 +244,7 @@ def build_theorem_recipe(
     gluings = [Gluing(t.label, (1,)) for t in tori[1:]]
     gluings.append(Gluing(tori[0].label, (1,) * copies))
     gluings.append(Gluing(sum_torus.label, (1,) * (n - 1)))
-    return SumRecipe(
-        base=manifold,
-        tori=tuple(tori) + (sum_torus,),
-        gluings=tuple(gluings),
-        name=f"{manifold.name}-n{n}",
-    )
+    return SumRecipe(base=manifold, gluings=tuple(gluings), name=f"{manifold.name}-n{n}")
 
 
 def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) -> EnumerationResult:
@@ -266,7 +261,7 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     classes held after any gluing.
     """
     manifold = sum_invariants(recipe)
-    table = recipe.torus_table
+    table = recipe.base.torus_table
 
     # Partial Chern classes are plain coordinate tuples during the pass;
     # only the final classes become IntVectors.
@@ -343,9 +338,10 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
     }
     k = max(abs(s) for s in sign_sums.values())
 
-    manifold, (tx, ty, tz, tw) = build_t4()
+    t4 = build_t4()
+    tx, ty, tz, tw = t4.tori
     return SolveResult(
-        recipe=build_theorem_recipe(manifold, (tz, tx, ty), n, tw, copies=k),
+        recipe=build_theorem_recipe(t4, (tz, tx, ty), n, tw, copies=k),
         n=n,
         lagrangian_copies=k,
         sign_sums=sign_sums,

@@ -5,7 +5,8 @@ basis labels, the intersection pairing on that sublattice, and the first
 Chern class of a distinguished symplectic structure written in tracked
 coordinates (homology and cohomology identified by Poincare duality).
 Only the classes the fibre-sum bookkeeping touches are tracked, so the
-pairing can contain untracked entries after a sum.
+pairing can contain untracked entries after a sum. A record owns its
+square-zero tori and checks itself with them once, when it is built.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "FourManifold",
     "build_t4",
     "build_e1",
-    "validate",
     "form_parity",
 ]
 
@@ -43,7 +43,16 @@ class EmbeddedTorus(Record):
 
 
 class FourManifold(Record):
-    """Closed oriented four-manifold invariant record."""
+    """Closed oriented four-manifold invariant record with its square-zero
+    tori, in declaration order.
+
+    A record checks itself with its tori when it is built: Betti numbers
+    are nonnegative, |signature| <= b2, a simply connected record has
+    b1 = 0 and euler = 2 + b2, basis labels are distinct, and each torus
+    has its own label, a known kind, a square-zero class of the tracked
+    rank (the basis class itself when named after one), a dual pairing 1
+    with it if declared, and <c1, T> = 0 (adjunction). Any violation
+    raises one ValueError listing all of them."""
 
     __slots__ = (
         "name",
@@ -56,6 +65,7 @@ class FourManifold(Record):
         "c1",
         "pi1_normally_generated_by_tori",
         "simply_connected",
+        "tori",
     )
 
     def __init__(
@@ -70,6 +80,7 @@ class FourManifold(Record):
         c1: IntVector,
         pi1_normally_generated_by_tori: bool,
         simply_connected: bool,
+        tori: Sequence[EmbeddedTorus],
     ) -> None:
         lattice_basis_labels = tuple(lattice_basis_labels)
         if pairing.dim != len(lattice_basis_labels):
@@ -86,10 +97,18 @@ class FourManifold(Record):
         _set(self, "c1", c1)
         _set(self, "pi1_normally_generated_by_tori", pi1_normally_generated_by_tori)
         _set(self, "simply_connected", simply_connected)
+        _set(self, "tori", tuple(tori))
+        violations = _violations(self)
+        if violations:
+            raise ValueError(f"manifold {name!r} is inconsistent: " + "; ".join(violations))
 
     @property
     def rank(self) -> int:
         return self.pairing.dim
+
+    @property
+    def torus_table(self) -> dict[str, EmbeddedTorus]:
+        return {t.label: t for t in self.tori}
 
 
 def _e(dim: int, index: int, value: int = 1) -> IntVector:
@@ -98,7 +117,7 @@ def _e(dim: int, index: int, value: int = 1) -> IntVector:
     return IntVector(tuple(coords))
 
 
-def build_t4() -> tuple[FourManifold, tuple[EmbeddedTorus, ...]]:
+def build_t4() -> FourManifold:
     """Standard four-torus with the coordinate tori and the diagonal torus.
 
     Tracked sublattice: the three coordinate torus classes Tx, Ty, Tz
@@ -114,18 +133,6 @@ def build_t4() -> tuple[FourManifold, tuple[EmbeddedTorus, ...]]:
         rows[i][3 + i] = 1
         rows[3 + i][i] = 1
     pairing = PairingMatrix(tuple(tuple(r) for r in rows))
-    manifold = FourManifold(
-        name="T4",
-        euler=0,
-        signature=0,
-        b1=4,
-        b2=6,
-        lattice_basis_labels=labels,
-        pairing=pairing,
-        c1=IntVector.zero(6),
-        pi1_normally_generated_by_tori=True,
-        simply_connected=False,
-    )
     tori = (
         EmbeddedTorus("Tx", _e(6, 0), SYMPLECTIC, dual=_e(6, 3), parallel_copies_available=True),
         EmbeddedTorus("Ty", _e(6, 1), LAGRANGIAN, dual=_e(6, 4), parallel_copies_available=True),
@@ -138,10 +145,22 @@ def build_t4() -> tuple[FourManifold, tuple[EmbeddedTorus, ...]]:
             parallel_copies_available=True,
         ),
     )
-    return manifold, tori
+    return FourManifold(
+        name="T4",
+        euler=0,
+        signature=0,
+        b1=4,
+        b2=6,
+        lattice_basis_labels=labels,
+        pairing=pairing,
+        c1=IntVector.zero(6),
+        pi1_normally_generated_by_tori=True,
+        simply_connected=False,
+        tori=tori,
+    )
 
 
-def build_e1() -> tuple[FourManifold, EmbeddedTorus]:
+def build_e1() -> FourManifold:
     """Rational elliptic surface with its fibre torus.
 
     Tracked classes: the fibre F (square zero) and a section S with
@@ -150,19 +169,6 @@ def build_e1() -> tuple[FourManifold, EmbeddedTorus]:
     The fibre complement is simply connected, which is what lets fibre
     sums kill fundamental groups.
     """
-    pairing = PairingMatrix(((0, 1), (1, -1)))
-    manifold = FourManifold(
-        name="E1",
-        euler=12,
-        signature=-8,
-        b1=0,
-        b2=10,
-        lattice_basis_labels=("F", "S"),
-        pairing=pairing,
-        c1=IntVector((1, 0)),
-        pi1_normally_generated_by_tori=True,
-        simply_connected=True,
-    )
     fibre = EmbeddedTorus(
         "F",
         IntVector((1, 0)),
@@ -170,17 +176,24 @@ def build_e1() -> tuple[FourManifold, EmbeddedTorus]:
         dual=IntVector((0, 1)),
         parallel_copies_available=True,
     )
-    return manifold, fibre
+    return FourManifold(
+        name="E1",
+        euler=12,
+        signature=-8,
+        b1=0,
+        b2=10,
+        lattice_basis_labels=("F", "S"),
+        pairing=PairingMatrix(((0, 1), (1, -1))),
+        c1=IntVector((1, 0)),
+        pi1_normally_generated_by_tori=True,
+        simply_connected=True,
+        tori=(fibre,),
+    )
 
 
-def validate(manifold: FourManifold, tori: Sequence[EmbeddedTorus] = ()) -> list[str]:
-    """Check record invariants; returns a list of violations (empty = valid).
-
-    Beyond the structural constraints this checks the adjunction
-    constraint <c1, T> = 0 for every declared square-zero torus.
-    """
+def _violations(m: FourManifold) -> list[str]:
+    """The record's violations of the checks its class names, in order."""
     violations: list[str] = []
-    m = manifold
     if m.b1 < 0 or m.b2 < 0:
         violations.append(f"{m.name}: negative Betti number")
     if abs(m.signature) > m.b2:
@@ -192,8 +205,14 @@ def validate(manifold: FourManifold, tori: Sequence[EmbeddedTorus] = ()) -> list
             violations.append(
                 f"{m.name}: simply connected but euler = {m.euler} != 2 + b2 = {2 + m.b2}"
             )
+    # Each basis label and torus label names one class, so the checks
+    # of `gompfsum.check_c1_identities` keep one name each.
+    labels = m.lattice_basis_labels
+    for j, label in enumerate(labels):
+        if label in labels[:j]:
+            violations.append(f"{m.name}: duplicate basis label {label!r}")
     seen: set[str] = set()
-    for torus in tori:
+    for torus in m.tori:
         t = torus.label
         if t in seen:
             violations.append(f"torus {t}: duplicate label")
@@ -203,6 +222,10 @@ def validate(manifold: FourManifold, tori: Sequence[EmbeddedTorus] = ()) -> list
         if len(torus.klass) != m.rank:
             violations.append(f"torus {t}: class length {len(torus.klass)} != rank {m.rank}")
             continue
+        if t in labels and torus.klass != _e(m.rank, labels.index(t)):
+            violations.append(
+                f"torus {t}: named after basis class {t} but carries {tuple(torus.klass)}"
+            )
         self_pairing = m.pairing.pair(torus.klass, torus.klass)
         if self_pairing is None:
             violations.append(f"torus {t}: self-pairing not tracked")

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._record import Record, _set
 from .errors import RecipeError
-from .fourman import LAGRANGIAN, EmbeddedTorus, FourManifold, validate
+from .fourman import LAGRANGIAN, EmbeddedTorus, FourManifold
 from .intlat import IntVector, row_pairing
 
 __all__ = [
@@ -64,28 +64,19 @@ class Gluing(Record):
 class SumRecipe(Record):
     """Ordered gluings of a base manifold with copies of E(1).
 
-    A recipe checks itself when it is built: the base and its tori pass
-    `fourman.validate`, there is at least one gluing, every gluing names
-    a declared torus, signs flip only on Lagrangian tori, and parallel
-    copies go only where the torus declares them available.
-    Any violation raises one RecipeError listing all of them.
+    A recipe checks its gluings against the base's tori when it is built:
+    there is at least one gluing, every gluing names a torus of the base,
+    signs flip only on Lagrangian tori, and parallel copies go only where
+    the torus declares them available. Any violation raises one
+    RecipeError listing all of them.
     """
 
-    __slots__ = ("base", "tori", "gluings", "name")
+    __slots__ = ("base", "gluings", "name")
 
-    def __init__(
-        self,
-        base: FourManifold,
-        tori: Sequence[EmbeddedTorus],
-        gluings: Sequence[Gluing],
-        name: str = "recipe",
-    ) -> None:
-        tori = tuple(tori)
+    def __init__(self, base: FourManifold, gluings: Sequence[Gluing], name: str = "recipe") -> None:
         gluings = tuple(gluings)
-        violations = validate(base, tori)
-        table = {t.label: t for t in tori}
-        if not gluings:
-            violations.append("no gluings")
+        violations = [] if gluings else ["no gluings"]
+        table = base.torus_table
         for gluing in gluings:
             torus = table.get(gluing.torus_label)
             if torus is None:
@@ -104,13 +95,8 @@ class SumRecipe(Record):
         if violations:
             raise RecipeError("; ".join(violations))
         _set(self, "base", base)
-        _set(self, "tori", tori)
         _set(self, "gluings", gluings)
         _set(self, "name", name)
-
-    @property
-    def torus_table(self) -> dict[str, EmbeddedTorus]:
-        return {t.label: t for t in self.tori}
 
     @property
     def total_copies(self) -> int:
@@ -140,7 +126,7 @@ def c1_contributions(recipe: SumRecipe) -> list[dict]:
     coordinates through the identification [F] = [T]) and the normal
     correction -2*e*[T]; their sum is the net contribution -e*[T].
     """
-    table = recipe.torus_table
+    table = recipe.base.torus_table
     out: list[dict] = []
     for gluing in recipe.gluings:
         torus = table[gluing.torus_label]
@@ -165,7 +151,7 @@ def sum_c1(recipe: SumRecipe) -> IntVector:
 
     Each gluing adds its net contribution -(sum of signs)*[T] in one step.
     """
-    table = recipe.torus_table
+    table = recipe.base.torus_table
     total = recipe.base.c1
     for gluing in recipe.gluings:
         total = total - sum(gluing.signs) * table[gluing.torus_label].klass
@@ -191,10 +177,11 @@ def sum_invariants(recipe: SumRecipe) -> FourManifold:
     Torus classes and their pairings against everything survive the sum;
     dual classes survive but get capped inside the elliptic pieces, so
     every pairing between two dual classes is downgraded to untracked.
+    The summed record declares no tori.
 
-    The sum is simply connected when the base is, or when the declared
-    tori normally generate its fundamental group and each is glued at
-    least once (every loop on a glued torus dies in the fibre
+    The sum is simply connected when the base is, or when the base's
+    tori normally generate its fundamental group and each of them is
+    glued at least once (every loop on a glued torus dies in the fibre
     complement, whose fundamental group is trivial). For a sum that is
     not certified simply connected, b1 is carried over from the base and
     b2 follows from Poincare duality given that b1; the carried b1 can
@@ -208,7 +195,7 @@ def sum_invariants(recipe: SumRecipe) -> FourManifold:
     glued = {g.torus_label for g in recipe.gluings}
     simply_connected = base.simply_connected or (
         base.pi1_normally_generated_by_tori
-        and all(t.label in glued for t in recipe.tori)
+        and all(t.label in glued for t in base.tori)
     )
     if simply_connected:
         b1, b2 = 0, euler - 2
@@ -222,10 +209,11 @@ def sum_invariants(recipe: SumRecipe) -> FourManifold:
         b1=b1,
         b2=b2,
         lattice_basis_labels=base.lattice_basis_labels,
-        pairing=base.pairing.masked(_dual_block_indices(recipe.tori)),
+        pairing=base.pairing.masked(_dual_block_indices(base.tori)),
         c1=sum_c1(recipe),
         pi1_normally_generated_by_tori=base.pi1_normally_generated_by_tori,
         simply_connected=simply_connected,
+        tori=(),
     )
 
 

@@ -334,15 +334,16 @@ def _projected_segments(points: Sequence[Point], u: Point, w: Point, d: Point) -
 
 
 def _signed_crossing_total(a: PolygonalCurve, b: PolygonalCurve, d: tuple[int, int, int]) -> int:
-    for curve in (a, b):
-        for seg in _segments(curve._points):
-            if _is_zero(_cross(seg[1], d)):
-                raise _Degenerate("segment parallel to projection direction")
     pa, pb, _ = _common_points(a, b)
     u, w = _projection_frame(d)
+    segs_a = _projected_segments(pa, u, w, d)
     segs_b = _projected_segments(pb, u, w, d)
+    # A segment is parallel to d exactly when it projects to a point.
+    for seg in segs_a + segs_b:
+        if seg[2] == 0 and seg[3] == 0:
+            raise _Degenerate("segment parallel to projection direction")
     total = 0
-    for ax, ay, dax, day, ha, dha in _projected_segments(pa, u, w, d):
+    for ax, ay, dax, day, ha, dha in segs_a:
         for bx, by, dbx, dby, hb, dhb in segs_b:
             denom = dax * dby - day * dbx
             ox, oy = bx - ax, by - ay

@@ -121,7 +121,6 @@ Task = Union[TheoremTask, EnumerateTask, SolveTask, LinkingTask]
 class RunConfig:
     def __init__(self, base_dir: Optional[Path] = None, path: str = "<config>") -> None:
         self.manifolds: dict[str, FourManifold] = {}
-        self.tori: dict[str, dict[str, EmbeddedTorus]] = {}
         self.recipes: dict[str, SumRecipe] = {}
         self.tasks: list[Task] = []
         self.output_format = "table"
@@ -131,7 +130,7 @@ class RunConfig:
         self.path = path
 
     def torus(self, manifold_name: str, label: str, *, line: Union[int, str, None]) -> EmbeddedTorus:
-        table = self.tori.get(manifold_name, {})
+        table = self.manifolds[manifold_name].torus_table
         if label not in table:
             raise ConfigError(
                 f"unknown torus {label!r} on manifold {manifold_name!r}",
@@ -259,10 +258,10 @@ class Section:
         name = self.require(key) if required else self.values.get(key)
         return None if name is None else config.resolve_file(name, line=self.lines[key])
 
-    def manifold(self, config: RunConfig) -> str:
-        """The name of the loaded manifold that the `manifold` key names."""
+    def manifold(self, names: dict) -> str:
+        """The `manifold` key's value, refused unless `names` holds it."""
         name = self.require("manifold")
-        if name not in config.manifolds:
+        if name not in names:
             raise self.error(f"unknown manifold {name!r}", self.lines["manifold"])
         return name
 
@@ -287,7 +286,7 @@ def load_task(section: Section, config: RunConfig) -> None:
     kind = section.name
     lines = section.lines
     if kind in ("verify", "build"):
-        name = section.manifold(config)
+        name = section.manifold(config.manifolds)
         labels = section.require("tori").split()
         sum_label = section.require("sum")
         tori = tuple(config.torus(name, label, line=lines["tori"]) for label in labels)

@@ -28,9 +28,8 @@ def mcmullen_taubes_recipe() -> SumRecipe:
     copy. The gate rejects n = 2 (2 divides 2d), so the recipe is built
     directly, as the negative control: distinct forms whose
     divisibilities all agree."""
-    manifold, (tx, ty, tz, tw) = build_t4()
-    tori = (tz, tx, ty, tw)
-    return SumRecipe(manifold, tori, tuple(Gluing(t.label, (1,)) for t in tori), "mcmullen-taubes")
+    gluings = tuple(Gluing(label, (1,)) for label in ("Tz", "Tx", "Ty", "Tw"))
+    return SumRecipe(build_t4(), gluings, "mcmullen-taubes")
 
 
 def zero_pairing(dim: int) -> PairingMatrix:
@@ -55,7 +54,7 @@ def with_signs(recipe: SumRecipe, signs_flat: Sequence[int]) -> SumRecipe:
     for gluing in recipe.gluings:
         gluings.append(Gluing(gluing.torus_label, signs[pos : pos + gluing.copies]))
         pos += gluing.copies
-    return SumRecipe(recipe.base, recipe.tori, tuple(gluings), recipe.name)
+    return SumRecipe(recipe.base, tuple(gluings), recipe.name)
 
 
 def replace(record, **changes):

@@ -303,7 +303,7 @@ def brute_force_forms(recipe) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     is tried, plus before minus, the other copies keeping the recipe's
     signs; each copy with sign e adds -e*[T] to the base c1.
     """
-    table = {t.label: t for t in recipe.tori}
+    table = {t.label: t for t in recipe.base.tori}
     copies = [
         (table[g.torus_label], sign) for g in recipe.gluings for sign in g.signs
     ]

@@ -106,7 +106,7 @@ def test_criterion_4_invariant_suite():
             if result is None:
                 result = enumerate_forms(source_recipe)
             manifold = result.manifold
-            extras = {t.label: t.klass for t in source_recipe.tori}
+            extras = {t.label: t.klass for t in source_recipe.base.tori}
             reports = check_c1_identities(manifold, result.forms, extras)
             assert len(reports) == len(result.forms)
             for report in reports:
@@ -170,7 +170,8 @@ def test_criterion_5_linking_oracle_equivalence():
 
 def test_criterion_6_hypothesis_gate():
     with criterion(6, "gate rejects bad configurations and accepts all odd n"):
-        manifold, (tx, ty, tz, tw) = build_t4()
+        manifold = build_t4()
+        tx, ty, tz, tw = manifold.tori
         assert not check_hypotheses(manifold, (tz,), 3, tz).overall
         doubled = EmbeddedTorus("T2z", IntVector((0, 0, 2, 0, 0, 0)), LAGRANGIAN, None, False)
         doubled_sum = EmbeddedTorus("Ts", IntVector((1, 1, 2, 0, 0, 0)), SYMPLECTIC, None, False)
@@ -198,13 +199,13 @@ def _random_recipe(rng, manifold, tori):
     if not lagrangian_glued:
         gluings.append(Gluing(rng.choice(("Ty", "Tz")), (rng.choice((1, -1)),)))
     rng.shuffle(gluings)
-    return SumRecipe(manifold, tori, tuple(gluings), name="random")
+    return SumRecipe(manifold, tuple(gluings), name="random")
 
 
 def test_criterion_7_sign_locality_and_permutation():
     with criterion(7, "sign flips move c1 by exactly 2T; gluing order is irrelevant"):
-        manifold, tori = build_t4()
-        table = {t.label: t for t in tori}
+        manifold = build_t4()
+        tori, table = manifold.tori, manifold.torus_table
         rng = random.Random(31337)
         for _ in range(1000):
             recipe = _random_recipe(rng, manifold, tori)
@@ -225,6 +226,6 @@ def test_criterion_7_sign_locality_and_permutation():
 
             shuffled = list(recipe.gluings)
             rng.shuffle(shuffled)
-            permuted = SumRecipe(manifold, tori, tuple(shuffled), recipe.name)
+            permuted = SumRecipe(manifold, tuple(shuffled), recipe.name)
             assert sum_invariants(permuted) == sum_invariants(recipe)
             assert sum_c1(permuted) == before

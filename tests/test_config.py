@@ -8,12 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from fibresum import fourman
 from fibresum.cli import main
-from fibresum.config import parse_config_text
+from fibresum.config import parse_config, parse_config_text
 from fibresum.errors import ConfigError
-from fibresum.settings import KEYS
+from fibresum.fourman import build_t4
+from fibresum.gompfsum import Gluing, SumRecipe, sum_invariants
+from fibresum.settings import KEYS, bundled_path
+from fibresum.theoremreport import manifold_doc
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 T4 = "[manifold T4]\nbuiltin = T4\n"
 # A valid simply connected record of rank 2 on lines 1 to 9.
@@ -23,6 +28,8 @@ M = (
 )
 TORUS_A = "[torus A]\nmanifold = M\nclass = 1 0\nkind = lagrangian\ndual = 0 1\n"
 SOLVE = "[task solve]\nprimes = 3\n"
+# A torus that the config gives the builtin T4, on lines 3 to 6.
+TXY = "[torus Txy]\nmanifold = T4\nclass = 1 1 0 0 0 0\nkind = symplectic\n"
 
 # A bad value is reported at its key's line, a problem of the whole
 # section at the section's header.
@@ -64,11 +71,16 @@ ERRORS = [
     (T4 + "[recipe]\nmanifold = T4\n", "cfg:3: recipe section needs a name"),
     (T4 + T4, "cfg:3: manifold 'T4' defined twice"),
     (T4 + "[torus Tx]\nmanifold = T4\n", "cfg:3: torus 'Tx' on 'T4' defined twice"),
+    # A builtin is checked with the tori a config gives it, at its header.
+    (
+        T4 + TXY.replace("1 1 0 0", "1 0 0 1") + SOLVE,
+        "cfg:1: manifold 'T4' is inconsistent: torus Txy: not square-zero (self-pairing 2)",
+    ),
     (
         T4 + "[recipe r]\nmanifold = T4\nglue = Tz +\n" * 2,
         "cfg:6: recipe 'r' defined twice",
     ),
-    ("[manifold K]\nbuiltin = K3\n", "cfg:1: unknown builtin 'K3' (available: T4, E1)"),
+    ("[manifold K]\nbuiltin = K3\n", "cfg:2: unknown builtin 'K3' (available: T4, E1)"),
     (M.replace("euler = 4", "euler = x"), "cfg:2: euler: expected an integer, got 'x'"),
     (
         M.replace("pairing_row = 1 0", "pairing_row = 1 x"),
@@ -86,7 +98,7 @@ ERRORS = [
     (M + "c1 = 1 0 0\n", "cfg:1: c1 length does not match tracked lattice rank"),
     (
         M + TORUS_A.replace("lagrangian", "spiky"),
-        "cfg:10: torus kind must be 'symplectic' or 'lagrangian', got 'spiky'",
+        "cfg:13: torus kind must be 'symplectic' or 'lagrangian', got 'spiky'",
     ),
     (
         T4 + "[recipe r]\nmanifold = T4\nglue = Tz\n",
@@ -187,6 +199,12 @@ RECORD_PROBLEMS = [
         RECORD.format(rows="c1 = 0 1\n" + UNTRACKED).replace("dual = 0 1\n", ""),
         "torus A: adjunction pairing <c1, T> not tracked",
     ),
+    # Each label names one class, so each identity check has its own name.
+    (M.replace("basis = A B", "basis = F F") + SOLVE, "M: duplicate basis label 'F'"),
+    (
+        RECORD.format(rows=HYPERBOLIC).replace("[torus A]", "[torus B]"),
+        "torus B: named after basis class B but carries (1, 0)",
+    ),
 ]
 
 
@@ -196,6 +214,40 @@ def test_record_problems_in_a_config_exit_2(text, problem, tmp_path, capsys):
     assert code == 2
     # Line 1 holds the `[manifold M]` header.
     assert capsys.readouterr().err == f"error: {path}:1: manifold 'M' is inconsistent: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "path, checked",
+    [(GOLDEN / "wide3.cfg", [("M", 3)]), (bundled_path("corollary15.cfg"), [("T4", 4)])],
+    ids=["wide3", "corollary15"],
+)
+def test_loading_a_config_checks_each_record_once(path, checked, monkeypatch):
+    calls = []
+    violations = fourman._violations
+
+    def counted(manifold):
+        calls.append((manifold.name, len(manifold.tori)))
+        return violations(manifold)
+
+    monkeypatch.setattr(fourman, "_violations", counted)
+    parse_config(path)
+    assert calls == checked
+
+
+def test_a_builtin_holds_the_tori_a_config_gives_it():
+    config = parse_config_text(T4 + TXY + "[recipe r]\nmanifold = T4\nglue = Txy +\n" + SOLVE)
+    assert [t.label for t in config.manifolds["T4"].tori] == ["Tx", "Ty", "Tz", "Tw", "Txy"]
+    assert config.recipes["r"].base is config.manifolds["T4"]
+
+
+def test_a_sum_through_the_api_is_the_record_that_enumerate_prints(tmp_path, capsys):
+    # Both glue Tz and Tw on the base with its four tori; whether the
+    # values are the true ones is another matter.
+    text = T4 + "[recipe r]\nmanifold = T4\nglue = Tz +\nglue = Tw +\n[task enumerate]\nrecipe = r\n"
+    code, _ = _run(tmp_path, text, "run", "--output", "machine")
+    assert code == 0
+    summed = sum_invariants(SumRecipe(build_t4(), (Gluing("Tz", (1,)), Gluing("Tw", (1,))), "r"))
+    assert json.loads(capsys.readouterr().out)["manifold"] == manifold_doc(summed)
 
 
 # Two hyperbolic pairs F1.G1 = F2.G2 = 1, with tori on F1 (Lagrangian),

@@ -891,7 +891,6 @@ def test_tasks_hold_what_their_config_resolved(tmp_path):
         config = parse_config(path)
         config.output_format = "machine"
         config.manifolds.clear()
-        config.tori.clear()
         config.recipes.clear()
         config.base_dir = tmp_path / "elsewhere"
         out = io.StringIO()

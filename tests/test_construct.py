@@ -21,8 +21,8 @@ from oracles import brute_force_forms, pairwise_divisibility_bounds
 
 
 def t4_setup():
-    manifold, (tx, ty, tz, tw) = build_t4()
-    return manifold, tx, ty, tz, tw
+    manifold = build_t4()
+    return (manifold, *manifold.tori)
 
 
 def test_check_hypotheses_accepts_standard_configuration():
@@ -68,12 +68,15 @@ def test_check_hypotheses_rejects_wrong_sum_class():
     assert any("expected" in r for r in report.condition2_reasons)
 
 
-_T4, (_TX, _TY, _TZ, _TW) = build_t4()
+_T4 = build_t4()
+_TX, _TY, _TZ, _TW = _T4.tori
 # Gate inputs that each break one check, with the report field that
 # names it and the reason.
 GATE_REASONS = [
+    # A record with Tz's self-pairing untracked refuses Tz as its torus,
+    # so this one declares no tori and the gate gets them on their own.
     (
-        replace(_T4, pairing=_T4.pairing.masked({2})),
+        replace(_T4, pairing=_T4.pairing.masked({2}), tori=()),
         (_TZ, _TX, _TY),
         "condition1_reasons",
         "Tz: self-pairing untracked",
@@ -115,6 +118,7 @@ def test_check_hypotheses_fails_safe_on_indeterminate_divisibility():
         c1=IntVector((0, 0)),
         pi1_normally_generated_by_tori=False,
         simply_connected=False,
+        tori=(),
     )
     t1 = EmbeddedTorus("a", IntVector((1, 0)), LAGRANGIAN, None, False)
     t2 = EmbeddedTorus("b", IntVector((0, 1)), SYMPLECTIC, None, False)
@@ -173,7 +177,8 @@ def test_build_theorem_recipe_copy_counts():
         "Txz", IntVector((1, 0, 1, 0, 0, 0)), SYMPLECTIC,
         dual=IntVector((0, 0, 0, 1, 0, 0)), parallel_copies_available=True,
     )
-    recipe2 = build_theorem_recipe(manifold, (tz, tx), 3, xz_sum)
+    # The recipe glues only tori of its base, so Txz joins them.
+    recipe2 = build_theorem_recipe(replace(manifold, tori=manifold.tori + (xz_sum,)), (tz, tx), 3, xz_sum)
     assert recipe2.total_copies == 4
 
 
@@ -214,9 +219,7 @@ def test_enumerate_forms_negative_control():
 
 def test_enumerate_forms_no_flippable_copies():
     manifold, tx, ty, tz, tw = t4_setup()
-    recipe = SumRecipe(
-        manifold, (tx, ty, tz, tw), (Gluing("Tx", (1,)), Gluing("Tw", (1,)))
-    )
+    recipe = SumRecipe(manifold, (Gluing("Tx", (1,)), Gluing("Tw", (1,))))
     result = enumerate_forms(recipe)
     assert result.flippable_copies == 0
     assert len(result.forms) == 1
@@ -224,18 +227,15 @@ def test_enumerate_forms_no_flippable_copies():
 
 
 def test_enumerate_forms_cap_bounds_chern_classes():
-    manifold, tx, ty, tz, tw = t4_setup()
-    tori = (tx, ty, tz, tw)
+    manifold = build_t4()
     # 2^8 assignments but only 9 sign sums, so 9 classes fit under 16.
-    recipe = SumRecipe(manifold, tori, (Gluing("Tz", (1,) * 8),))
+    recipe = SumRecipe(manifold, (Gluing("Tz", (1,) * 8),))
     result = enumerate_forms(recipe, cap=16)
     assert len(result.forms) == 9
     assert result.flippable_copies == 8
     assert result.assignments_covered == 256
     # Two independent gluings of four copies give 5 * 5 classes.
-    recipe = SumRecipe(
-        manifold, tori, (Gluing("Ty", (1,) * 4), Gluing("Tz", (1,) * 4))
-    )
+    recipe = SumRecipe(manifold, (Gluing("Ty", (1,) * 4), Gluing("Tz", (1,) * 4)))
     with pytest.raises(EnumerationCapError, match="enumeration too large"):
         enumerate_forms(recipe, cap=16)
     assert len(enumerate_forms(recipe, cap=25).forms) == 25
@@ -243,7 +243,8 @@ def test_enumerate_forms_cap_bounds_chern_classes():
 
 def _random_t4_recipe(rng):
     """Repeated coordinate and diagonal gluings, at most 10 flippable copies."""
-    manifold, tori = build_t4()
+    manifold = build_t4()
+    tori = manifold.tori
     gluings = []
     flippable = 0
     for _ in range(rng.randint(1, 6)):
@@ -255,7 +256,7 @@ def _random_t4_recipe(rng):
         flippable += copies * flips
         signs = tuple(rng.choice((1, -1)) if flips else 1 for _ in range(copies))
         gluings.append(Gluing(torus.label, signs))
-    return SumRecipe(manifold, tori, tuple(gluings))
+    return SumRecipe(manifold, tuple(gluings))
 
 
 def _random_hyperbolic_recipe(rng):
@@ -267,6 +268,14 @@ def _random_hyperbolic_recipe(rng):
         tuple(1 if j == (i + pairs) % dim else 0 for j in range(dim)) for i in range(dim)
     )
     coeffs = tuple(rng.choice((0, 2, 3, 4, 6, 9, 12)) for _ in range(pairs))
+
+    def unit(i):
+        return IntVector(tuple(int(j == i) for j in range(dim)))
+
+    tori = tuple(
+        EmbeddedTorus(f"F{i}", unit(i), LAGRANGIAN, dual=unit(pairs + i), parallel_copies_available=True)
+        for i in range(pairs)
+    )
     manifold = FourManifold(
         name="M",
         euler=24,
@@ -279,20 +288,13 @@ def _random_hyperbolic_recipe(rng):
         c1=IntVector(coeffs + (0,) * pairs),
         pi1_normally_generated_by_tori=False,
         simply_connected=True,
-    )
-
-    def unit(i):
-        return IntVector(tuple(int(j == i) for j in range(dim)))
-
-    tori = tuple(
-        EmbeddedTorus(f"F{i}", unit(i), LAGRANGIAN, dual=unit(pairs + i), parallel_copies_available=True)
-        for i in range(pairs)
+        tori=tori,
     )
     gluings = []
     for torus in tori:
         copies = rng.randint(1, 2)
         gluings.append(Gluing(torus.label, tuple(rng.choice((1, -1)) for _ in range(copies))))
-    return SumRecipe(manifold, tori, tuple(gluings))
+    return SumRecipe(manifold, tuple(gluings))
 
 
 def test_enumerate_forms_matches_brute_force_oracle():
@@ -307,7 +309,7 @@ def test_enumerate_forms_matches_brute_force_oracle():
         assert [(f.signs_flat, f.c1.coords) for f in result.forms] == expected
         summed = sum_invariants(recipe)
         # The oracle also pairs c1 with every declared dual class.
-        duals = [t.dual for t in recipe.tori if t.dual is not None]
+        duals = [t.dual for t in recipe.base.tori if t.dual is not None]
         reports = [pairwise_divisibility_bounds(c1, summed.pairing.entries, duals) for _, c1 in expected]
         got = [(f.divisibility.lower, f.divisibility.upper, f.divisibility.exact, f.divisibility.undefined)
                for f in result.forms]

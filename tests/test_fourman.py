@@ -8,15 +8,15 @@ from fibresum.fourman import (
     build_e1,
     build_t4,
     form_parity,
-    validate,
 )
 from fibresum.intlat import IntVector, PairingMatrix
-from fixtures import zero_pairing
+from fixtures import replace, zero_pairing
 from oracles import add_classes, t4_surface_class, wedge_pairing
 
 
 def test_t4_record_values():
-    manifold, tori = build_t4()
+    manifold = build_t4()
+    tori = manifold.tori
     assert (manifold.euler, manifold.signature, manifold.b1, manifold.b2) == (0, 0, 4, 6)
     assert manifold.c1 == IntVector.zero(6)
     assert not manifold.simply_connected
@@ -33,14 +33,14 @@ def test_t4_record_values():
     tw = tori[3]
     assert tw.klass.coords[:3] == (1, 1, 1)
     assert tw.parallel_copies_available
-    assert validate(manifold, tori) == []
+    assert manifold.torus_table == {t.label: t for t in tori}
 
 
 def test_t4_pairing_matches_wedge_product_oracle():
     # The tracked pairing block is recomputed from scratch by wedging
     # the dual 2-forms on the four-torus: torus classes T_i span the
     # (i, t) coordinate planes, their duals span the complementary ones.
-    manifold, tori = build_t4()
+    manifold = build_t4()
     spans = {
         "Tx": (0, 3),
         "Ty": (1, 3),
@@ -73,7 +73,8 @@ def test_t4_pairing_matches_wedge_product_oracle():
 def test_e1_record_values_against_blowup_additivity():
     # Nine blow-ups of the projective plane: e = 3 + 9, sigma = 1 - 9,
     # b2 = 1 + 9.
-    manifold, fibre = build_e1()
+    manifold = build_e1()
+    (fibre,) = manifold.tori
     assert manifold.euler == 3 + 9
     assert manifold.signature == 1 - 9
     assert manifold.b2 == 1 + 9
@@ -81,7 +82,6 @@ def test_e1_record_values_against_blowup_additivity():
     assert manifold.c1 == fibre.klass
     assert manifold.pairing.pair(fibre.klass, fibre.klass) == 0
     assert manifold.pairing.pair(fibre.klass, fibre.dual) == 1
-    assert validate(manifold, [fibre]) == []
 
 
 def test_builders_are_deterministic():
@@ -90,47 +90,66 @@ def test_builders_are_deterministic():
 
 
 def test_validate_flags_non_square_zero_torus():
-    manifold, tori = build_t4()
+    manifold = build_t4()
     bad = EmbeddedTorus("bad", IntVector((1, 0, 0, 1, 0, 0)), SYMPLECTIC, None, False)
-    problems = validate(manifold, list(tori) + [bad])
-    assert any("not square-zero" in p for p in problems)
+    with pytest.raises(ValueError) as info:
+        replace(manifold, tori=manifold.tori + (bad,))
+    assert str(info.value) == "manifold 'T4' is inconsistent: torus bad: not square-zero (self-pairing 2)"
 
 
 def test_validate_flags_record_inconsistencies():
-    manifold, _ = build_t4()
-    squashed = FourManifold(
-        name="bad",
-        euler=7,
-        signature=9,
-        b1=0,
-        b2=3,
-        lattice_basis_labels=manifold.lattice_basis_labels,
-        pairing=manifold.pairing,
-        c1=manifold.c1,
-        pi1_normally_generated_by_tori=False,
-        simply_connected=True,
+    manifold = build_t4()
+    with pytest.raises(ValueError) as info:
+        FourManifold(
+            name="bad",
+            euler=7,
+            signature=9,
+            b1=0,
+            b2=3,
+            lattice_basis_labels=manifold.lattice_basis_labels,
+            pairing=manifold.pairing,
+            c1=manifold.c1,
+            pi1_normally_generated_by_tori=False,
+            simply_connected=True,
+            tori=(),
+        )
+    assert str(info.value) == (
+        "manifold 'bad' is inconsistent: bad: |signature| = 9 exceeds b2 = 3; "
+        "bad: simply connected but euler = 7 != 2 + b2 = 5"
     )
-    problems = validate(squashed)
-    assert any("exceeds b2" in p for p in problems)
-    assert any("euler" in p for p in problems)
 
 
 def test_validate_flags_adjunction_violation():
-    manifold, fibre = build_e1()
-    tampered = FourManifold(
-        name="E1",
-        euler=12,
-        signature=-8,
-        b1=0,
-        b2=10,
-        lattice_basis_labels=manifold.lattice_basis_labels,
-        pairing=manifold.pairing,
-        c1=IntVector((1, 1)),
-        pi1_normally_generated_by_tori=True,
-        simply_connected=True,
+    manifold = build_e1()
+    with pytest.raises(ValueError, match=r"torus F: adjunction violated \(<c1, T> = 1\)"):
+        replace(manifold, c1=IntVector((1, 1)))
+
+
+def _hyperbolic_plane(labels, *tori):
+    """A simply connected record on one hyperbolic pair with c1 = 0."""
+    pairing = PairingMatrix(((0, 1), (1, 0)))
+    return FourManifold("M", 4, 0, 0, 2, labels, pairing, IntVector.zero(2), False, True, tori)
+
+
+# Each identity check of `gompfsum.check_c1_identities` is named after one
+# class, so a record refuses a repeated basis label and a torus that takes
+# a basis class's label but carries another class.
+def test_record_refuses_a_repeated_basis_label():
+    with pytest.raises(ValueError) as info:
+        _hyperbolic_plane(("F", "F"))
+    assert str(info.value) == "manifold 'M' is inconsistent: M: duplicate basis label 'F'"
+
+
+def test_record_refuses_a_torus_named_after_another_basis_class():
+    s = EmbeddedTorus("S", IntVector((1, 0)), LAGRANGIAN, None, False)
+    with pytest.raises(ValueError) as info:
+        _hyperbolic_plane(("F", "S"), s)
+    assert str(info.value) == (
+        "manifold 'M' is inconsistent: torus S: named after basis class S but carries (1, 0)"
     )
-    problems = validate(tampered, [fibre])
-    assert any("adjunction" in p for p in problems)
+    # The same torus under its own label, or carrying S's class, is consistent.
+    for torus in (replace(s, label="A"), replace(s, klass=IntVector((0, 1)))):
+        assert _hyperbolic_plane(("F", "S"), torus).tori == (torus,)
 
 
 def test_constructor_rejects_mismatched_lattice_data():
@@ -146,14 +165,13 @@ def test_constructor_rejects_mismatched_lattice_data():
             c1=IntVector((0,)),
             pi1_normally_generated_by_tori=False,
             simply_connected=False,
+            tori=(),
         )
 
 
 def test_form_parity():
-    t4, _ = build_t4()
-    e1, _ = build_e1()
-    assert form_parity(t4) == "even"
-    assert form_parity(e1) == "odd"
+    assert form_parity(build_t4()) == "even"
+    assert form_parity(build_e1()) == "odd"
 
 
 def test_divisibility_invariant_under_consistent_dual_resigning():
@@ -162,7 +180,7 @@ def test_divisibility_invariant_under_consistent_dual_resigning():
     # certificates cannot see the difference.
     from fibresum.intlat import divisibility_bounds
 
-    manifold, _ = build_t4()
+    manifold = build_t4()
     flipped_rows = [
         [
             -e if (i < 3) != (j < 3) else e

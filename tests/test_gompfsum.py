@@ -16,24 +16,23 @@ from fibresum.gompfsum import (
     sum_invariants,
 )
 from fibresum.intlat import IntVector, PairingMatrix, divisibility_bounds
-from fixtures import flat_signs, perform_recipe, with_signs
+from fixtures import flat_signs, perform_recipe, replace, with_signs
 from oracles import pairwise_c1_identities, pairwise_divisibility_bounds, pairwise_pairing
 
 
 def t4_tables():
-    manifold, tori = build_t4()
-    return manifold, tori, {t.label: t for t in tori}
+    manifold = build_t4()
+    return manifold, manifold.tori, manifold.torus_table
 
 
 def section_recipe(signs_tz=(1,), tw_copies=2):
-    manifold, tori, _ = t4_tables()
     gluings = (
         Gluing("Tx", (1,)),
         Gluing("Ty", (1,)),
         Gluing("Tz", tuple(signs_tz)),
         Gluing("Tw", (1,) * tw_copies),
     )
-    return SumRecipe(manifold, tori, gluings, name="section")
+    return SumRecipe(build_t4(), gluings, name="section")
 
 
 def test_sum_c1_diagonal_recipe():
@@ -51,15 +50,14 @@ def test_sum_c1_with_one_flip():
 def test_sum_c1_empty_gluings_is_identity():
     # Without gluings the sum would be the base itself, which does not
     # carry the recipe's name, so the recipe is refused before sum_c1.
-    manifold, tori, _ = t4_tables()
     with pytest.raises(RecipeError) as caught:
-        SumRecipe(manifold, tori, ())
+        SumRecipe(build_t4(), ())
     assert str(caught.value) == "no gluings"
 
 
 def test_contribution_trace_keeps_two_step_form():
-    manifold, tori, table = t4_tables()
-    records = c1_contributions(SumRecipe(manifold, tori, (Gluing("Tz", (1, -1)),)))
+    manifold, _, table = t4_tables()
+    records = c1_contributions(SumRecipe(manifold, (Gluing("Tz", (1, -1)),)))
     assert len(records) == 2
     plus, minus = records
     tz = table["Tz"].klass
@@ -77,25 +75,26 @@ def test_sum_invariants_five_copies():
 
 
 def test_sum_invariants_not_simply_connected_when_a_torus_is_missed():
-    manifold, tori, _ = t4_tables()
-    summed = sum_invariants(SumRecipe(manifold, tori, (Gluing("Tx", (1,)),)))
+    summed = sum_invariants(SumRecipe(build_t4(), (Gluing("Tx", (1,)),)))
     assert not summed.simply_connected
     assert summed.euler == 12 and summed.signature == -8
 
 
 def test_sum_invariants_zero_gluings_returns_base():
-    # The missing gluings join the other violations of the recipe.
+    # A recipe without gluings is refused; a base whose tori repeat a
+    # label is refused before any recipe can be built on it.
     manifold, tori, _ = t4_tables()
-    with pytest.raises(RecipeError) as caught:
-        SumRecipe(manifold, tori + tori[:1], (), name="x")
-    assert str(caught.value) == "torus Tx: duplicate label; no gluings"
+    with pytest.raises(ValueError) as caught:
+        replace(manifold, tori=tori + tori[:1])
+    assert str(caught.value) == "manifold 'T4' is inconsistent: torus Tx: duplicate label"
+    with pytest.raises(RecipeError, match="^no gluings$"):
+        SumRecipe(manifold, (), name="x")
 
 
 def test_perform_recipe_zero_copies_returns_base():
     # Zero copies are refused both as a whole recipe and along one torus.
-    manifold, tori, _ = t4_tables()
     with pytest.raises(RecipeError, match="^no gluings$"):
-        SumRecipe(manifold, tori, (), name="empty")
+        SumRecipe(build_t4(), (), name="empty")
     with pytest.raises(RecipeError, match="^gluing along Tz: copies must be positive$"):
         Gluing("Tz", ())
 
@@ -112,15 +111,14 @@ def test_sum_marks_dual_self_pairings_unknown():
 
 
 def test_elliptic_surface_self_sum_gives_k3_record():
-    manifold, fibre = build_e1()
-    summed = sum_invariants(SumRecipe(manifold, (fibre,), (Gluing("F", (1,)),)))
+    summed = sum_invariants(SumRecipe(build_e1(), (Gluing("F", (1,)),)))
     assert (summed.euler, summed.signature, summed.b2) == (24, -16, 22)
     assert summed.c1 == IntVector.zero(summed.rank)
     assert summed.simply_connected
 
 
 def test_perform_recipe_theorem_shapes():
-    manifold, tori, table = t4_tables()
+    manifold, _, table = t4_tables()
     for n in (3, 5, 7):
         gluings = (
             Gluing("Tz", (1,)),
@@ -128,7 +126,7 @@ def test_perform_recipe_theorem_shapes():
             Gluing("Ty", (1,)),
             Gluing("Tw", (1,) * (n - 1)),
         )
-        recipe = SumRecipe(manifold, tori, gluings, name=f"n{n}")
+        recipe = SumRecipe(manifold, gluings, name=f"n{n}")
         summed, form = perform_recipe(recipe)
         expected = IntVector((-n, -n, -n, 0, 0, 0))
         assert form.c1 == expected
@@ -139,7 +137,7 @@ def test_perform_recipe_theorem_shapes():
         assert flipped_form.c1 == expected + 2 * table["Tz"].klass
 
 
-_, _T4_TORI = build_t4()
+_T4_TORI = build_t4().tori
 _SHORT_TZ = EmbeddedTorus("Tz", IntVector((0, 0, 1)), LAGRANGIAN, None, False)
 _SHORT_DUAL_TZ = EmbeddedTorus(
     "Tz",
@@ -153,18 +151,27 @@ _SPIKY_TQ = EmbeddedTorus("Tq", IntVector((0, 0, 1, 0, 0, 0)), "spiky", None, Fa
 _SQUARE_TWO_TQ = EmbeddedTorus("Tq", IntVector((1, 0, 0, 1, 0, 0)), LAGRANGIAN, None, False)
 
 
+# A bad torus is refused when its record is built, with every problem
+# of the record; a bad gluing when the recipe is.
+_BAD_T4 = "manifold 'T4' is inconsistent: torus "
+
+
 @pytest.mark.parametrize(
     "tori, gluings, message",
     [
         (_T4_TORI, (Gluing("nope", (1,)),), "gluing references undeclared torus nope"),
-        (_T4_TORI + _T4_TORI[:1], (Gluing("Tx", (1,)),), "torus Tx: duplicate label"),
-        (_T4_TORI[:2] + (_SHORT_TZ,), (Gluing("Tx", (1,)),), "torus Tz: class length 3 != rank 6"),
-        (_T4_TORI[:2] + (_SHORT_DUAL_TZ,), (Gluing("Tx", (1,)),), "torus Tz: dual length 5 != rank 6"),
-        (_T4_TORI + (_SPIKY_TQ,), (Gluing("Tx", (1,)),), "torus Tq: unknown kind 'spiky'"),
+        (_T4_TORI + _T4_TORI[:1], (Gluing("Tx", (1,)),), _BAD_T4 + "Tx: duplicate label"),
+        (_T4_TORI[:2] + (_SHORT_TZ,), (Gluing("Tx", (1,)),), _BAD_T4 + "Tz: class length 3 != rank 6"),
+        (
+            _T4_TORI[:2] + (_SHORT_DUAL_TZ,),
+            (Gluing("Tx", (1,)),),
+            _BAD_T4 + "Tz: dual length 5 != rank 6",
+        ),
+        (_T4_TORI + (_SPIKY_TQ,), (Gluing("Tx", (1,)),), _BAD_T4 + "Tq: unknown kind 'spiky'"),
         (
             _T4_TORI + (_SQUARE_TWO_TQ,),
             (Gluing("Tx", (1,)),),
-            "torus Tq: not square-zero (self-pairing 2)",
+            _BAD_T4 + "Tq: not square-zero (self-pairing 2)",
         ),
         (
             _T4_TORI,
@@ -190,9 +197,9 @@ _SQUARE_TWO_TQ = EmbeddedTorus("Tq", IntVector((1, 0, 0, 1, 0, 0)), LAGRANGIAN, 
     ],
 )
 def test_recipe_rejected_at_construction(tori, gluings, message):
-    manifold, _ = build_t4()
-    with pytest.raises(RecipeError) as caught:
-        SumRecipe(manifold, tori, gluings)
+    error = ValueError if message.startswith(_BAD_T4) else RecipeError
+    with pytest.raises(error) as caught:
+        SumRecipe(replace(build_t4(), tori=tori), gluings)
     assert str(caught.value) == message
 
 
@@ -215,7 +222,7 @@ def test_parallel_copies_need_declaration():
         for t in tori
     )
     with pytest.raises(RecipeError) as caught:
-        SumRecipe(manifold, lonely, (Gluing("Tw", (1, 1)),))
+        SumRecipe(replace(manifold, tori=lonely), (Gluing("Tw", (1, 1)),))
     assert str(caught.value) == (
         "gluing along Tw: 2 parallel copies requested but none declared available"
     )
@@ -232,7 +239,7 @@ def test_gluing_constructor_validation():
 def test_check_c1_identities_on_section_manifold():
     recipe = section_recipe()
     summed, form = perform_recipe(recipe)
-    (report,) = check_c1_identities(summed, [form], {t.label: t.klass for t in recipe.tori})
+    (report,) = check_c1_identities(summed, [form], {t.label: t.klass for t in recipe.base.tori})
     assert report.ok
     assert any("<c1,c1> = 2e + 3sigma" in msg for msg in report.passed)
     assert any("parity of <c1, Tx>" in msg for msg in report.passed)
@@ -259,7 +266,8 @@ def test_check_c1_identities_catches_corruption_on_full_pairing():
     # With a fully tracked pairing, bumping c1 by the torus class itself
     # is caught through the dual: the elliptic surface record sees
     # <c1 + F, S> turn even against the odd section square.
-    manifold, fibre = build_e1()
+    manifold = build_e1()
+    (fibre,) = manifold.tori
     from fibresum.intlat import divisibility_bounds
 
     corrupted_c1 = manifold.c1 + fibre.klass
@@ -274,9 +282,8 @@ def test_check_c1_identities_catches_corruption_on_full_pairing():
 
 
 def test_check_c1_identities_requires_simply_connected():
-    manifold, tori, _ = t4_tables()
     # Only Tx is glued, so the sum is not certified simply connected.
-    summed, form = perform_recipe(SumRecipe(manifold, tori, (Gluing("Tx", (1,)),)))
+    summed, form = perform_recipe(SumRecipe(build_t4(), (Gluing("Tx", (1,)),)))
     assert not summed.simply_connected
     with pytest.raises(ValueError):
         check_c1_identities(summed, [form])
@@ -302,11 +309,16 @@ def _random_checked_record(rng):
 
     c1s = [vector() for _ in range(rng.randint(1, 5))]
     square = pairwise_pairing(pairing.entries, c1s[0], c1s[0])
-    # euler = -s and signature = s put the target 2e + 3sigma at s.
     s = rng.randint(-6, 6) if square is None or rng.random() < 0.3 else square
+    # A consistent simply connected record whose target 2e + 3sigma is s:
+    # euler = 2 + b2 and signature = -t with t = s (mod 2), t >= 4 - s and
+    # t >= 0, so that b2 = (s - 4 + 3t) / 2 is at least |signature|.
+    t = max(4 - s, s % 2)
+    b2 = (s - 4 + 3 * t) // 2
     manifold = FourManifold(
-        name="random", euler=-s, signature=s, b1=0, b2=dim, lattice_basis_labels=labels,
+        name="random", euler=2 + b2, signature=-t, b1=0, b2=b2, lattice_basis_labels=labels,
         pairing=pairing, c1=c1s[0], pi1_normally_generated_by_tori=True, simply_connected=True,
+        tori=(),
     )
     extras = {}
     for k in range(rng.randint(0, 3)):
@@ -361,9 +373,9 @@ def test_euler_signature_affine_in_copy_count(a, b):
         gluings.append(Gluing("Tw", (1,) * b))
     if not gluings:
         with pytest.raises(RecipeError, match="^no gluings$"):
-            SumRecipe(manifold, tori, ())
+            SumRecipe(manifold, ())
         return
-    summed = sum_invariants(SumRecipe(manifold, tori, tuple(gluings)))
+    summed = sum_invariants(SumRecipe(manifold, tuple(gluings)))
     assert summed.euler == manifold.euler + 12 * total
     assert summed.signature == manifold.signature - 8 * total
 
@@ -382,14 +394,14 @@ def random_recipe(rng):
     if not any(t.kind == LAGRANGIAN for t in tori for g in gluings if g.torus_label == t.label):
         gluings.append(Gluing("Tz", (rng.choice((1, -1)),)))
     rng.shuffle(gluings)
-    return SumRecipe(manifold, tori, tuple(gluings), name="random")
+    return SumRecipe(manifold, tuple(gluings), name="random")
 
 
 def test_sign_locality_and_permutation_invariance():
     rng = random.Random(777)
     for _ in range(100):
         recipe = random_recipe(rng)
-        table = recipe.torus_table
+        table = recipe.base.torus_table
         signs = list(flat_signs(recipe))
         flippable = [
             i
@@ -414,7 +426,7 @@ def test_sign_locality_and_permutation_invariance():
 
         shuffled = list(recipe.gluings)
         rng.shuffle(shuffled)
-        permuted = SumRecipe(recipe.base, recipe.tori, tuple(shuffled), recipe.name)
+        permuted = SumRecipe(recipe.base, tuple(shuffled), recipe.name)
         assert sum_invariants(permuted) == sum_invariants(recipe)
         assert sum_c1(permuted) == base_c1
 

@@ -20,7 +20,8 @@ from fibresum.intlat import DivisibilityReport, IntVector, PairingMatrix
 from fibresum.linkgeom import PolygonalCurve, PolygonalLink
 from fixtures import replace
 
-T4, (TX, TY, TZ, TW) = build_t4()
+T4 = build_t4()
+TX, TY, TZ, TW = T4.tori
 TRIANGLE = ((0, 0, 0), (1, 0, 0), (0, 1, Fraction(1, 3)))
 
 
@@ -42,9 +43,9 @@ RECORDS = {
     "PairingMatrix": lambda: PairingMatrix(((0, 1), (1, None))),
     "DivisibilityReport": lambda: DivisibilityReport(3, 3),
     "EmbeddedTorus": lambda: EmbeddedTorus("Tz", IntVector((0, 0, 1, 0, 0, 0)), LAGRANGIAN, None, False),
-    "FourManifold": lambda: build_t4()[0],
+    "FourManifold": build_t4,
     "Gluing": lambda: Gluing("Tz", (1, -1)),
-    "SumRecipe": lambda: SumRecipe(T4, (TX, TZ), (Gluing("Tz", (1, -1)),), name="r"),
+    "SumRecipe": lambda: SumRecipe(T4, (Gluing("Tz", (1, -1)),), name="r"),
     "FormClass": lambda: FormClass(
         (1, -1), IntVector((0, 0, 0)), DivisibilityReport(0, 0)
     ),
@@ -52,10 +53,10 @@ RECORDS = {
     "HypothesisReport": _hypothesis_report,
     "EnumerationResult": lambda: EnumerationResult(T4, (), 0),
     "SolveResult": lambda: SolveResult(
-        SumRecipe(T4, (TX,), (Gluing("Tx", (1,)),)), 3, 1, {3: -1}
+        SumRecipe(T4, (Gluing("Tx", (1,)),)), 3, 1, {3: -1}
     ),
     "TheoremTask": lambda: TheoremTask("verify", "T4", T4, (TZ, TX), TW, 3),
-    "EnumerateTask": lambda: EnumerateTask(SumRecipe(T4, (TZ,), (Gluing("Tz", (1, -1)),), name="r")),
+    "EnumerateTask": lambda: EnumerateTask(SumRecipe(T4, (Gluing("Tz", (1, -1)),), name="r")),
     "SolveTask": lambda: SolveTask((3, 5)),
     "LinkingTask": lambda: LinkingTask("borromean.lnk", None),
     "PolygonalCurve": lambda: PolygonalCurve(TRIANGLE),
@@ -158,7 +159,7 @@ def test_reprs_have_dataclass_form():
     assert repr(PolygonalCurve(((0, 0, 0), (1, 0, 0), (0, 1, 0)))).startswith(
         "PolygonalCurve(vertices=((Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
     )
-    assert repr(build_t4()[1][0]) == (
+    assert repr(build_t4().tori[0]) == (
         "EmbeddedTorus(label='Tx', klass=IntVector(coords=(1, 0, 0, 0, 0, 0)), "
         "kind='symplectic', dual=IntVector(coords=(0, 0, 0, 1, 0, 0)), "
         "parallel_copies_available=True)"
@@ -189,14 +190,19 @@ def test_replace_reruns_the_constructor_checks():
         (lambda: Gluing("Tx", ()), RecipeError, "gluing along Tx: copies must be positive"),
         (lambda: Gluing("Tx", (2,)), RecipeError, r"gluing along Tx: signs must be \+1 or -1"),
         (
-            lambda: SumRecipe(T4, (TX, TY, TZ, TW), (Gluing("Tx", (-1,)),)),
+            lambda: SumRecipe(T4, (Gluing("Tx", (-1,)),)),
             RecipeError,
             r"gluing along Tx: orientation not flippable \(symplectic torus\)",
         ),
         (
-            lambda: SumRecipe(T4, (TX, TX), (Gluing("Tq", (1,)),)),
+            lambda: SumRecipe(T4, (Gluing("Tx", (1,)), Gluing("Tq", (1,)))),
             RecipeError,
-            "torus Tx: duplicate label; gluing references undeclared torus Tq",
+            "gluing references undeclared torus Tq",
+        ),
+        (
+            lambda: replace(T4, tori=(TX, TY, TX)),
+            ValueError,
+            "manifold 'T4' is inconsistent: torus Tx: duplicate label",
         ),
         (
             lambda: replace(T4, lattice_basis_labels=("Tx",)),
