@@ -47,7 +47,7 @@ EXIT_INCONSISTENT = 3
 def _run_verify(task: TheoremTask, config: RunConfig, report: TheoremReportBuilder) -> None:
     from . import construct
 
-    hypothesis = construct.check_hypotheses(task.manifold, task.tori, task.n, task.sum_torus)
+    hypothesis = construct.check_hypotheses(task.manifold, task.labels, task.n, task.sum_label)
     report.add_hypothesis_report(f"{task.name} n={task.n}", hypothesis)
     if not hypothesis.overall:
         raise FibresumError("hypothesis gate failed")
@@ -58,7 +58,7 @@ def _run_build(task: TheoremTask, config: RunConfig, report: TheoremReportBuilde
     from .config import recipe_config_section
     from .gompfsum import sum_invariants
 
-    recipe = construct.build_theorem_recipe(task.manifold, task.tori, task.n, task.sum_torus)
+    recipe = construct.build_theorem_recipe(task.manifold, task.labels, task.n, task.sum_label)
     report.add_recipe(recipe, sum_invariants(recipe), recipe_config_section(recipe, task.name))
 
 
@@ -90,7 +90,7 @@ def _run_solve(task: SolveTask, config: RunConfig, report: TheoremReportBuilder)
     result = construct.solve_signs(task.primes)
     report.add_solve(result)
     enumeration = construct.enumerate_forms(result.recipe, cap=config.enumeration_cap)
-    report.add_witnesses(result, result.witnesses(enumeration))
+    report.add_witnesses(result.witnesses(enumeration))
     report.add_enumeration(result.recipe.name, enumeration)
     if enumeration.manifold.simply_connected:
         _check_forms(result.recipe.name, enumeration, result.recipe, report)

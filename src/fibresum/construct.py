@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from ._record import Record
 from .errors import EnumerationCapError, MathematicalInconsistencyError, RecipeError
-from .fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold, build_t4
+from .fourman import LAGRANGIAN, FourManifold, build_t4
 from .gompfsum import FormClass, Gluing, SumRecipe, sum_invariants
 from .intlat import IntVector, divisibility_bounds, gcd_content, rank
 from .settings import DEFAULT_ENUMERATION_CAP
@@ -37,15 +37,17 @@ __all__ = [
 class HypothesisReport(Record):
     """Outcome of the three-part gate for the inequivalent-forms recipe.
 
-    Condition 1: the torus classes are square-zero and span an
-    r-dimensional subspace with r > 1 (the declared sum class being
-    dependent on them). Condition 2: the first torus is Lagrangian so
-    its orientation is a free choice, the others and the sum torus admit
-    positively oriented symplectic representatives, with declared
-    disjointness. Condition 3: n divides the divisibility of c1 of the
-    base while n does not divide 2d, d the exact divisibility of the
-    first torus class. A condition holds when it has no reasons against
-    it, and ``torus_divisibility`` is d, or None when it is not exact.
+    Condition 1: the torus classes span an r-dimensional subspace with
+    r > 1, the declared sum class being dependent on them; the record
+    already holds each torus square-zero. Condition 2: the first torus
+    is Lagrangian so its orientation is a free choice, and the sum torus
+    carries the sum of the classes; every other torus of a record is
+    symplectic or Lagrangian, so it admits a positively oriented
+    symplectic representative, and disjointness is declared. Condition
+    3: n divides the divisibility of c1 of the base while n does not
+    divide 2d, d the exact divisibility of the first torus class. A
+    condition holds when it has no reasons against it, and
+    ``torus_divisibility`` is d, or None when it is not exact.
     """
 
     __slots__ = (
@@ -113,57 +115,50 @@ class EnumerationResult(Record):
 
 
 class SolveResult(Record):
-    """Multi-prime construction: one gated recipe, one sign sum per prime."""
+    """Multi-prime construction: one gated recipe and the primes its
+    enumeration must realize."""
 
-    __slots__ = ("recipe", "n", "lagrangian_copies", "sign_sums")
+    __slots__ = ("recipe", "n", "lagrangian_copies", "primes")
 
     def witnesses(self, enumeration: EnumerationResult) -> dict[int, FormClass]:
-        """Each prime's witness in the enumeration of the recipe: the form
-        with the closed-form c1 -(n Tx + n Ty + (n-1+s) Tz), s the prime's
-        sign sum, checked to have exact divisibility p. A missing form is
-        an inconsistency.
+        """Each prime's witness in the enumeration of the recipe: the first
+        form whose divisibility is exactly that prime. The recipe realizes
+        every prime, so a prime without one is an inconsistency.
         """
-        t, n = self.recipe.base.torus_table, self.n
-        fixed = self.recipe.base.c1 - (t["Tx"].klass + t["Ty"].klass) * n
-        by_c1 = {f.c1.coords: f for f in enumeration.forms}
-        forms = {}
-        for p, s in self.sign_sums.items():
-            form = by_c1.get((fixed - t["Tz"].klass * (n - 1 + s)).coords)
-            if form is None:
-                raise MathematicalInconsistencyError(
-                    f"enumeration has no form with the signs solved for prime {p}"
-                )
-            report = form.divisibility
-            if not report.exact or report.lower != p:
-                raise MathematicalInconsistencyError(
-                    f"assignment for prime {p} yields divisibility "
-                    f"{report.lower}..{report.upper} (exact={report.exact})"
-                )
-            forms[p] = form
+        forms: dict[int, FormClass] = {}
+        for form in enumeration.forms:
+            d = form.divisibility
+            if d.exact and d.lower in self.primes:
+                forms.setdefault(d.lower, form)
+        for p in self.primes:
+            if p not in forms:
+                raise MathematicalInconsistencyError(f"enumeration has no form of exact divisibility {p}")
         return forms
 
 
 def check_hypotheses(
     manifold: FourManifold,
-    tori: Sequence[EmbeddedTorus],
+    labels: Sequence[str],
     n: int,
-    sum_torus: EmbeddedTorus,
+    sum_label: str,
 ) -> HypothesisReport:
-    """Run the three-part gate; fails safe on indeterminate divisibility."""
+    """Run the three-part gate on the manifold's tori named by `labels`
+    and `sum_label`; fails safe on indeterminate divisibility. A label
+    the record does not hold raises ValueError."""
     if n <= 2:
         raise ValueError("the construction needs n > 2")
-    if not tori:
+    if not labels:
         raise ValueError("at least one torus is required")
+    table = manifold.torus_table
+    for label in (*labels, sum_label):
+        if label not in table:
+            raise ValueError(f"unknown torus {label!r} on manifold {manifold.name!r}")
+    tori = [table[label] for label in labels]
+    sum_torus = table[sum_label]
 
-    # Condition 1: square-zero classes spanning a subspace of full count,
-    # more than one of them, with the sum class dependent as it must be.
+    # Condition 1: classes spanning a subspace of full count, more than
+    # one of them, with the sum class dependent as it must be.
     reasons1: list[str] = []
-    for torus in tori:
-        sq = manifold.pairing.pair(torus.klass, torus.klass)
-        if sq is None:
-            reasons1.append(f"{torus.label}: self-pairing untracked")
-        elif sq != 0:
-            reasons1.append(f"{torus.label}: not square-zero")
     klasses = [t.klass for t in tori]
     r = rank(klasses)
     if r != len(tori):
@@ -173,21 +168,17 @@ def check_hypotheses(
     if rank(klasses + [sum_torus.klass]) != r:
         reasons1.append("sum torus class is independent of the summands")
 
-    # Condition 2: orientation-flip freedom on the first torus only;
-    # positive symplectic representatives for the rest. A Lagrangian
-    # torus counts because a small perturbation of the form makes it
-    # positively symplectic without moving c1. Disjointness is a
-    # property of the declared embeddings, taken on trust here.
+    # Condition 2: orientation-flip freedom on the first torus only. The
+    # rest need positive symplectic representatives, which every torus of
+    # a record has: a Lagrangian torus counts because a small perturbation
+    # of the form makes it positively symplectic without moving c1.
+    # Disjointness is a property of the declared embeddings, taken on
+    # trust here.
     reasons2: list[str] = []
     first = tori[0]
     if first.kind != LAGRANGIAN:
         reasons2.append(f"first torus {first.label} must be Lagrangian, is {first.kind}")
-    for torus in list(tori[1:]) + [sum_torus]:
-        if torus.kind not in (SYMPLECTIC, LAGRANGIAN):
-            reasons2.append(f"{torus.label}: no symplectic representative ({torus.kind})")
-    expected_sum = klasses[0]
-    for k in klasses[1:]:
-        expected_sum = expected_sum + k
+    expected_sum = sum(klasses[1:], klasses[0])
     if sum_torus.klass != expected_sum:
         reasons2.append(
             f"sum torus {sum_torus.label} carries {tuple(sum_torus.klass)}, "
@@ -223,17 +214,19 @@ def check_hypotheses(
 
 def build_theorem_recipe(
     manifold: FourManifold,
-    tori: Sequence[EmbeddedTorus],
+    labels: Sequence[str],
     n: int,
-    sum_torus: EmbeddedTorus,
+    sum_label: str,
     copies: int = 1,
 ) -> SumRecipe:
-    """The theorem's recipe, once the hypothesis gate passes: one copy of
-    E(1) along each torus after the first, then `copies` parallel copies
-    along the first (Lagrangian) torus, then n-1 parallel copies along
-    the sum torus, all signs positive. On T4 with tori (Tz, Tx, Ty) and
-    sum Tw that glues Tx, Ty, Tz x copies, Tw x (n-1)."""
-    report = check_hypotheses(manifold, tori, n, sum_torus)
+    """The theorem's recipe on the manifold's tori, once the hypothesis
+    gate passes: one copy of E(1) along each torus after the first, then
+    `copies` parallel copies along the first (Lagrangian) torus, then n-1
+    parallel copies along the sum torus, all signs positive. On T4 with
+    tori (Tz, Tx, Ty) and sum Tw that glues Tx, Ty, Tz x copies,
+    Tw x (n-1). A label the record does not hold raises ValueError
+    before any recipe exists."""
+    report = check_hypotheses(manifold, labels, n, sum_label)
     if not report.overall:
         reasons = (
             report.condition1_reasons
@@ -241,9 +234,9 @@ def build_theorem_recipe(
             + report.condition3_reasons
         )
         raise RecipeError("hypotheses not satisfied: " + "; ".join(reasons))
-    gluings = [Gluing(t.label, (1,)) for t in tori[1:]]
-    gluings.append(Gluing(tori[0].label, (1,) * copies))
-    gluings.append(Gluing(sum_torus.label, (1,) * (n - 1)))
+    gluings = [Gluing(label, (1,)) for label in labels[1:]]
+    gluings.append(Gluing(labels[0], (1,) * copies))
+    gluings.append(Gluing(sum_label, (1,) * (n - 1)))
     return SumRecipe(base=manifold, gluings=tuple(gluings), name=f"{manifold.name}-n{n}")
 
 
@@ -318,8 +311,8 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
     gives c1 = (-n, -n, -(n-1)-s) in torus coordinates, with divisibility
     gcd(n, n-1+s). For each prime the first workable s is found by
     scanning odd s upward from -(n-2), and k is the largest |s|. No form
-    is computed here: `SolveResult.witnesses` reads each prime's form off
-    the recipe's enumeration rather than trusting the arithmetic.
+    is computed here: `SolveResult.witnesses` takes each prime's form
+    from the recipe's enumeration, which certifies every divisibility.
     """
     primes = tuple(int(p) for p in primes)
     if not primes:
@@ -332,17 +325,13 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
     n = math.prod(primes)
 
     # The scan cannot run out: s = p - n + 1 is odd and in range.
-    sign_sums = {
-        p: next(s for s in range(-(n - 2), n - 1, 2) if math.gcd(n, n - 1 + s) == p)
+    k = max(
+        abs(next(s for s in range(-(n - 2), n - 1, 2) if math.gcd(n, n - 1 + s) == p))
         for p in primes
-    }
-    k = max(abs(s) for s in sign_sums.values())
-
-    t4 = build_t4()
-    tx, ty, tz, tw = t4.tori
+    )
     return SolveResult(
-        recipe=build_theorem_recipe(t4, (tz, tx, ty), n, tw, copies=k),
+        recipe=build_theorem_recipe(build_t4(), ("Tz", "Tx", "Ty"), n, "Tw", copies=k),
         n=n,
         lagrangian_copies=k,
-        sign_sums=sign_sums,
+        primes=primes,
     )

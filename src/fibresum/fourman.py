@@ -47,8 +47,8 @@ class FourManifold(Record):
     tori, in declaration order.
 
     A record checks itself with its tori when it is built: Betti numbers
-    are nonnegative, |signature| <= b2, a simply connected record has
-    b1 = 0 and euler = 2 + b2, basis labels are distinct, and each torus
+    are nonnegative, |signature| <= b2, euler = 2 - 2*b1 + b2, a simply
+    connected record has b1 = 0, basis labels are distinct, and each torus
     has its own label, a known kind, a square-zero class of the tracked
     rank (the basis class itself when named after one), a dual pairing 1
     with it if declared, and <c1, T> = 0 (adjunction). Any violation
@@ -198,13 +198,11 @@ def _violations(m: FourManifold) -> list[str]:
         violations.append(f"{m.name}: negative Betti number")
     if abs(m.signature) > m.b2:
         violations.append(f"{m.name}: |signature| = {abs(m.signature)} exceeds b2 = {m.b2}")
-    if m.simply_connected:
-        if m.b1 != 0:
-            violations.append(f"{m.name}: simply connected but b1 = {m.b1}")
-        if m.euler != 2 + m.b2:
-            violations.append(
-                f"{m.name}: simply connected but euler = {m.euler} != 2 + b2 = {2 + m.b2}"
-            )
+    if m.simply_connected and m.b1 != 0:
+        violations.append(f"{m.name}: simply connected but b1 = {m.b1}")
+    # Poincare duality gives b3 = b1 on every closed connected oriented record.
+    if m.euler != 2 - 2 * m.b1 + m.b2:
+        violations.append(f"{m.name}: euler = {m.euler} != 2 - 2*b1 + b2 = {2 - 2 * m.b1 + m.b2}")
     # Each basis label and torus label names one class, so the checks
     # of `gompfsum.check_c1_identities` keep one name each.
     labels = m.lattice_basis_labels

@@ -23,7 +23,7 @@ from ._record import Record
 from .errors import ConfigError, MissingKeyError
 
 if TYPE_CHECKING:
-    from .fourman import EmbeddedTorus, FourManifold
+    from .fourman import FourManifold
     from .gompfsum import SumRecipe
 
 __all__ = [
@@ -90,9 +90,10 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 class TheoremTask(Record):
     """The theorem's inputs: `verify` runs the hypothesis gate on them,
     `build` also synthesizes the recipe. `name` is the config's name for
-    the manifold record, which the report prints."""
+    the manifold record, which the report prints; `labels` and
+    `sum_label` name tori the record holds."""
 
-    __slots__ = ("kind", "name", "manifold", "tori", "sum_torus", "n")
+    __slots__ = ("kind", "name", "manifold", "labels", "sum_label", "n")
 
 
 class EnumerateTask(Record):
@@ -129,15 +130,14 @@ class RunConfig:
         self.base_dir = Path.cwd() if base_dir is None else base_dir
         self.path = path
 
-    def torus(self, manifold_name: str, label: str, *, line: Union[int, str, None]) -> EmbeddedTorus:
-        table = self.manifolds[manifold_name].torus_table
-        if label not in table:
+    def torus(self, manifold_name: str, label: str, *, line: Union[int, str, None]) -> None:
+        """Refuse a torus label that the manifold's record does not hold."""
+        if label not in self.manifolds[manifold_name].torus_table:
             raise ConfigError(
                 f"unknown torus {label!r} on manifold {manifold_name!r}",
                 path=self.path,
                 line=line,
             )
-        return table[label]
 
     def resolve_file(self, name: str, *, line: Union[int, str, None] = None) -> Path:
         if not name:
@@ -287,12 +287,17 @@ def load_task(section: Section, config: RunConfig) -> None:
     lines = section.lines
     if kind in ("verify", "build"):
         name = section.manifold(config.manifolds)
-        labels = section.require("tori").split()
+        labels = tuple(section.require("tori").split())
         sum_label = section.require("sum")
-        tori = tuple(config.torus(name, label, line=lines["tori"]) for label in labels)
-        sum_torus = config.torus(name, sum_label, line=lines["sum"])
+        if not labels:
+            raise section.error("at least one torus is required", lines["tori"])
+        for label in labels:
+            config.torus(name, label, line=lines["tori"])
+        config.torus(name, sum_label, line=lines["sum"])
         n = section.integer("n")
-        config.tasks.append(TheoremTask(kind, name, config.manifolds[name], tori, sum_torus, n))
+        if n <= 2:
+            raise section.error("the construction needs n > 2", lines["n"])
+        config.tasks.append(TheoremTask(kind, name, config.manifolds[name], labels, sum_label, n))
     elif kind == "enumerate":
         recipe_name = section.require("recipe")
         if recipe_name not in config.recipes:

@@ -297,20 +297,14 @@ class TheoremReportBuilder(ReportBuilder):
             }
         )
 
-    def add_witnesses(self, result: SolveResult, witnesses: dict[int, FormClass]) -> None:
+    def add_witnesses(self, witnesses: dict[int, FormClass]) -> None:
         """Each prime's witness form, into the last task's solve section,
         and its realized check."""
         assignments = self.tasks[-1]["assignments"]
         for p in sorted(witnesses):
             signs = witnesses[p].signs_flat
-            assignments[_s(p)] = {
-                "signs": [_s(s) for s in signs],
-                "sign_sum": _s(result.sign_sums[p]),
-            }
-            self.line(
-                f"  prime {p}: sign sum {result.sign_sums[p]:+d}, "
-                f"signs {_sign_string(signs)}"
-            )
+            assignments[_s(p)] = {"signs": [_s(s) for s in signs]}
+            self.line(f"  prime {p}: signs {_sign_string(signs)}")
         for p in sorted(witnesses):
             self.add_check(f"solve: prime {p} realized with exact divisibility {p}", "pass")
 

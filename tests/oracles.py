@@ -18,8 +18,10 @@ row they touch (the package keeps each row's nonzero and untracked
 entries and visits only those), the report oracle is the standard
 library's JSON encoder applied to per-form dicts (the package writes
 reports with its own indent-2 writer, and each form with a fixed-key
-writer), and the check-grouping oracle walks every form's messages (the
-package walks each distinct outcome's messages once).
+writer), the check-grouping oracle walks every form's messages (the
+package walks each distinct outcome's messages once), and the theorem
+family's divisibilities and witnesses come from its closed form (the
+package reads them off the enumeration).
 """
 
 from __future__ import annotations
@@ -318,6 +320,28 @@ def brute_force_forms(recipe) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
             c1 = [c - sign * t for c, t in zip(c1, torus.klass.coords)]
         seen.setdefault(tuple(c1), tuple(signs))
     return [(signs, c1) for c1, signs in seen.items()]
+
+
+# The theorem family on T4 by plain arithmetic: Tx and Ty glued once,
+# k copies of the Lagrangian Tz and n-1 copies of Tw, for odd n. With Ty
+# positive and the Tz signs summing to s, c1 = -(n Tx + n Ty + (n-1+s) Tz),
+# of divisibility gcd(n, n-1+s); with Ty negative the gcd is 1.
+
+
+def theorem_family_divisibilities(n: int, k: int) -> set[int]:
+    """{gcd(n, n-1+s) : |s| <= k, s = k mod 2} and 1."""
+    return {math.gcd(n, n - 1 + s) for s in range(-k, k + 1, 2)} | {1}
+
+
+def theorem_family_witness_c1(n: int, k: int, p: int):
+    """The closed-form c1 in T4's coordinates of the first form of
+    divisibility p > 1 in first-met order: Ty positive and the largest
+    sign sum s with gcd(n, n-1+s) = p, since an exhaustive scan meets
+    more plus signs first; None when no s does."""
+    for s in range(k, -k - 1, -2):
+        if math.gcd(n, n - 1 + s) == p:
+            return (-n, -n, -(n - 1 + s), 0, 0, 0)
+    return None
 
 
 def pairwise_pairing(entries, u, v):

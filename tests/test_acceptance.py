@@ -29,6 +29,7 @@ from fixtures import (
     hopf_link,
     mcmullen_taubes_recipe,
     perturb_curve,
+    replace,
     split_link,
     with_signs,
 )
@@ -171,15 +172,15 @@ def test_criterion_5_linking_oracle_equivalence():
 def test_criterion_6_hypothesis_gate():
     with criterion(6, "gate rejects bad configurations and accepts all odd n"):
         manifold = build_t4()
-        tx, ty, tz, tw = manifold.tori
-        assert not check_hypotheses(manifold, (tz,), 3, tz).overall
+        assert not check_hypotheses(manifold, ("Tz",), 3, "Tz").overall
         doubled = EmbeddedTorus("T2z", IntVector((0, 0, 2, 0, 0, 0)), LAGRANGIAN, None, False)
         doubled_sum = EmbeddedTorus("Ts", IntVector((1, 1, 2, 0, 0, 0)), SYMPLECTIC, None, False)
-        bad_d = check_hypotheses(manifold, (doubled, tx, ty), 4, doubled_sum)
+        doubled_t4 = replace(manifold, tori=manifold.tori + (doubled, doubled_sum))
+        bad_d = check_hypotheses(doubled_t4, ("T2z", "Tx", "Ty"), 4, "Ts")
         assert bad_d.n_divides_2d and not bad_d.overall
-        assert not check_hypotheses(manifold, (tx, ty, tz), 3, tw).overall
+        assert not check_hypotheses(manifold, ("Tx", "Ty", "Tz"), 3, "Tw").overall
         for n in range(3, 100, 2):
-            report = check_hypotheses(manifold, (tz, tx, ty), n, tw)
+            report = check_hypotheses(manifold, ("Tz", "Tx", "Ty"), n, "Tw")
             assert report.overall and report.torus_divisibility == 1
 
 

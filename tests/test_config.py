@@ -127,7 +127,16 @@ ERRORS = [
     ("seed = 0\n", "cfg: no tasks"),
     (
         M.replace("euler = 4", "euler = 5") + SOLVE,
-        "cfg:1: manifold 'M' is inconsistent: M: simply connected but euler = 5 != 2 + b2 = 4",
+        "cfg:1: manifold 'M' is inconsistent: M: euler = 5 != 2 - 2*b1 + b2 = 4",
+    ),
+    # The gate's preconditions, at their key's line.
+    (
+        T4 + "[task verify]\nmanifold = T4\ntori = Tz Tx Ty\nsum = Tw\nn = 2\n",
+        "cfg:7: the construction needs n > 2",
+    ),
+    (
+        T4 + "[task build]\nmanifold = T4\ntori =\nsum = Tw\nn = 3\n",
+        "cfg:5: at least one torus is required",
     ),
     (
         T4 + "[recipe r]\nmanifold = T4\nglue = Tx -\n",
@@ -176,12 +185,28 @@ UNTRACKED = "pairing_row = 0 ?\npairing_row = ? 0\n"
 # The record M with torus A, its pairing rows swapped in below.
 RECORD = M.replace(HYPERBOLIC, "{rows}") + TORUS_A + SOLVE
 
+# The record M, not declared simply connected.
+M_OPEN = M.replace("simply_connected = true\n", "")
+
 RECORD_PROBLEMS = [
+    # Each record below keeps euler = 2 - 2*b1 + b2, so that its one
+    # problem is the only one.
     (
-        M.replace("b1 = 0", "b1 = -1").replace("simply_connected = true\n", "") + SOLVE,
+        M_OPEN.replace("euler = 4", "euler = 6").replace("b1 = 0", "b1 = -1") + SOLVE,
         "M: negative Betti number",
     ),
-    (M.replace("b1 = 0", "b1 = 2") + SOLVE, "M: simply connected but b1 = 2"),
+    (
+        M.replace("euler = 4", "euler = 0").replace("b1 = 0", "b1 = 2") + SOLVE,
+        "M: simply connected but b1 = 2",
+    ),
+    # Not simply connected, yet held to Poincare duality: at load, not
+    # only once a gluing derives a negative b2 for the sum.
+    (
+        M_OPEN.replace("euler = 4", "euler = -30").replace("b2 = 2", "b2 = 0")
+        + TORUS_A
+        + "[recipe x]\nmanifold = M\nglue = A +\n[task enumerate]\nrecipe = x\n",
+        "M: euler = -30 != 2 - 2*b1 + b2 = 2",
+    ),
     (
         RECORD.format(rows="pairing_row = ? 1\npairing_row = 1 0\n"),
         "torus A: self-pairing not tracked",
@@ -214,6 +239,13 @@ def test_record_problems_in_a_config_exit_2(text, problem, tmp_path, capsys):
     assert code == 2
     # Line 1 holds the `[manifold M]` header.
     assert capsys.readouterr().err == f"error: {path}:1: manifold 'M' is inconsistent: {problem}\n"
+
+
+def test_a_verify_task_on_a_torus_the_record_lacks_exits_2_at_its_tori_line(tmp_path, capsys):
+    text = T4 + "[task verify]\nmanifold = T4\ntori = Tz Tq\nsum = Tw\nn = 3\n"
+    code, path = _run(tmp_path, text, "verify")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}:5: unknown torus 'Tq' on manifold 'T4'\n"
 
 
 @pytest.mark.parametrize(

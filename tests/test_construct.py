@@ -17,17 +17,20 @@ from fibresum.fourman import LAGRANGIAN, SYMPLECTIC, EmbeddedTorus, FourManifold
 from fibresum.gompfsum import Gluing, SumRecipe, sum_c1, sum_invariants
 from fibresum.intlat import DivisibilityReport, IntVector, PairingMatrix, gcd_content
 from fixtures import flat_signs, mcmullen_taubes_recipe, perform_recipe, replace, with_signs, zero_pairing
-from oracles import brute_force_forms, pairwise_divisibility_bounds
+from oracles import (
+    brute_force_forms,
+    pairwise_divisibility_bounds,
+    theorem_family_divisibilities,
+    theorem_family_witness_c1,
+)
 
-
-def t4_setup():
-    manifold = build_t4()
-    return (manifold, *manifold.tori)
+# The theorem's tori on T4: the Lagrangian Tz first, then Tx and Ty, and
+# the diagonal Tw as the sum torus.
+TORI, SUM = ("Tz", "Tx", "Ty"), "Tw"
 
 
 def test_check_hypotheses_accepts_standard_configuration():
-    manifold, tx, ty, tz, tw = t4_setup()
-    report = check_hypotheses(manifold, (tz, tx, ty), 3, tw)
+    report = check_hypotheses(build_t4(), TORI, 3, SUM)
     assert report.overall
     assert report.rank == 3
     assert report.torus_divisibility == 1
@@ -35,17 +38,20 @@ def test_check_hypotheses_accepts_standard_configuration():
 
 
 def test_check_hypotheses_rejects_single_torus():
-    manifold, tx, ty, tz, tw = t4_setup()
-    report = check_hypotheses(manifold, (tz,), 3, tz)
+    report = check_hypotheses(build_t4(), ("Tz",), 3, "Tz")
     assert not report.condition1
     assert not report.overall
 
 
+def _with_tori(manifold, *tori):
+    """The record with `tori` declared after its own."""
+    return replace(manifold, tori=manifold.tori + tori)
+
+
 def test_check_hypotheses_rejects_when_n_divides_2d():
-    manifold, tx, ty, tz, tw = t4_setup()
     doubled = EmbeddedTorus("T2z", IntVector((0, 0, 2, 0, 0, 0)), LAGRANGIAN, None, False)
     sum_torus = EmbeddedTorus("Tsum", IntVector((1, 1, 2, 0, 0, 0)), SYMPLECTIC, None, False)
-    report = check_hypotheses(manifold, (doubled, tx, ty), 4, sum_torus)
+    report = check_hypotheses(_with_tori(build_t4(), doubled, sum_torus), ("T2z", "Tx", "Ty"), 4, "Tsum")
     assert report.condition1 and report.condition2
     assert report.torus_divisibility == 2
     assert report.n_divides_2d is True
@@ -54,59 +60,34 @@ def test_check_hypotheses_rejects_when_n_divides_2d():
 
 
 def test_check_hypotheses_rejects_non_lagrangian_first_torus():
-    manifold, tx, ty, tz, tw = t4_setup()
-    report = check_hypotheses(manifold, (tx, ty, tz), 3, tw)
+    report = check_hypotheses(build_t4(), ("Tx", "Ty", "Tz"), 3, SUM)
     assert not report.condition2
     assert any("must be Lagrangian" in r for r in report.condition2_reasons)
     assert not report.overall
 
 
 def test_check_hypotheses_rejects_wrong_sum_class():
-    manifold, tx, ty, tz, tw = t4_setup()
-    report = check_hypotheses(manifold, (tz, tx), 3, tw)
+    report = check_hypotheses(build_t4(), ("Tz", "Tx"), 3, SUM)
     assert not report.condition2
     assert any("expected" in r for r in report.condition2_reasons)
 
 
-_T4 = build_t4()
-_TX, _TY, _TZ, _TW = _T4.tori
-# Gate inputs that each break one check, with the report field that
-# names it and the reason.
-GATE_REASONS = [
-    # A record with Tz's self-pairing untracked refuses Tz as its torus,
-    # so this one declares no tori and the gate gets them on their own.
-    (
-        replace(_T4, pairing=_T4.pairing.masked({2}), tori=()),
-        (_TZ, _TX, _TY),
-        "condition1_reasons",
-        "Tz: self-pairing untracked",
-    ),
-    # Ty + Uy pairs to 2 with itself.
-    (
-        _T4,
-        (_TZ, _TX, replace(_TY, klass=IntVector((0, 1, 0, 0, 1, 0)))),
-        "condition1_reasons",
-        "Ty: not square-zero",
-    ),
-    (
-        _T4,
-        (_TZ, replace(_TX, kind="spiky"), _TY),
-        "condition2_reasons",
-        "Tx: no symplectic representative (spiky)",
-    ),
-]
-
-
-@pytest.mark.parametrize("manifold, tori, field, reason", GATE_REASONS, ids=[r for *_, r in GATE_REASONS])
-def test_check_hypotheses_names_each_broken_check(manifold, tori, field, reason):
-    report = check_hypotheses(manifold, tori, 3, _TW)
-    assert reason in getattr(report, field)
-    assert not report.overall
+def test_gate_and_recipe_refuse_a_torus_the_record_does_not_hold():
+    # Txz is square-zero, but T4 does not declare it.
+    message = "unknown torus 'Txz' on manifold 'T4'"
+    with pytest.raises(ValueError, match=message) as info:
+        build_theorem_recipe(build_t4(), ("Tz", "Tx"), 3, "Txz")
+    assert not isinstance(info.value, RecipeError)
+    with pytest.raises(ValueError, match=message):
+        check_hypotheses(build_t4(), ("Tz", "Tx"), 3, "Txz")
+    with pytest.raises(ValueError, match="unknown torus 'Tq' on manifold 'T4'"):
+        check_hypotheses(build_t4(), ("Tz", "Tq"), 3, SUM)
 
 
 def test_check_hypotheses_fails_safe_on_indeterminate_divisibility():
-    from fibresum.fourman import FourManifold
-
+    t1 = EmbeddedTorus("a", IntVector((1, 0)), LAGRANGIAN, None, False)
+    t2 = EmbeddedTorus("b", IntVector((0, 1)), SYMPLECTIC, None, False)
+    sum_torus = EmbeddedTorus("ab", IntVector((1, 1)), SYMPLECTIC, None, False)
     blind = FourManifold(
         name="blind",
         euler=0,
@@ -118,12 +99,9 @@ def test_check_hypotheses_fails_safe_on_indeterminate_divisibility():
         c1=IntVector((0, 0)),
         pi1_normally_generated_by_tori=False,
         simply_connected=False,
-        tori=(),
+        tori=(t1, t2, sum_torus),
     )
-    t1 = EmbeddedTorus("a", IntVector((1, 0)), LAGRANGIAN, None, False)
-    t2 = EmbeddedTorus("b", IntVector((0, 1)), SYMPLECTIC, None, False)
-    sum_torus = EmbeddedTorus("ab", IntVector((1, 1)), SYMPLECTIC, None, False)
-    report = check_hypotheses(blind, (t1, t2), 3, sum_torus)
+    report = check_hypotheses(blind, ("a", "b"), 3, "ab")
     assert not report.condition3
     assert report.torus_divisibility is None
     assert report.n_divides_2d is None
@@ -154,38 +132,35 @@ def test_hypothesis_report_flags_follow_its_reasons_and_d():
 
 
 def test_check_hypotheses_precondition_errors():
-    manifold, tx, ty, tz, tw = t4_setup()
-    with pytest.raises(ValueError):
-        check_hypotheses(manifold, (tz, tx, ty), 2, tw)
-    with pytest.raises(ValueError):
-        check_hypotheses(manifold, (), 3, tw)
+    with pytest.raises(ValueError, match="the construction needs n > 2"):
+        check_hypotheses(build_t4(), TORI, 2, SUM)
+    with pytest.raises(ValueError, match="at least one torus is required"):
+        check_hypotheses(build_t4(), (), 3, SUM)
 
 
 def test_check_hypotheses_accepts_all_odd_n_up_to_99():
-    manifold, tx, ty, tz, tw = t4_setup()
+    manifold = build_t4()
     for n in range(3, 100, 2):
-        report = check_hypotheses(manifold, (tz, tx, ty), n, tw)
+        report = check_hypotheses(manifold, TORI, n, SUM)
         assert report.overall, n
         assert report.torus_divisibility == 1
 
 
 def test_build_theorem_recipe_copy_counts():
-    manifold, tx, ty, tz, tw = t4_setup()
-    recipe = build_theorem_recipe(manifold, (tz, tx, ty), 3, tw)
+    manifold = build_t4()
+    recipe = build_theorem_recipe(manifold, TORI, 3, SUM)
     assert recipe.total_copies == 5
     xz_sum = EmbeddedTorus(
         "Txz", IntVector((1, 0, 1, 0, 0, 0)), SYMPLECTIC,
         dual=IntVector((0, 0, 0, 1, 0, 0)), parallel_copies_available=True,
     )
-    # The recipe glues only tori of its base, so Txz joins them.
-    recipe2 = build_theorem_recipe(replace(manifold, tori=manifold.tori + (xz_sum,)), (tz, tx), 3, xz_sum)
+    recipe2 = build_theorem_recipe(_with_tori(manifold, xz_sum), ("Tz", "Tx"), 3, "Txz")
     assert recipe2.total_copies == 4
 
 
 def test_build_theorem_recipe_enforces_gate():
-    manifold, tx, ty, tz, tw = t4_setup()
     with pytest.raises(RecipeError, match="hypotheses not satisfied"):
-        build_theorem_recipe(manifold, (tx, ty, tz), 3, tw)
+        build_theorem_recipe(build_t4(), ("Tx", "Ty", "Tz"), 3, SUM)
 
 
 def test_mcmullen_taubes_recipe_has_four_copies():
@@ -196,8 +171,7 @@ def test_mcmullen_taubes_recipe_has_four_copies():
 
 
 def test_enumerate_forms_section_recipe():
-    manifold, tx, ty, tz, tw = t4_setup()
-    recipe = build_theorem_recipe(manifold, (tz, tx, ty), 3, tw)
+    recipe = build_theorem_recipe(build_t4(), TORI, 3, SUM)
     result = enumerate_forms(recipe)
     assert result.flippable_copies == 2
     assert result.assignments_covered == 4
@@ -218,8 +192,7 @@ def test_enumerate_forms_negative_control():
 
 
 def test_enumerate_forms_no_flippable_copies():
-    manifold, tx, ty, tz, tw = t4_setup()
-    recipe = SumRecipe(manifold, (Gluing("Tx", (1,)), Gluing("Tw", (1,))))
+    recipe = SumRecipe(build_t4(), (Gluing("Tx", (1,)), Gluing("Tw", (1,))))
     result = enumerate_forms(recipe)
     assert result.flippable_copies == 0
     assert len(result.forms) == 1
@@ -324,41 +297,45 @@ def test_enumerate_forms_matches_brute_force_oracle():
     assert min(flippable) == 0 and max(flippable) == 10
 
 
-def solver_signs(result, p):
-    """Prime p's assignment by the closed form: Tx and Ty positive, the
-    Tz copies with their plus signs first summing to p's sign sum, every
-    Tw copy positive."""
-    k, s = result.lagrangian_copies, result.sign_sums[p]
-    plus = (k + s) // 2
-    return (1, 1) + (1,) * plus + (-1,) * (k - plus) + (1,) * (result.n - 1)
-
-
 def test_solve_signs_two_primes_matches_gcd_search_oracle():
     for primes in ((3,), (3, 5), (3, 5, 7), (7, 11, 13)):
         result = solve_signs(primes)
         n = math.prod(primes)
         assert result.n == n
+        assert result.primes == primes
         # Oracle: scan all odd sign sums in [-(n-2), n-2] and keep the
-        # first value whose gcd against n realizes each prime.
+        # first value whose gcd against n realizes each prime; k is the
+        # largest of their sizes.
         first_hit = {}
         for s in range(-(n - 2), n - 1, 2):
             first_hit.setdefault(math.gcd(n, n - 1 + s), s)
-        assert result.sign_sums == {p: first_hit[p] for p in primes}
-        assert result.lagrangian_copies == max(abs(s) for s in result.sign_sums.values())
+        assert result.lagrangian_copies == max(abs(first_hit[p]) for p in primes)
         enumeration = enumerate_forms(result.recipe)
         assert set(primes) <= set(enumeration.distinct_divisibilities)
-        # Every witness is an enumerated form carrying the closed-form
-        # assignment, and the one-recipe-per-assignment route gives the
-        # same c1.
+        # Every witness is an enumerated form, and the one-recipe-per-
+        # assignment route gives the same c1.
         forms = result.witnesses(enumeration)
         assert sorted(forms) == sorted(primes)
         for p, form in forms.items():
             assert any(f is form for f in enumeration.forms)
-            assert form.signs_flat == solver_signs(result, p)
             c1 = sum_c1(with_signs(result.recipe, form.signs_flat))
             assert form.c1 == c1
             assert gcd_content(c1) == p
-    assert solve_signs((3, 5)).sign_sums == {3: -11, 5: -9}
+    assert solve_signs((3, 5)).lagrangian_copies == 11
+
+
+@pytest.mark.parametrize("primes", [(3, 5), (3, 7), (3, 5, 7), (5, 7, 11)])
+def test_solve_matches_the_closed_form_of_the_theorem_family(primes):
+    result = solve_signs(primes)
+    n, k = result.n, result.lagrangian_copies
+    enumeration = enumerate_forms(result.recipe)
+    assert set(enumeration.distinct_divisibilities) == theorem_family_divisibilities(n, k)
+    witnesses = result.witnesses(enumeration)
+    for p in primes:
+        first = next(f for f in enumeration.forms if f.divisibility.exact and f.divisibility.lower == p)
+        assert witnesses[p] is first
+        assert witnesses[p].c1.coords == theorem_family_witness_c1(n, k, p)
+        assert gcd_content(witnesses[p].c1) == p
 
 
 def test_solve_runs_the_hypothesis_gate_once(monkeypatch, capsys):
@@ -372,29 +349,27 @@ def test_solve_runs_the_hypothesis_gate_once(monkeypatch, capsys):
     monkeypatch.setattr(construct, "check_hypotheses", counted)
     assert main(["solve", "--primes", "3,5"]) == 0
     assert len(calls) == 1
-    manifold, tx, ty, tz, tw = t4_setup()
-    assert calls[0] == (manifold, (tz, tx, ty), 15, tw)
-
-
-def _doctored(enumeration, signs, change):
-    """The enumeration with the form carrying `signs` passed through
-    `change` (None drops it)."""
-    forms = (change(f) if f.signs_flat == signs else f for f in enumeration.forms)
-    return replace(enumeration, forms=tuple(f for f in forms if f is not None))
+    assert calls[0] == (build_t4(), TORI, 15, SUM)
 
 
 def test_solve_job_rejects_an_enumeration_missing_a_solved_form(monkeypatch, capsys):
-    signs = solver_signs(solve_signs((3, 5)), 3)
     original = construct.enumerate_forms
 
     def dropped(recipe, **kwargs):
-        return _doctored(original(recipe, **kwargs), signs, lambda form: None)
+        # Every form of exact divisibility 3 goes.
+        enumeration = original(recipe, **kwargs)
+        forms = [f for f in enumeration.forms if not (f.divisibility.exact and f.divisibility.lower == 3)]
+        assert len(forms) < len(enumeration.forms)
+        return replace(enumeration, forms=tuple(forms))
 
     monkeypatch.setattr(construct, "enumerate_forms", dropped)
     assert main(["solve", "--primes", "3,5"]) == 3
     assert capsys.readouterr().out.endswith(
-        "error: mathematical inconsistency: enumeration has no form with the signs solved for prime 3\n"
+        "error: mathematical inconsistency: enumeration has no form of exact divisibility 3\n"
     )
+    result = solve_signs((3, 5))
+    with pytest.raises(MathematicalInconsistencyError, match="no form of exact divisibility 3"):
+        result.witnesses(dropped(result.recipe))
 
 
 @pytest.mark.parametrize(
@@ -402,18 +377,17 @@ def test_solve_job_rejects_an_enumeration_missing_a_solved_form(monkeypatch, cap
     [
         DivisibilityReport(1, 1),  # a wrong exact divisibility
         DivisibilityReport(15, 15),  # also divisible by the other prime
-        DivisibilityReport(5, 0),  # right witness, not exact
+        DivisibilityReport(5, 0),  # the right lower bound, not exact
     ],
 )
 def test_realized_forms_rejects_a_wrong_divisibility(report):
+    # Prime 5's first form, reported otherwise, is no witness: the next
+    # form of exact divisibility 5 is.
     result = solve_signs((3, 5))
-    enumeration = _doctored(
-        enumerate_forms(result.recipe),
-        solver_signs(result, 5),
-        lambda form: replace(form, divisibility=report),
-    )
-    with pytest.raises(MathematicalInconsistencyError, match="assignment for prime 5 yields divisibility"):
-        result.witnesses(enumeration)
+    enumeration = enumerate_forms(result.recipe)
+    first, second = [f for f in enumeration.forms if f.divisibility == DivisibilityReport(5, 5)]
+    forms = tuple(replace(f, divisibility=report) if f is first else f for f in enumeration.forms)
+    assert result.witnesses(replace(enumeration, forms=forms))[5] is second
 
 
 def test_solve_signs_single_prime_reproduces_section_construction():
@@ -421,9 +395,10 @@ def test_solve_signs_single_prime_reproduces_section_construction():
     assert result.n == 3
     assert result.lagrangian_copies == 1
     assert result.recipe.total_copies == 5
-    assert result.sign_sums[3] == 1
     enumeration = enumerate_forms(result.recipe)
     assert set(enumeration.distinct_divisibilities) == {1, 3}
+    # The all-positive assignment is the first form, of divisibility 3.
+    assert result.witnesses(enumeration)[3].signs_flat == (1,) * 5
 
 
 def test_solve_signs_rejects_bad_input():
@@ -441,8 +416,7 @@ def test_solve_signs_rejects_bad_input():
 
 @pytest.mark.parametrize("n", [3, 5, 9, 15, 21])
 def test_positive_assignment_divisible_by_n_and_flip_breaks_it(n):
-    manifold, tx, ty, tz, tw = t4_setup()
-    recipe = build_theorem_recipe(manifold, (tz, tx, ty), n, tw)
+    recipe = build_theorem_recipe(build_t4(), TORI, n, SUM)
     _, form = perform_recipe(recipe)
     assert form.divisibility.exact
     assert form.divisibility.lower % n == 0
@@ -457,8 +431,7 @@ def test_positive_assignment_divisible_by_n_and_flip_breaks_it(n):
 
 @pytest.mark.parametrize("n, k", [(3, 1), (5, 3), (15, 11)])
 def test_build_theorem_recipe_glues_the_first_torus_copies_times(n, k):
-    manifold, tx, ty, tz, tw = t4_setup()
-    recipe = build_theorem_recipe(manifold, (tz, tx, ty), n, tw, copies=k)
+    recipe = build_theorem_recipe(build_t4(), TORI, n, SUM, copies=k)
     assert [(g.torus_label, g.copies) for g in recipe.gluings] == [
         ("Tx", 1), ("Ty", 1), ("Tz", k), ("Tw", n - 1)
     ]

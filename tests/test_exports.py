@@ -8,6 +8,7 @@ import pytest
 
 import fibresum
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(fibresum.__path__) if not m.name.startswith("_"))
 
 
@@ -63,3 +64,13 @@ def test_every_export_is_used_in_the_package():
     for name in SUBMODULES:
         exported |= set(getattr(importlib.import_module(f"fibresum.{name}"), "__all__", ()))
     assert sorted(exported - _loaded_names()) == []
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # Each `print(...)` line ends with `# ` and the line it prints.
+    expected = [line.rsplit("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+    assert expected == ["(1, 3)", "2", "60 -40"]

@@ -115,7 +115,7 @@ def test_validate_flags_record_inconsistencies():
         )
     assert str(info.value) == (
         "manifold 'bad' is inconsistent: bad: |signature| = 9 exceeds b2 = 3; "
-        "bad: simply connected but euler = 7 != 2 + b2 = 5"
+        "bad: euler = 7 != 2 - 2*b1 + b2 = 5"
     )
 
 
