@@ -3,8 +3,9 @@
 Exit codes: 0 success (also after `--help`), 1 standard output closed
 before the report was written, 2 validation failure (bad config,
 unresolved reference, failed hypothesis gate, a task too large for the
-enumeration cap or for memory) or usage error (no or unknown command,
-unknown or repeated flag, missing value, no input to run), 3
+enumeration cap or for memory, a report too large for memory) or usage
+error (no or unknown command, unknown or repeated flag, missing value,
+no input to run), 3
 mathematical inconsistency (an internal invariant check failed, so the
 run's results must not be trusted).
 
@@ -62,26 +63,29 @@ def _run_build(task: TheoremTask, config: RunConfig, report: TheoremReportBuilde
     report.add_recipe(recipe, sum_invariants(recipe), recipe_config_section(recipe, task.name))
 
 
-def _check_forms(name: str, result, recipe, report: TheoremReportBuilder) -> None:
+def _enumerate(recipe, config: RunConfig, report: TheoremReportBuilder, solve=None) -> None:
+    """The recipe's enumeration section, after the witnesses of `solve`
+    when given, and the c1 identity checks of a simply connected sum."""
+    from . import construct
     from .gompfsum import check_c1_identities
 
+    result = construct.enumerate_forms(recipe, cap=config.enumeration_cap)
+    if solve is not None:
+        report.add_witnesses(solve.witnesses(result))
+    report.add_enumeration(recipe.name, result)
+    if not result.manifold.simply_connected:
+        return
     extras = {t.label: t.klass for t in recipe.base.tori}
     identities = check_c1_identities(result.manifold, result.forms, extras)
-    report.add_form_checks(name, result.forms, identities)
+    report.add_form_checks(recipe.name, result.forms, identities)
     any_failed = not all(identity.ok for identity in identities)
-    report.add_check(f"{name}: c1 identities over all forms", "fail" if any_failed else "pass")
+    report.add_check(f"{recipe.name}: c1 identities over all forms", "fail" if any_failed else "pass")
     if any_failed:
         raise MathematicalInconsistencyError("c1 identity check failed")
 
 
 def _run_enumerate(task: EnumerateTask, config: RunConfig, report: TheoremReportBuilder) -> None:
-    from . import construct
-
-    recipe = task.recipe
-    result = construct.enumerate_forms(recipe, cap=config.enumeration_cap)
-    report.add_enumeration(recipe.name, result)
-    if result.manifold.simply_connected:
-        _check_forms(recipe.name, result, recipe, report)
+    _enumerate(task.recipe, config, report)
 
 
 def _run_solve(task: SolveTask, config: RunConfig, report: TheoremReportBuilder) -> None:
@@ -89,11 +93,7 @@ def _run_solve(task: SolveTask, config: RunConfig, report: TheoremReportBuilder)
 
     result = construct.solve_signs(task.primes)
     report.add_solve(result)
-    enumeration = construct.enumerate_forms(result.recipe, cap=config.enumeration_cap)
-    report.add_witnesses(result.witnesses(enumeration))
-    report.add_enumeration(result.recipe.name, enumeration)
-    if enumeration.manifold.simply_connected:
-        _check_forms(result.recipe.name, enumeration, result.recipe, report)
+    _enumerate(result.recipe, config, report, result)
 
 
 def _load_geometry(config: RunConfig, path, loader, what: str):
@@ -164,10 +164,12 @@ def run(config: RunConfig, kinds: Optional[set[str]] = None, stream=None) -> int
         # what they hold, are freed when this block ends, before rendering.
         report.note_error(f"out of memory while running the {task.kind} task")
         code = EXIT_VALIDATION
-    if config.output_format == "machine":
-        print(report.render_machine(), file=stream)
-    else:
-        print(report.render_table(), file=stream)
+    try:
+        render = report.render_machine if config.output_format == "machine" else report.render_table
+        print(render(), file=stream)
+    except MemoryError:
+        print("error: out of memory while writing the report", file=sys.stderr)
+        return EXIT_VALIDATION
     return code
 
 

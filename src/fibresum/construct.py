@@ -83,16 +83,12 @@ class HypothesisReport(Record):
 
 class EnumerationResult(Record):
     """All form classes of a recipe over the flippable sign assignments,
-    on the one summed manifold they share. Only exact divisibilities
-    feed the component bound; the tallies walk the forms on each read.
+    on the one summed manifold they share: one form per distinct c1, each
+    with the first profile reaching it. Only exact divisibilities feed
+    the component bound; the tallies walk the forms on each read.
     """
 
     __slots__ = ("manifold", "forms", "flippable_copies")
-
-    @property
-    def assignments_covered(self) -> int:
-        """Sign assignments the forms account for, 2^flippable_copies."""
-        return 2**self.flippable_copies
 
     @property
     def distinct_divisibilities(self) -> tuple[int, ...]:
@@ -244,17 +240,18 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     """Every form class of the recipe over all signs on the Lagrangian-glued copies.
 
     A gluing adds -(sum of its signs)*[T] to c1, so c1 depends only on
-    each gluing's sign sum. One pass over the gluings keeps, per distinct
-    partial c1, the first sign prefix reaching it: a Lagrangian gluing
-    with c copies offers the c+1 blocks +...+-...- (more plus signs
-    first), any other gluing its own signs. Walking the prefixes in
-    insertion order, the forms come out in the order an exhaustive scan
-    of all 2^k assignments (plus before minus) first meets their c1, each
-    with that first assignment's signs. The cap bounds the distinct
-    classes held after any gluing.
+    each gluing's plus count. One pass over the gluings keeps, per
+    distinct partial c1, the first profile (plus counts so far) reaching
+    it: a Lagrangian gluing with c copies offers the counts c, c-1, ...,
+    0, any other gluing its own count. Walking the profiles in insertion
+    order, the forms come out in the order an exhaustive scan of all 2^k
+    assignments (plus before minus) first meets their c1, each with that
+    first assignment's signs. The cap bounds the distinct classes held
+    at any point of the pass.
     """
     manifold = sum_invariants(recipe)
     table = recipe.base.torus_table
+    layout = tuple((g.torus_label, g.copies) for g in recipe.gluings)
 
     # Partial Chern classes are plain coordinate tuples during the pass;
     # only the final classes become IntVectors.
@@ -262,30 +259,32 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
     flippable = 0
     for gluing in recipe.gluings:
         torus = table[gluing.torus_label]
+        c = gluing.copies
         if torus.kind == LAGRANGIAN:
-            c = gluing.copies
             flippable += c
-            blocks = [(1,) * p + (-1,) * (c - p) for p in range(c, -1, -1)]
+            # From one state distinct counts reach distinct classes unless
+            # [T] = 0, so no count past the first cap + 1 can matter.
+            counts = range(c, max(c - cap - 1, -1), -1)
         else:
-            blocks = [gluing.signs]
-        steps = [(tuple(-sum(block) * t for t in torus.klass.coords), block) for block in blocks]
+            counts = (gluing.signs.count(1),)
+        steps = [(tuple((c - 2 * p) * t for t in torus.klass.coords), (p,)) for p in counts]
         nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         for c1, prefix in states.items():
-            for step, block in steps:
+            for step, count in steps:
                 key = tuple(map(add, c1, step))
                 if key not in nxt:
-                    nxt[key] = prefix + block
-            if len(nxt) > cap:
-                raise EnumerationCapError(
-                    f"enumeration too large: more than {cap} distinct Chern classes "
-                    f"after gluing {torus.label}"
-                )
+                    nxt[key] = prefix + count
+                    if len(nxt) > cap:
+                        raise EnumerationCapError(
+                            f"enumeration too large: more than {cap} distinct Chern classes "
+                            f"after gluing {torus.label}"
+                        )
         states = nxt
 
     forms = []
-    for coords, signs in states.items():
+    for coords, profile in states.items():
         c1 = IntVector(coords)
-        forms.append(FormClass(signs, c1, divisibility_bounds(c1, manifold.pairing)))
+        forms.append(FormClass(layout, profile, c1, divisibility_bounds(c1, manifold.pairing)))
     return EnumerationResult(manifold=manifold, forms=tuple(forms), flippable_copies=flippable)
 
 

@@ -11,8 +11,6 @@ square-zero tori and checks itself with them once, when it is built.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ._record import Record, _set
 from .intlat import IntVector, PairingMatrix
 
@@ -68,39 +66,17 @@ class FourManifold(Record):
         "tori",
     )
 
-    def __init__(
-        self,
-        name: str,
-        euler: int,
-        signature: int,
-        b1: int,
-        b2: int,
-        lattice_basis_labels: Sequence[str],
-        pairing: PairingMatrix,
-        c1: IntVector,
-        pi1_normally_generated_by_tori: bool,
-        simply_connected: bool,
-        tori: Sequence[EmbeddedTorus],
-    ) -> None:
-        lattice_basis_labels = tuple(lattice_basis_labels)
-        if pairing.dim != len(lattice_basis_labels):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        _set(self, "lattice_basis_labels", tuple(self.lattice_basis_labels))
+        _set(self, "tori", tuple(self.tori))
+        if self.pairing.dim != len(self.lattice_basis_labels):
             raise ValueError("pairing dimension does not match basis labels")
-        if len(c1) != pairing.dim:
+        if len(self.c1) != self.pairing.dim:
             raise ValueError("c1 length does not match tracked lattice rank")
-        _set(self, "name", name)
-        _set(self, "euler", euler)
-        _set(self, "signature", signature)
-        _set(self, "b1", b1)
-        _set(self, "b2", b2)
-        _set(self, "lattice_basis_labels", lattice_basis_labels)
-        _set(self, "pairing", pairing)
-        _set(self, "c1", c1)
-        _set(self, "pi1_normally_generated_by_tori", pi1_normally_generated_by_tori)
-        _set(self, "simply_connected", simply_connected)
-        _set(self, "tori", tuple(tori))
         violations = _violations(self)
         if violations:
-            raise ValueError(f"manifold {name!r} is inconsistent: " + "; ".join(violations))
+            raise ValueError(f"manifold {self.name!r} is inconsistent: " + "; ".join(violations))
 
     @property
     def rank(self) -> int:

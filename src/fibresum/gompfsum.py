@@ -10,8 +10,10 @@ through the first Chern class.
 Per copy glued along torus T with sign e (e = +1 when the perturbed
 form orients T positively, -1 otherwise, allowed only for Lagrangian
 tori): the Chern class gains e*[F] - 2*e*[T], with the fibre class [F]
-identified with [T] by the gluing. The net contribution is -e*[T]; the
-two-step form is kept in `c1_contributions` for traceable reports.
+identified with [T] by the gluing. The net contribution is -e*[T], so a
+gluing whose signs sum to s adds -s*[T], and a form is fixed by one plus
+count per gluing, its profile; `c1_contributions` keeps the two-step
+form of each gluing's sum for traceable reports.
 
 Euler characteristics add (a torus neighbourhood has zero Euler
 characteristic) and signatures add by Novikov additivity across the
@@ -104,9 +106,20 @@ class SumRecipe(Record):
 
 
 class FormClass(Record):
-    """One symplectic structure on the summed manifold."""
+    """One symplectic structure on the summed manifold: `layout` holds the
+    recipe's (torus label, copies) per gluing, one tuple that an
+    enumeration's forms share, and `profile` each gluing's number of plus
+    signs, which come before its minus signs."""
 
-    __slots__ = ("signs_flat", "c1", "divisibility")
+    __slots__ = ("layout", "profile", "c1", "divisibility")
+
+    @property
+    def signs_flat(self) -> tuple[int, ...]:
+        """One sign per copy, in gluing order."""
+        return tuple(
+            s for (_, copies), plus in zip(self.layout, self.profile)
+            for s in (1,) * plus + (-1,) * (copies - plus)
+        )
 
 
 class CheckReport(Record):
@@ -120,29 +133,29 @@ class CheckReport(Record):
 
 
 def c1_contributions(recipe: SumRecipe) -> list[dict]:
-    """Per-copy Chern contributions in two-step form.
+    """Per-gluing Chern contributions in two-step form.
 
-    Each record carries the fibre term e*[F] (written in base
-    coordinates through the identification [F] = [T]) and the normal
-    correction -2*e*[T]; their sum is the net contribution -e*[T].
+    For a gluing whose signs sum to s, each record carries the fibre
+    term s*[F] (written in base coordinates through the identification
+    [F] = [T]) and the normal correction -2*s*[T]; their sum is the net
+    contribution -s*[T].
     """
     table = recipe.base.torus_table
     out: list[dict] = []
     for gluing in recipe.gluings:
-        torus = table[gluing.torus_label]
-        for copy_index, sign in enumerate(gluing.signs):
-            fibre_term = sign * torus.klass
-            normal_term = (-2 * sign) * torus.klass
-            out.append(
-                {
-                    "torus": torus.label,
-                    "copy": copy_index,
-                    "sign": sign,
-                    "fibre_term": fibre_term,
-                    "normal_term": normal_term,
-                    "net": fibre_term + normal_term,
-                }
-            )
+        klass = table[gluing.torus_label].klass
+        sign_sum = sum(gluing.signs)
+        fibre_term = sign_sum * klass
+        normal_term = (-2 * sign_sum) * klass
+        out.append(
+            {
+                "torus": gluing.torus_label,
+                "sign_sum": sign_sum,
+                "fibre_term": fibre_term,
+                "normal_term": normal_term,
+                "net": fibre_term + normal_term,
+            }
+        )
     return out
 
 

@@ -37,8 +37,9 @@ def _s(x: int) -> str:
 
 
 class ItemList(tuple):
-    """A list in a machine document whose items the class's
-    ``write_item(item, newline, out)`` writes, as `_write` would."""
+    """A list in a machine document whose items are written, as `_write`
+    would, by the ``write_item(item, newline, out)`` that the class's
+    ``item_writer()`` returns for each rendering of the list."""
 
     __slots__ = ()
 
@@ -77,7 +78,7 @@ def _write(value, newline: str, out: list[str]) -> None:
         if all(isinstance(item, str) for item in value):
             out.append("[" + inner + ("," + inner).join(map(_encode, value)) + newline + "]")
             return
-        write_item = value.write_item if isinstance(value, ItemList) else _write
+        write_item = value.item_writer() if isinstance(value, ItemList) else _write
         separator = "[" + inner
         for item in value:
             out.append(separator)
@@ -165,7 +166,7 @@ class ReportBuilder:
         """The report's document. The manifold, forms and divisibility
         fields stay empty unless a theorem task fills them."""
         return {
-            "schema": "fibresum-report/4",
+            "schema": "fibresum-report/5",
             "seed": _s(self.seed),
             "cap": _s(self.cap),
             "manifold": None,

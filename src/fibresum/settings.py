@@ -222,11 +222,15 @@ class Section:
         return [(v, ln) for k, v, ln in self.pairs if k == key]
 
     def parse_int(self, value: str, what: str, line: Union[int, str, None] = None) -> int:
-        """An optional sign and ASCII digits, the one integer form of files and flags."""
+        """An optional sign and ASCII digits, the one integer form of files and
+        flags, within the interpreter's limit on integer conversion, if any."""
         digits = value[1:] if value[:1] in ("+", "-") else value
         if not (digits.isascii() and digits.isdigit()):
             raise self.error(f"{what}: expected an integer, got {value!r}", line)
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            raise self.error(f"{what}: integer too long ({len(digits)} digits)", line) from None
 
     def integer(self, key: str) -> int:
         return self.parse_int(self.require(key), key, self.lines[key])

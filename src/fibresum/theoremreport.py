@@ -53,60 +53,78 @@ def manifold_doc(m: FourManifold) -> dict:
     }
 
 
-def _sign_string(signs) -> str:
-    return "".join("+" if s > 0 else "-" for s in signs)
+def _profile_text(form: FormClass) -> str:
+    """Each gluing's label with its plus and minus counts, e.g.
+    ``Tx +1 Ty -1 Tz +3-2``."""
+    words = []
+    for (label, copies), plus in zip(form.layout, form.profile):
+        minus = copies - plus
+        words.append(f"{label} " + (f"+{plus}" if plus else "") + (f"-{minus}" if minus else ""))
+    return " ".join(words)
 
 
 def _table_rows(forms: Sequence[FormClass]) -> list[str]:
-    """The table's header and one row per form: signs, c1, divisibility."""
-    sign_width = max([5] + [len(f.signs_flat) for f in forms])
+    """The table's header and one row per form: profile, c1, divisibility."""
+    profiles = [_profile_text(f) for f in forms]
+    profile_width = max([7] + [len(text) for text in profiles])
     c1_texts = ["(" + ", ".join(map(str, f.c1.coords)) + ")" for f in forms]
     c1_width = max([2] + [len(text) for text in c1_texts])
-    rows = [f"  {'signs':<{sign_width}} {'c1':<{c1_width}} divisibility"]
-    for f, c1_text in zip(forms, c1_texts):
+    rows = [f"  {'profile':<{profile_width}} {'c1':<{c1_width}} divisibility"]
+    for f, profile, c1_text in zip(forms, profiles, c1_texts):
         d = f.divisibility
         div_text = (
             "undefined"
             if d.undefined
             else (f"{d.lower}" if d.exact else f"{d.lower}..{d.upper or 'unconstrained'}")
         )
-        rows.append(f"  {_sign_string(f.signs_flat):<{sign_width}} {c1_text:<{c1_width}} {div_text}")
+        rows.append(f"  {profile:<{profile_width}} {c1_text:<{c1_width}} {div_text}")
     return rows
 
 
-def _number_list(values, newline: str) -> str:
-    """``_write`` of the decimal strings of the integers ``values``,
-    which need no escaping."""
-    if not values:
-        return "[]"
+def _list(texts: list[str], newline: str) -> str:
+    """``_write`` of a list whose items' JSON texts are ``texts``."""
     inner = newline + "  "
-    return "[" + inner + '"' + ('",' + inner + '"').join(map(str, values)) + '"' + newline + "]"
-
-
-def _write_form(form: FormClass, newline: str, out: list[str]) -> None:
-    """``_write`` of a form's document: its c1, divisibility (exact,
-    lower, undefined, upper) and signs, under fixed keys in sorted order."""
-    inner = newline + "  "
-    deep = inner + "  "
-    d = form.divisibility
-    out.append(
-        f'{{{inner}"c1": {_number_list(form.c1.coords, inner)},'
-        f'{inner}"divisibility": {{'
-        f'{deep}"exact": {"true" if d.exact else "false"},'
-        f'{deep}"lower": "{d.lower:d}",'
-        f'{deep}"undefined": {"true" if d.undefined else "false"},'
-        f'{deep}"upper": "{d.upper:d}"'
-        f'{inner}}},'
-        f'{inner}"signs": {_number_list(form.signs_flat, inner)}'
-        f"{newline}}}"
-    )
+    return "[" + inner + ("," + inner).join(texts) + newline + "]" if texts else "[]"
 
 
 class FormList(ItemList):
-    """Forms in a machine document, each written by `_write_form`."""
+    """Forms in a machine document. Each form's document holds its c1,
+    divisibility (exact, lower, undefined, upper) and signs under fixed
+    keys in sorted order."""
 
     __slots__ = ()
-    write_item = staticmethod(_write_form)
+
+    @staticmethod
+    def item_writer():
+        """A form writer for one rendering of a list. A form's signs are
+        joined from one text per gluing, its plus signs then its minus
+        signs, each kept by (copies, plus count) for the list's other
+        forms, which share its indent."""
+        blocks: dict[tuple[int, int], str] = {}
+
+        def write_form(form: FormClass, newline: str, out: list[str]) -> None:
+            inner = newline + "  "
+            deep = inner + "  "
+            signs = []
+            for (_, copies), plus in zip(form.layout, form.profile):
+                if (copies, plus) not in blocks:
+                    blocks[copies, plus] = ("," + deep).join(['"1"'] * plus + ['"-1"'] * (copies - plus))
+                signs.append(blocks[copies, plus])
+            c1 = [f'"{c}"' for c in form.c1.coords]
+            d = form.divisibility
+            out.append(
+                f'{{{inner}"c1": {_list(c1, inner)},'
+                f'{inner}"divisibility": {{'
+                f'{deep}"exact": {"true" if d.exact else "false"},'
+                f'{deep}"lower": "{d.lower:d}",'
+                f'{deep}"undefined": {"true" if d.undefined else "false"},'
+                f'{deep}"upper": "{d.upper:d}"'
+                f'{inner}}},'
+                f'{inner}"signs": {_list(signs, inner)}'
+                f"{newline}}}"
+            )
+
+        return write_form
 
 
 class TheoremReportBuilder(ReportBuilder):
@@ -128,7 +146,7 @@ class TheoremReportBuilder(ReportBuilder):
 
         Each passed or skipped message is one entry whose detail counts the
         forms reporting it; each failure keeps its own entry, named by the
-        form's index in `forms` and its signs. Forms share few distinct
+        form's index in `forms` and its profile. Forms share few distinct
         outcomes, so the messages are walked once per outcome.
         """
         groups: dict[str, list] = {}
@@ -140,9 +158,9 @@ class TheoremReportBuilder(ReportBuilder):
         failures = []
         for index, (form, report) in enumerate(zip(forms, reports), self._first_form):
             for msg in report.failed:
-                signs = _sign_string(form.signs_flat)
-                failures.append({"check": f"{name} form {index} signs {signs}: {msg}", "status": "fail"})
-                self.line(f"  [   fail] {name} signs {signs}: {msg}")
+                label = f"{name} form {index} profile {_profile_text(form)}"
+                failures.append({"check": f"{label}: {msg}", "status": "fail"})
+                self.line(f"  [   fail] {label}: {msg}")
         self.checks += [
             {"check": f"{name}: {msg}", "status": status, "detail": f"{count} of {len(reports)} forms"}
             for msg, (status, count) in groups.items()
@@ -166,26 +184,20 @@ class TheoremReportBuilder(ReportBuilder):
             "overall": report.overall,
         }
         self.tasks.append(doc)
-        self.add_check(
-            f"{task_name}: condition 1 (rank {report.rank})",
-            "pass" if report.condition1 else "fail",
-            "; ".join(report.condition1_reasons),
-        )
-        self.add_check(
-            f"{task_name}: condition 2 (orientation freedom)",
-            "pass" if report.condition2 else "fail",
-            "; ".join(report.condition2_reasons),
-        )
         d_text = "?" if report.torus_divisibility is None else str(report.torus_divisibility)
-        self.add_check(
-            f"{task_name}: condition 3 (n = {report.n}, d = {d_text})",
-            "pass" if report.condition3 else "fail",
-            "; ".join(report.condition3_reasons),
+        conditions = (
+            (f"rank {report.rank}", report.condition1, report.condition1_reasons),
+            ("orientation freedom", report.condition2, report.condition2_reasons),
+            (f"n = {report.n}, d = {d_text}", report.condition3, report.condition3_reasons),
         )
+        for number, (what, holds, reasons) in enumerate(conditions, 1):
+            self.add_check(
+                f"{task_name}: condition {number} ({what})", "pass" if holds else "fail", "; ".join(reasons)
+            )
         self.add_check(f"{task_name}: overall", "pass" if report.overall else "fail")
 
     def add_recipe(self, recipe: SumRecipe, manifold: FourManifold, config_section: str) -> None:
-        """The recipe's gluings, its summed record, its per-copy c1 trace,
+        """The recipe's gluings, its summed record, its per-gluing c1 trace,
         and `config_section`, the recipe as a loadable config section."""
         from .gompfsum import c1_contributions
 
@@ -199,15 +211,13 @@ class TheoremReportBuilder(ReportBuilder):
                     "signs": [_s(s) for s in gluing.signs],
                 }
             )
-            self.line(
-                f"  glue {gluing.torus_label} x{gluing.copies} signs {_sign_string(gluing.signs)}"
-            )
+            signs = "".join("+" if s > 0 else "-" for s in gluing.signs)
+            self.line(f"  glue {gluing.torus_label} x{gluing.copies} signs {signs}")
         self.line(f"  total copies: {recipe.total_copies}")
         trace = [
             {
                 "torus": c["torus"],
-                "copy": _s(c["copy"]),
-                "sign": _s(c["sign"]),
+                "sign_sum": _s(c["sign_sum"]),
                 "fibre_term": vector_doc(c["fibre_term"]),
                 "normal_term": vector_doc(c["normal_term"]),
                 "net": vector_doc(c["net"]),
@@ -242,10 +252,7 @@ class TheoremReportBuilder(ReportBuilder):
     def add_enumeration(self, name: str, result: EnumerationResult) -> None:
         self.heading(f"enumeration {name}")
         self.set_manifold(result.manifold)
-        self.line(
-            f"  flippable copies: {result.flippable_copies}, assignments "
-            f"covered: {result.assignments_covered}"
-        )
+        self.line(f"  flippable copies: {result.flippable_copies}")
         forms = result.forms
         self.table_lines.append(lambda: _table_rows(forms))
         # The tallies walk every form on each read, so each is read once.
@@ -274,7 +281,6 @@ class TheoremReportBuilder(ReportBuilder):
                 "inexact_count": _s(inexact_count),
                 "divisibility_inconclusive": inconclusive,
                 "flippable_copies": _s(result.flippable_copies),
-                "assignments_covered": _s(result.assignments_covered),
             }
         )
 
@@ -302,9 +308,8 @@ class TheoremReportBuilder(ReportBuilder):
         and its realized check."""
         assignments = self.tasks[-1]["assignments"]
         for p in sorted(witnesses):
-            signs = witnesses[p].signs_flat
-            assignments[_s(p)] = {"signs": [_s(s) for s in signs]}
-            self.line(f"  prime {p}: signs {_sign_string(signs)}")
+            assignments[_s(p)] = {"signs": [_s(s) for s in witnesses[p].signs_flat]}
+            self.line(f"  prime {p}: profile {_profile_text(witnesses[p])}")
         for p in sorted(witnesses):
             self.add_check(f"solve: prime {p} realized with exact divisibility {p}", "pass")
 

@@ -70,7 +70,12 @@ def perform_recipe(recipe: SumRecipe) -> tuple[FourManifold, FormClass]:
     """Evaluate a recipe: summed invariants plus the resulting form class."""
     manifold = sum_invariants(recipe)
     report = divisibility_bounds(manifold.c1, manifold.pairing)
-    form = FormClass(signs_flat=flat_signs(recipe), c1=manifold.c1, divisibility=report)
+    form = FormClass(
+        layout=tuple((g.torus_label, g.copies) for g in recipe.gluings),
+        profile=tuple(g.signs.count(1) for g in recipe.gluings),
+        c1=manifold.c1,
+        divisibility=report,
+    )
     return manifold, form
 
 

@@ -463,6 +463,18 @@ def form_doc(f) -> dict:
     }
 
 
+def profile_text(form) -> str:
+    """A form's profile as the table prints it, counted off its flat
+    signs: each gluing's label and its numbers of plus and minus signs."""
+    signs = iter(form.signs_flat)
+    words = []
+    for label, copies in form.layout:
+        block = [next(signs) for _ in range(copies)]
+        plus, minus = block.count(1), block.count(-1)
+        words.append(f"{label} " + (f"+{plus}" if plus else "") + (f"-{minus}" if minus else ""))
+    return " ".join(words)
+
+
 def per_form_check_entries(name, forms, reports, first_form=0):
     """The check entries and table lines of a report's form checks, grouped
     by message one form at a time: (entries, lines)."""
@@ -474,9 +486,9 @@ def per_form_check_entries(name, forms, reports, first_form=0):
             for msg in dict.fromkeys(messages):
                 groups.setdefault(msg, [status, 0])[1] += 1
         for msg in report.failed:
-            signs = "".join("+" if s > 0 else "-" for s in form.signs_flat)
-            failures.append({"check": f"{name} form {index} signs {signs}: {msg}", "status": "fail"})
-            lines.append(f"  [   fail] {name} signs {signs}: {msg}")
+            label = f"{name} form {index} profile {profile_text(form)}"
+            failures.append({"check": f"{label}: {msg}", "status": "fail"})
+            lines.append(f"  [   fail] {label}: {msg}")
     entries = [
         {"check": f"{name}: {msg}", "status": status, "detail": f"{count} of {len(reports)} forms"}
         for msg, (status, count) in groups.items()

@@ -230,3 +230,40 @@ def test_criterion_7_sign_locality_and_permutation():
             permuted = SumRecipe(manifold, tuple(shuffled), recipe.name)
             assert sum_invariants(permuted) == sum_invariants(recipe)
             assert sum_c1(permuted) == before
+
+
+def _run_limited(argv, kilobytes):
+    """A CLI run in a child process whose address space is limited to
+    `kilobytes`, as `ulimit -v` would: its exit code, stdout and stderr."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (kilobytes * 1024, kilobytes * 1024))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibresum", *argv], capture_output=True, text=True, env=env, preexec_fn=limit
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_criterion_8_five_primes_in_bounded_memory():
+    with criterion(8, "solve over primes 3..13 certifies 32 divisibilities in 2 GB of address space"):
+        n = 3 * 5 * 7 * 11 * 13
+        code, out, err = _run_limited(["solve", "--primes", "3,5,7,11,13"], 2_000_000)
+        assert code == 0, err
+        assert "  pi0 lower bound: 32\n" in out
+        divisors = ", ".join(str(d) for d in range(1, n + 1) if n % d == 0)
+        assert f"  distinct exact divisibilities: {{{divisors}}}\n" in out
+
+
+def test_criterion_9_cap_stops_six_primes_in_bounded_memory():
+    with criterion(9, "the cap stops the six-prime enumeration at Tz in 1.5 GB of address space"):
+        code, out, _ = _run_limited(["solve", "--primes", "3,5,7,11,13,17", "--cap", "5"], 1_536_000)
+        assert code == 2
+        assert out.endswith("error: enumeration too large: more than 5 distinct Chern classes after gluing Tz\n")

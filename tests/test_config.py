@@ -4,6 +4,7 @@ listing."""
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,12 @@ TORUS_A = "[torus A]\nmanifold = M\nclass = 1 0\nkind = lagrangian\ndual = 0 1\n
 SOLVE = "[task solve]\nprimes = 3\n"
 # A torus that the config gives the builtin T4, on lines 3 to 6.
 TXY = "[torus Txy]\nmanifold = T4\nclass = 1 1 0 0 0 0\nkind = symplectic\n"
+
+# The interpreter's limit on the digits `int()` converts, 0 for none
+# (Python 3.10 before 3.10.7, or PYTHONINTMAXSTRDIGITS=0).
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# An integer past that limit, of INT_DIGITS + 1 digits.
+LONG = "1" + "0" * INT_DIGITS
 
 # A bad value is reported at its key's line, a problem of the whole
 # section at the section's header.
@@ -143,6 +150,19 @@ ERRORS = [
         "cfg:3: recipe 'r' is invalid: gluing along Tx: orientation not flippable (symplectic torus)",
     ),
 ]
+
+# An integer past the interpreter's digit limit is a bad value at its key.
+if INT_DIGITS:
+    ERRORS += [
+        (f"seed = {LONG}\n", f"cfg:1: seed: integer too long ({INT_DIGITS + 1} digits)"),
+        (f"cap = +{LONG}\n", f"cfg:1: cap: integer too long ({INT_DIGITS + 1} digits)"),
+        (M.replace("euler = 4", f"euler = -{LONG}"), f"cfg:2: euler: integer too long ({INT_DIGITS + 1} digits)"),
+        (
+            T4 + f"[task verify]\nmanifold = T4\ntori = Tz Tx Ty\nsum = Tw\nn = {LONG}\n",
+            f"cfg:7: n: integer too long ({INT_DIGITS + 1} digits)",
+        ),
+        (f"[task solve]\nprimes = 3 {LONG}\n", f"cfg:2: primes: integer too long ({INT_DIGITS + 1} digits)"),
+    ]
 
 
 @pytest.mark.parametrize("text, expected", ERRORS, ids=[e for _, e in ERRORS])

@@ -329,7 +329,7 @@ def test_config_cap_bounds_chern_classes_and_sample_key_is_gone(tmp_path, capsys
     task = doc["tasks"][0]
     first, stop = (int(i) for i in task["form_range"])
     assert len(doc["forms"][first:stop]) == 9
-    assert task["assignments_covered"] == "256"
+    assert task["flippable_copies"] == "8" and "assignments_covered" not in task
     # Ty x4 and Tz x4 give 25 classes, more than the cap holds.
     wider = text.replace("glue = Tz + + + + + + + +", "glue = Ty + + + +\n    glue = Tz + + + +")
     out = io.StringIO()
@@ -786,6 +786,36 @@ def test_recipe_without_gluings_in_config_exits_2(tmp_path, capsys):
     assert captured.err == f"error: {tmp_path / 'empty.cfg'}:4: recipe 'x' is invalid: no gluings\n"
 
 
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize(
+    "flag, value",
+    [("cap", "1" + "0" * INT_DIGITS), ("seed", "1" + "0" * INT_DIGITS), ("primes", "3,1" + "0" * INT_DIGITS)],
+)
+def test_an_integer_flag_past_the_digit_limit_exits_2_at_its_flag(flag, value, capsys):
+    argv = ["solve", "--primes", "3,5"] if flag != "primes" else ["solve"]
+    assert main([*argv, f"--{flag}", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --{flag}: {flag}: integer too long ({INT_DIGITS + 1} digits)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("output, renderer", [("machine", "render_machine"), ("table", "render_table")])
+def test_a_report_too_large_for_memory_exits_2(output, renderer, monkeypatch, capsys):
+    from fibresum.theoremreport import TheoremReportBuilder
+
+    def out_of_memory(self):
+        raise MemoryError
+
+    monkeypatch.setattr(TheoremReportBuilder, renderer, out_of_memory)
+    assert main(["solve", "--primes", "3,5", "--output", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory while writing the report\n"
+
+
 def test_cli_solve_rejects_a_non_integer_prime(capsys):
     assert main(["solve", "--primes", "3,x"]) == 2
     captured = capsys.readouterr()
@@ -949,7 +979,7 @@ def test_cli_linking_rejects_an_axis_file_with_two_curves(tmp_path, monkeypatch,
     assert verified == []
 
 
-def test_failing_forms_are_named_by_index_and_signs(monkeypatch, capsys):
+def test_failing_forms_are_named_by_index_and_profile(monkeypatch, capsys):
     # Bumping c1 by the dual class Ux makes <c1, Tx> and <c1, Tw> odd
     # against square-zero tori on the corrupted forms only.
     from fibresum import construct
@@ -972,11 +1002,10 @@ def test_failing_forms_are_named_by_index_and_signs(monkeypatch, capsys):
     assert len(doc["forms"]) == 4
     assert doc["errors"] == ["mathematical inconsistency: c1 identity check failed"]
     expected = set()
-    for i in (1, 3):
-        signs = "".join("+" if s == "1" else "-" for s in doc["forms"][i]["signs"])
+    for i, profile in ((1, "Tz +1 Tx +1 Ty -1 Tw +2"), (3, "Tz -1 Tx +1 Ty -1 Tw +2")):
         for torus in ("Tx", "Tw"):
             expected.add(
-                f"cor15 form {i} signs {signs}: characteristic parity fails on {torus}: "
+                f"cor15 form {i} profile {profile}: characteristic parity fails on {torus}: "
                 f"<c1, {torus}> = 1, <{torus}, {torus}> = 0"
             )
     failed = {c["check"] for c in doc["checks"] if c["status"] == "fail"}
@@ -1011,11 +1040,10 @@ def test_enumerate_tasks_slice_forms_and_failures_use_the_forms_index(monkeypatc
     ranges = [tuple(int(i) for i in t["form_range"]) for t in tasks]
     assert ranges == [(0, 3), (3, len(doc["forms"]))]
     assert len(doc["forms"]) > 4
-    signs = "".join("+" if s == "1" else "-" for s in doc["forms"][4]["signs"])
     failed = {c["check"] for c in doc["checks"] if c["status"] == "fail"}
     failed.discard("mixed: c1 identities over all forms")
     assert failed
-    assert all(f.startswith(f"mixed form 4 signs {signs}: ") for f in failed)
+    assert all(f.startswith("mixed form 4 profile Tz +3 Tx +1 Ty -1 Tw +2: ") for f in failed)
 
 
 @pytest.mark.parametrize("copies", [2, 6])
@@ -1042,14 +1070,15 @@ def test_check_entries_count_forms_not_messages():
 
     # A basis label and an extra class may share a name with different
     # vectors, so one form can report a message twice.
-    forms = [SimpleNamespace(signs_flat=(1, 1)), SimpleNamespace(signs_flat=(1, -1))]
+    layout = (("Tz", 2),)
+    forms = [SimpleNamespace(layout=layout, profile=(2,)), SimpleNamespace(layout=layout, profile=(1,))]
     reports = [CheckReport(("a", "a"), (), ("s",)), CheckReport(("a",), ("bad",), ())]
     builder = TheoremReportBuilder(seed=0, cap=0)
     builder.add_form_checks("r", forms, reports)
     assert builder.checks == [
         {"check": "r: a", "status": "pass", "detail": "2 of 2 forms"},
         {"check": "r: s", "status": "skipped", "detail": "1 of 2 forms"},
-        {"check": "r form 1 signs +-: bad", "status": "fail"},
+        {"check": "r form 1 profile Tz +1-1: bad", "status": "fail"},
     ]
 
 

@@ -174,7 +174,9 @@ def test_enumerate_forms_section_recipe():
     recipe = build_theorem_recipe(build_t4(), TORI, 3, SUM)
     result = enumerate_forms(recipe)
     assert result.flippable_copies == 2
-    assert result.assignments_covered == 4
+    # Tx, Ty, Tz, Tw x2: Ty and Tz flip, more plus signs first.
+    assert {f.layout for f in result.forms} == {(("Tx", 1), ("Ty", 1), ("Tz", 1), ("Tw", 2))}
+    assert [f.profile for f in result.forms] == [(1, 1, 1, 2), (1, 1, 0, 2), (1, 0, 1, 2), (1, 0, 0, 2)]
     torus_parts = {f.c1.coords[:3] for f in result.forms}
     assert torus_parts == {(-3, -3, -3), (-3, -3, -1), (-3, -1, -3), (-3, -1, -1)}
     assert result.distinct_divisibilities == (1, 3)
@@ -206,7 +208,7 @@ def test_enumerate_forms_cap_bounds_chern_classes():
     result = enumerate_forms(recipe, cap=16)
     assert len(result.forms) == 9
     assert result.flippable_copies == 8
-    assert result.assignments_covered == 256
+    assert [f.profile for f in result.forms] == [(p,) for p in range(8, -1, -1)]
     # Two independent gluings of four copies give 5 * 5 classes.
     recipe = SumRecipe(manifold, (Gluing("Ty", (1,) * 4), Gluing("Tz", (1,) * 4)))
     with pytest.raises(EnumerationCapError, match="enumeration too large"):
@@ -295,6 +297,63 @@ def test_enumerate_forms_matches_brute_force_oracle():
         assert result.pi0_lower_bound == len(set(exact))
         flippable.add(result.flippable_copies)
     assert min(flippable) == 0 and max(flippable) == 10
+
+
+def _mixed_lagrangian_recipe(rng):
+    """T4 recipes whose Lagrangian gluings (Ty, Tz) have two to five
+    copies with both signs given, around symplectic gluings of the
+    recipe's own (positive) signs; at most 10 flippable copies."""
+    gluings = []
+    flippable = 0
+    while flippable < 4 or rng.random() < 0.5:
+        label = rng.choice(("Tx", "Ty", "Tz", "Tw"))
+        copies = rng.randint(2, 5)
+        if label in ("Ty", "Tz"):
+            if flippable + copies > 10:
+                break
+            flippable += copies
+            signs = [1, -1] + [rng.choice((1, -1)) for _ in range(copies - 2)]
+            rng.shuffle(signs)
+        else:
+            signs = [1] * copies
+        gluings.append(Gluing(label, tuple(signs)))
+    return SumRecipe(build_t4(), tuple(gluings))
+
+
+def test_profiles_expand_to_the_brute_force_forms():
+    rng = random.Random(33)
+    for _ in range(40):
+        recipe = _mixed_lagrangian_recipe(rng)
+        result = enumerate_forms(recipe)
+        expected = brute_force_forms(recipe)
+        layout = tuple((g.torus_label, g.copies) for g in recipe.gluings)
+        assert [f.layout for f in result.forms] == [layout] * len(expected)
+        assert [(f.signs_flat, f.c1.coords) for f in result.forms] == expected
+        # Each profile is its oracle signs' plus count per gluing.
+        for form, (signs, _) in zip(result.forms, expected):
+            blocks = []
+            for _, copies in layout:
+                blocks.append(signs[:copies].count(1))
+                signs = signs[copies:]
+            assert form.profile == tuple(blocks)
+
+
+def test_enumerate_forms_cap_bounds_one_large_gluing():
+    # One gluing of 3,000 Lagrangian copies offers 3,001 classes. The pass
+    # holds one plus count per class, builds the steps of the first six
+    # counts only and stops at the sixth class. One sign per copy per
+    # class would take over 70 MB, and one step per count about 0.7 MB.
+    import tracemalloc
+
+    recipe = SumRecipe(build_t4(), (Gluing("Tz", (1,) * 3000),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError, match="more than 5 distinct Chern classes after gluing Tz"):
+            enumerate_forms(recipe, cap=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
 
 
 def test_solve_signs_two_primes_matches_gcd_search_oracle():
@@ -437,3 +496,14 @@ def test_build_theorem_recipe_glues_the_first_torus_copies_times(n, k):
     ]
     assert all(s == 1 for g in recipe.gluings for s in g.signs)
     assert recipe.name == f"T4-n{n}"
+
+
+def test_a_gluing_along_a_zero_class_fits_any_cap():
+    # Every count of a gluing along [T] = 0 reaches the one class its
+    # first count reaches, so ten copies fit under a cap of 1.
+    zero = EmbeddedTorus("Z", IntVector((0, 0)), LAGRANGIAN, None, True)
+    manifold = FourManifold("M", 0, 0, 2, 2, ("a", "b"), zero_pairing(2), IntVector((0, 0)), False, False, (zero,))
+    recipe = SumRecipe(manifold, (Gluing("Z", (1, -1) * 5),))
+    (form,) = enumerate_forms(recipe, cap=1).forms
+    assert form.profile == (10,)
+    assert [(form.signs_flat, form.c1.coords)] == brute_force_forms(recipe)

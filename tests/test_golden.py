@@ -11,11 +11,13 @@ The file also runs without pytest, on any supported Python:
     python3 tests/test_golden.py
 
 replays every case in both formats from an empty temporary directory
-and exits 1 naming the first report or exit code that differs.
+and exits 1 naming the first report or exit code that differs, with
+both exit codes and the first line where the reports differ.
 """
 
 import contextlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -95,6 +97,22 @@ def test_table_report_matches_golden(golden, tmp_path, monkeypatch):
     assert _run(golden, "table") == (code, expected.read_bytes())
 
 
+def mismatch(name, expected, got) -> str:
+    """What differs between a golden's (exit code, bytes) and a run's:
+    both exit codes, and the first line that differs in both versions."""
+    lines = [f"mismatch: {name} (exit {got[0]}, golden exit {expected[0]})"]
+    pairs = itertools.zip_longest(expected[1].splitlines(True), got[1].splitlines(True))
+    for number, pair in enumerate(pairs, 1):
+        if pair[0] != pair[1]:
+            golden, run = (
+                "(end of report)" if text is None else text.decode("utf-8", "replace").rstrip("\n")
+                for text in pair
+            )
+            lines += [f"  line {number}:", f"    golden: {golden}", f"    run:    {run}"]
+            break
+    return "\n".join(lines)
+
+
 def replay() -> int:
     """Every case in both formats, from an empty temporary directory:
     0 when all match, else 1 after naming the first that differs."""
@@ -105,9 +123,10 @@ def replay() -> int:
             for golden in sorted(CASES):
                 for output in ("machine", "table"):
                     code, expected = _expected(golden, output)
+                    want = (code, expected.read_bytes())
                     got = _run(golden, output)
-                    if got != (code, expected.read_bytes()):
-                        print(f"mismatch: {expected.name} (exit {got[0]})", file=sys.stderr)
+                    if got != want:
+                        print(mismatch(expected.name, want, got), file=sys.stderr)
                         return 1
         finally:
             os.chdir(start)

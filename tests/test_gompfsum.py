@@ -57,13 +57,14 @@ def test_sum_c1_empty_gluings_is_identity():
 
 def test_contribution_trace_keeps_two_step_form():
     manifold, _, table = t4_tables()
-    records = c1_contributions(SumRecipe(manifold, (Gluing("Tz", (1, -1)),)))
-    assert len(records) == 2
-    plus, minus = records
-    tz = table["Tz"].klass
-    assert plus["fibre_term"] == tz and plus["normal_term"] == -2 * tz
-    assert minus["fibre_term"] == -1 * tz and minus["normal_term"] == 2 * tz
-    assert plus["net"] == -1 * tz and minus["net"] == tz
+    # One record per gluing, from its sign sum: -1 along Tz, 1 along Ty.
+    records = c1_contributions(SumRecipe(manifold, (Gluing("Tz", (1, -1, -1)), Gluing("Ty", (1,)))))
+    assert [(r["torus"], r["sign_sum"]) for r in records] == [("Tz", -1), ("Ty", 1)]
+    tz_record, ty_record = records
+    tz, ty = table["Tz"].klass, table["Ty"].klass
+    assert tz_record["fibre_term"] == -1 * tz and tz_record["normal_term"] == 2 * tz
+    assert ty_record["fibre_term"] == ty and ty_record["normal_term"] == -2 * ty
+    assert tz_record["net"] == tz and ty_record["net"] == -1 * ty
 
 
 def test_sum_invariants_five_copies():
@@ -253,7 +254,8 @@ def test_check_c1_identities_catches_corruption():
     recipe = section_recipe()
     summed, form = perform_recipe(recipe)
     corrupted = FormClass(
-        signs_flat=form.signs_flat,
+        layout=form.layout,
+        profile=form.profile,
         c1=form.c1 + IntVector((0, 0, 0, 1, 0, 0)),
         divisibility=form.divisibility,
     )
@@ -272,7 +274,8 @@ def test_check_c1_identities_catches_corruption_on_full_pairing():
 
     corrupted_c1 = manifold.c1 + fibre.klass
     corrupted = FormClass(
-        signs_flat=(),
+        layout=(),
+        profile=(),
         c1=corrupted_c1,
         divisibility=divisibility_bounds(corrupted_c1, manifold.pairing),
     )
@@ -343,7 +346,7 @@ def test_row_kernel_matches_pairwise_oracle():
             report = divisibility_bounds(c1, manifold.pairing)
             got = (report.lower, report.upper, report.exact, report.undefined)
             assert got == pairwise_divisibility_bounds(c1, manifold.pairing.entries, duals)
-            forms.append(FormClass((), c1, report))
+            forms.append(FormClass((), (), c1, report))
         reports = check_c1_identities(manifold, forms, extras)
         assert len(reports) == len(forms)
         for c1, report in zip(c1s, reports):

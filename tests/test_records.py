@@ -47,7 +47,7 @@ RECORDS = {
     "Gluing": lambda: Gluing("Tz", (1, -1)),
     "SumRecipe": lambda: SumRecipe(T4, (Gluing("Tz", (1, -1)),), name="r"),
     "FormClass": lambda: FormClass(
-        (1, -1), IntVector((0, 0, 0)), DivisibilityReport(0, 0)
+        (("Tz", 2),), (1,), IntVector((0, 0, 0)), DivisibilityReport(0, 0)
     ),
     "CheckReport": lambda: CheckReport(("a",), (), ("b",)),
     "HypothesisReport": _hypothesis_report,

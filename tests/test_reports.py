@@ -8,7 +8,6 @@ import json
 import random
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,7 +61,7 @@ def test_writer_reproduces_each_golden(golden):
         [{"a": "b", 2: "c"}],
         {"a": object()},
         # A form is written only as an item of a `FormList`.
-        [FormClass((1,), IntVector((0,)), DivisibilityReport(0, 0))],
+        [FormClass((("T", 1),), (1,), IntVector((0,)), DivisibilityReport(0, 0))],
     ],
 )
 def test_writer_rejects_what_reports_do_not_hold(doc):
@@ -81,9 +80,16 @@ _divisibilities = st.one_of(
     ),
     st.just(DivisibilityReport(0, 0)),
 )
+# A layout of up to five gluings and one plus count per gluing.
+_profiles = st.lists(st.integers(1, 12), max_size=5).flatmap(
+    lambda copies: st.tuples(
+        st.just(tuple((f"T{i}", c) for i, c in enumerate(copies))),
+        st.tuples(*(st.integers(0, c) for c in copies)),
+    )
+)
 _forms = st.builds(
-    FormClass,
-    st.lists(st.sampled_from((1, -1)), min_size=1, max_size=40).map(tuple),
+    lambda layout_profile, c1, d: FormClass(*layout_profile, c1, d),
+    _profiles,
     st.lists(st.integers(-(10**12), 10**12), max_size=12).map(IntVector),
     _divisibilities,
 )
@@ -120,7 +126,11 @@ def _random_check_reports(rng):
         passed, skipped = rng.choice(shared) if rng.random() < 0.7 else outcome()
         failed = tuple(rng.sample(["bad", "worse"], k=rng.randint(1, 2))) if rng.random() < 0.2 else ()
         reports.append(CheckReport(passed, failed, skipped))
-    forms = [SimpleNamespace(signs_flat=tuple(rng.choice((1, -1)) for _ in range(4))) for _ in reports]
+    layout = (("Tx", 1), ("Tz", 3))
+    forms = [
+        FormClass(layout, (rng.randint(0, 1), rng.randint(0, 3)), IntVector(()), DivisibilityReport(0, 0))
+        for _ in reports
+    ]
     return forms, reports
 
 
@@ -154,19 +164,32 @@ def _refuse(*args):
 @pytest.mark.parametrize("case", sorted(FORMAT_CASES))
 def test_each_format_builds_only_its_own_per_form_output(case, monkeypatch):
     argv = FORMAT_CASES[case]
-    write_form, table_rows = FormList.write_item, theoremreport._table_rows
+    item_writer, table_rows = FormList.item_writer, theoremreport._table_rows
     written, rows = [], []
+
+    def counting_writer():
+        write_form = item_writer()
+        return lambda form, *a: written.append(form) or write_form(form, *a)
+
     with monkeypatch.context() as patch:
         patch.setattr(theoremreport, "_table_rows", _refuse)
-        patch.setattr(
-            FormList, "write_item", staticmethod(lambda form, *a: written.append(form) or write_form(form, *a))
-        )
+        patch.setattr(FormList, "item_writer", staticmethod(counting_writer))
         machine = json.loads(_report(argv, "machine"))
     with monkeypatch.context() as patch:
-        patch.setattr(FormList, "write_item", staticmethod(_refuse))
+        patch.setattr(FormList, "item_writer", staticmethod(_refuse))
         patch.setattr(theoremreport, "_table_rows", lambda forms: rows.extend(forms) or table_rows(forms))
         _report(argv, "table")
     assert len(written) == len(rows) == len(machine["forms"]) > 0
+
+
+def _profile_signs(profile):
+    """The sign string a table's profile stands for: per gluing, its
+    plus signs then its minus signs."""
+    signs = ""
+    for counts in profile.split()[1::2]:
+        plus, minus = re.fullmatch(r"(?:\+(\d+))?(?:-(\d+))?", counts).groups()
+        signs += "+" * int(plus or 0) + "-" * int(minus or 0)
+    return signs
 
 
 def _table_forms(text):
@@ -174,10 +197,10 @@ def _table_forms(text):
     forms = []
     listing = False
     for line in text.splitlines():
-        if re.fullmatch(r"  signs +c1 +divisibility", line):
+        if re.fullmatch(r"  profile +c1 +divisibility", line):
             listing = True
-        elif listing and (match := re.fullmatch(r"  ([+-]*) +\(([^)]*)\) +(\S+)", line)):
-            forms.append((match[1], match[2].split(", ") if match[2] else [], match[3]))
+        elif listing and (match := re.fullmatch(r"  (\S.*?) +\(([^)]*)\) +(\S+)", line)):
+            forms.append((_profile_signs(match[1]), match[2].split(", ") if match[2] else [], match[3]))
         else:
             listing = False
     return forms
@@ -206,3 +229,17 @@ def test_table_and_machine_list_the_same_forms(case):
     machine = _machine_forms(_report(argv, "machine"))
     assert machine
     assert _table_forms(_report(argv, "table")) == machine
+
+
+def test_a_form_row_does_not_grow_with_the_copies():
+    # 2,000 copies of Tz take a profile such as `Tz +1234-766`.
+    from fibresum.construct import enumerate_forms
+    from fibresum.fourman import build_t4
+    from fibresum.gompfsum import Gluing, SumRecipe
+
+    recipe = SumRecipe(build_t4(), (Gluing("Tx", (1,)), Gluing("Tz", (1, -1) * 1000), Gluing("Tw", (1,) * 4)))
+    rows = theoremreport._table_rows(enumerate_forms(recipe).forms)
+    assert len(rows) == 2002
+    assert rows[1].split("(")[0].split() == ["Tx", "+1", "Tz", "+2000", "Tw", "+4"]
+    assert rows[1001].split("(")[0].split() == ["Tx", "+1", "Tz", "+1000-1000", "Tw", "+4"]
+    assert max(map(len, rows)) < 80
