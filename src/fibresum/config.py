@@ -27,9 +27,9 @@ which exits 2 from the command line; so is a second value for a key
 that does not repeat. Every reference, file names included, is resolved
 at load time, and each record is built, and so checked, once with all
 its tori; a record's problems are reported at its `[manifold NAME]`
-header. The top-level keys and the task sections are read by
-`settings`, which also reads them from a command line. The parsed
-result is a `settings.RunConfig`.
+header, and a recipe's faulty gluing at its `glue` line. The top-level
+keys and the task sections are read by `settings`, which also reads
+them from a command line. The parsed result is a `settings.RunConfig`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ _BUILTINS = {"T4": build_t4, "E1": build_e1}
 # The section kinds, in load order.
 _KINDS = ("manifold", "torus", "recipe", "task")
 
-_SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+# Each sign token's share of its gluing's plus count.
+_PLUS = {"+": 1, "+1": 1, "-": 0, "-1": 0}
 
 
 def _split_sections(text: str, path: str) -> tuple[Section, list[Section]]:
@@ -192,20 +193,22 @@ def _build_record(section: Section, fields: "tuple | FourManifold", tori: dict) 
 def _load_recipe(section: Section, config: RunConfig) -> None:
     name = section.new_name(config.recipes)
     manifold_name = section.manifold(config.manifolds)
-    gluings = []
+    gluings, lines = [], []
     for value, lineno in section.all("glue"):
         tokens = value.split()
         if len(tokens) < 2:
             raise section.error("glue needs a torus label and at least one sign", lineno)
         config.torus(manifold_name, tokens[0], line=lineno)
         for tok in tokens[1:]:
-            if tok not in _SIGNS:
+            if tok not in _PLUS:
                 raise section.error(f"expected a sign (+ or -), got {tok!r}", lineno)
-        gluings.append(Gluing(tokens[0], tuple(_SIGNS[tok] for tok in tokens[1:])))
+        gluings.append(Gluing(tokens[0], len(tokens) - 1, sum(_PLUS[tok] for tok in tokens[1:])))
+        lines.append(lineno)
     try:
         config.recipes[name] = SumRecipe(config.manifolds[manifold_name], tuple(gluings), name)
     except RecipeError as exc:
-        raise section.error(f"recipe {name!r} is invalid: {exc}") from None
+        line = None if exc.gluing is None else lines[exc.gluing]
+        raise section.error(f"recipe {name!r} is invalid: {exc}", line) from None
 
 
 def parse_config(path: "str | Path", flags: tuple = ()) -> RunConfig:
@@ -220,9 +223,10 @@ def parse_config(path: "str | Path", flags: tuple = ()) -> RunConfig:
 
 
 def recipe_config_section(recipe: SumRecipe, manifold_name: str) -> str:
-    """Render a recipe as a loadable `[recipe ...]` config section."""
+    """Render a recipe as a loadable `[recipe ...]` config section: the
+    format has no copy count, so each copy's sign, plus signs first."""
     lines = [f"[recipe {recipe.name}]", f"manifold = {manifold_name}"]
     for gluing in recipe.gluings:
-        signs = " ".join("+" if s > 0 else "-" for s in gluing.signs)
+        signs = " ".join(["+"] * gluing.plus + ["-"] * (gluing.copies - gluing.plus))
         lines.append(f"glue = {gluing.torus_label} {signs}")
     return "\n".join(lines) + "\n"

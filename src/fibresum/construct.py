@@ -114,7 +114,11 @@ class SolveResult(Record):
     """Multi-prime construction: one gated recipe and the primes its
     enumeration must realize."""
 
-    __slots__ = ("recipe", "n", "lagrangian_copies", "primes")
+    __slots__ = ("recipe", "lagrangian_copies", "primes")
+
+    @property
+    def n(self) -> int:
+        return math.prod(self.primes)
 
     def witnesses(self, enumeration: EnumerationResult) -> dict[int, FormClass]:
         """Each prime's witness in the enumeration of the recipe: the first
@@ -230,9 +234,9 @@ def build_theorem_recipe(
             + report.condition3_reasons
         )
         raise RecipeError("hypotheses not satisfied: " + "; ".join(reasons))
-    gluings = [Gluing(label, (1,)) for label in labels[1:]]
-    gluings.append(Gluing(labels[0], (1,) * copies))
-    gluings.append(Gluing(sum_label, (1,) * (n - 1)))
+    gluings = [Gluing(label, 1, 1) for label in labels[1:]]
+    gluings.append(Gluing(labels[0], copies, copies))
+    gluings.append(Gluing(sum_label, n - 1, n - 1))
     return SumRecipe(base=manifold, gluings=tuple(gluings), name=f"{manifold.name}-n{n}")
 
 
@@ -266,7 +270,7 @@ def enumerate_forms(recipe: SumRecipe, *, cap: int = DEFAULT_ENUMERATION_CAP) ->
             # [T] = 0, so no count past the first cap + 1 can matter.
             counts = range(c, max(c - cap - 1, -1), -1)
         else:
-            counts = (gluing.signs.count(1),)
+            counts = (gluing.plus,)
         steps = [(tuple((c - 2 * p) * t for t in torus.klass.coords), (p,)) for p in counts]
         nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         for c1, prefix in states.items():
@@ -330,7 +334,6 @@ def solve_signs(primes: Sequence[int]) -> SolveResult:
     )
     return SolveResult(
         recipe=build_theorem_recipe(build_t4(), ("Tz", "Tx", "Ty"), n, "Tw", copies=k),
-        n=n,
         lagrangian_copies=k,
         primes=primes,
     )

@@ -20,7 +20,12 @@ class GenericityError(FibresumError):
 
 
 class RecipeError(FibresumError):
-    """A fibre-sum recipe violates its structural constraints."""
+    """A fibre-sum recipe violates its structural constraints; `gluing` is
+    the index of the first gluing at fault, or None for the whole recipe."""
+
+    def __init__(self, message: str, gluing: int | None = None) -> None:
+        super().__init__(message)
+        self.gluing = gluing
 
 
 class EnumerationCapError(FibresumError):

@@ -11,9 +11,10 @@ Per copy glued along torus T with sign e (e = +1 when the perturbed
 form orients T positively, -1 otherwise, allowed only for Lagrangian
 tori): the Chern class gains e*[F] - 2*e*[T], with the fibre class [F]
 identified with [T] by the gluing. The net contribution is -e*[T], so a
-gluing whose signs sum to s adds -s*[T], and a form is fixed by one plus
-count per gluing, its profile; `c1_contributions` keeps the two-step
-form of each gluing's sum for traceable reports.
+gluing whose signs sum to s adds -s*[T]. A gluing is therefore held as
+its copy count and plus count, and a form as one plus count per gluing,
+its profile; `c1_contributions` keeps the two-step form of each
+gluing's sum for traceable reports.
 
 Euler characteristics add (a torus neighbourhood has zero Euler
 characteristic) and signatures add by Novikov additivity across the
@@ -45,22 +46,19 @@ SIGNATURE_PER_COPY = -8
 
 
 class Gluing(Record):
-    """Copies of E(1) glued along one torus, one sign per copy."""
+    """Copies of E(1) glued along one torus, `plus` of them with sign +1
+    and the rest with -1; c1 sees only the counts."""
 
-    __slots__ = ("torus_label", "signs")
+    __slots__ = ("torus_label", "copies", "plus")
 
-    def __init__(self, torus_label: str, signs: Sequence[int]) -> None:
-        signs = tuple(int(s) for s in signs)
-        if not signs:
+    def __init__(self, torus_label: str, copies: int, plus: int) -> None:
+        if copies < 1:
             raise RecipeError(f"gluing along {torus_label}: copies must be positive")
-        if any(s not in (1, -1) for s in signs):
-            raise RecipeError(f"gluing along {torus_label}: signs must be +1 or -1")
+        if not 0 <= plus <= copies:
+            raise RecipeError(f"gluing along {torus_label}: plus count {plus} is not in 0..{copies}")
         _set(self, "torus_label", torus_label)
-        _set(self, "signs", signs)
-
-    @property
-    def copies(self) -> int:
-        return len(self.signs)
+        _set(self, "copies", copies)
+        _set(self, "plus", plus)
 
 
 class SumRecipe(Record):
@@ -68,34 +66,44 @@ class SumRecipe(Record):
 
     A recipe checks its gluings against the base's tori when it is built:
     there is at least one gluing, every gluing names a torus of the base,
-    signs flip only on Lagrangian tori, and parallel copies go only where
-    the torus declares them available. Any violation raises one
-    RecipeError listing all of them.
+    signs flip only on Lagrangian tori, and a torus takes more than one
+    copy, over all its gluings, only where it declares parallel copies
+    available. Any violation raises one RecipeError listing all of them,
+    which names the first gluing at fault.
     """
 
     __slots__ = ("base", "gluings", "name")
 
     def __init__(self, base: FourManifold, gluings: Sequence[Gluing], name: str = "recipe") -> None:
         gluings = tuple(gluings)
-        violations = [] if gluings else ["no gluings"]
+        if not gluings:
+            raise RecipeError("no gluings")
         table = base.torus_table
+        totals: dict[str, int] = {}
         for gluing in gluings:
-            torus = table.get(gluing.torus_label)
+            totals[gluing.torus_label] = totals.get(gluing.torus_label, 0) + gluing.copies
+        placed: dict[str, int] = {}
+        violations = []  # (index of the gluing at fault, message)
+        for index, gluing in enumerate(gluings):
+            label = gluing.torus_label
+            torus = table.get(label)
             if torus is None:
-                violations.append(f"gluing references undeclared torus {gluing.torus_label}")
+                violations.append((index, f"gluing references undeclared torus {label}"))
                 continue
-            if -1 in gluing.signs and torus.kind != LAGRANGIAN:
+            if gluing.plus < gluing.copies and torus.kind != LAGRANGIAN:
                 violations.append(
-                    f"gluing along {torus.label}: orientation not flippable "
-                    f"({torus.kind} torus)"
+                    (index, f"gluing along {label}: orientation not flippable ({torus.kind} torus)")
                 )
-            if gluing.copies > 1 and not torus.parallel_copies_available:
+            # The fault is the gluing that takes its torus past one copy.
+            used = placed.get(label, 0)
+            placed[label] = used + gluing.copies
+            if used <= 1 < placed[label] and not torus.parallel_copies_available:
                 violations.append(
-                    f"gluing along {torus.label}: {gluing.copies} parallel copies "
-                    "requested but none declared available"
+                    (index, f"gluing along {label}: {totals[label]} parallel copies "
+                     "requested but none declared available")
                 )
         if violations:
-            raise RecipeError("; ".join(violations))
+            raise RecipeError("; ".join(m for _, m in violations), violations[0][0])
         _set(self, "base", base)
         _set(self, "gluings", gluings)
         _set(self, "name", name)
@@ -135,16 +143,16 @@ class CheckReport(Record):
 def c1_contributions(recipe: SumRecipe) -> list[dict]:
     """Per-gluing Chern contributions in two-step form.
 
-    For a gluing whose signs sum to s, each record carries the fibre
-    term s*[F] (written in base coordinates through the identification
-    [F] = [T]) and the normal correction -2*s*[T]; their sum is the net
-    contribution -s*[T].
+    For a gluing whose signs sum to s = 2*plus - copies, each record
+    carries the fibre term s*[F] (written in base coordinates through the
+    identification [F] = [T]) and the normal correction -2*s*[T]; their
+    sum is the net contribution -s*[T].
     """
     table = recipe.base.torus_table
     out: list[dict] = []
     for gluing in recipe.gluings:
         klass = table[gluing.torus_label].klass
-        sign_sum = sum(gluing.signs)
+        sign_sum = 2 * gluing.plus - gluing.copies
         fibre_term = sign_sum * klass
         normal_term = (-2 * sign_sum) * klass
         out.append(
@@ -167,7 +175,7 @@ def sum_c1(recipe: SumRecipe) -> IntVector:
     table = recipe.base.torus_table
     total = recipe.base.c1
     for gluing in recipe.gluings:
-        total = total - sum(gluing.signs) * table[gluing.torus_label].klass
+        total = total - (2 * gluing.plus - gluing.copies) * table[gluing.torus_label].klass
     return total
 
 

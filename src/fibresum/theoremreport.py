@@ -53,11 +53,12 @@ def manifold_doc(m: FourManifold) -> dict:
     }
 
 
-def _profile_text(form: FormClass) -> str:
+def _profile_text(layout: Sequence[tuple[str, int]], profile: Sequence[int]) -> str:
     """Each gluing's label with its plus and minus counts, e.g.
-    ``Tx +1 Ty -1 Tz +3-2``."""
+    ``Tx +1 Ty -1 Tz +3-2``, from its (label, copies) in `layout` and its
+    plus count in `profile`."""
     words = []
-    for (label, copies), plus in zip(form.layout, form.profile):
+    for (label, copies), plus in zip(layout, profile):
         minus = copies - plus
         words.append(f"{label} " + (f"+{plus}" if plus else "") + (f"-{minus}" if minus else ""))
     return " ".join(words)
@@ -65,7 +66,7 @@ def _profile_text(form: FormClass) -> str:
 
 def _table_rows(forms: Sequence[FormClass]) -> list[str]:
     """The table's header and one row per form: profile, c1, divisibility."""
-    profiles = [_profile_text(f) for f in forms]
+    profiles = [_profile_text(f.layout, f.profile) for f in forms]
     profile_width = max([7] + [len(text) for text in profiles])
     c1_texts = ["(" + ", ".join(map(str, f.c1.coords)) + ")" for f in forms]
     c1_width = max([2] + [len(text) for text in c1_texts])
@@ -158,7 +159,7 @@ class TheoremReportBuilder(ReportBuilder):
         failures = []
         for index, (form, report) in enumerate(zip(forms, reports), self._first_form):
             for msg in report.failed:
-                label = f"{name} form {index} profile {_profile_text(form)}"
+                label = f"{name} form {index} profile {_profile_text(form.layout, form.profile)}"
                 failures.append({"check": f"{label}: {msg}", "status": "fail"})
                 self.line(f"  [   fail] {label}: {msg}")
         self.checks += [
@@ -208,11 +209,10 @@ class TheoremReportBuilder(ReportBuilder):
                 {
                     "torus": gluing.torus_label,
                     "copies": _s(gluing.copies),
-                    "signs": [_s(s) for s in gluing.signs],
+                    "signs": ["1"] * gluing.plus + ["-1"] * (gluing.copies - gluing.plus),
                 }
             )
-            signs = "".join("+" if s > 0 else "-" for s in gluing.signs)
-            self.line(f"  glue {gluing.torus_label} x{gluing.copies} signs {signs}")
+            self.line("  glue " + _profile_text(((gluing.torus_label, gluing.copies),), (gluing.plus,)))
         self.line(f"  total copies: {recipe.total_copies}")
         trace = [
             {
@@ -307,9 +307,9 @@ class TheoremReportBuilder(ReportBuilder):
         """Each prime's witness form, into the last task's solve section,
         and its realized check."""
         assignments = self.tasks[-1]["assignments"]
-        for p in sorted(witnesses):
-            assignments[_s(p)] = {"signs": [_s(s) for s in witnesses[p].signs_flat]}
-            self.line(f"  prime {p}: profile {_profile_text(witnesses[p])}")
+        for p, form in sorted(witnesses.items()):
+            assignments[_s(p)] = {"signs": [_s(s) for s in form.signs_flat]}
+            self.line(f"  prime {p}: profile {_profile_text(form.layout, form.profile)}")
         for p in sorted(witnesses):
             self.add_check(f"solve: prime {p} realized with exact divisibility {p}", "pass")
 

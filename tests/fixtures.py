@@ -28,7 +28,7 @@ def mcmullen_taubes_recipe() -> SumRecipe:
     copy. The gate rejects n = 2 (2 divides 2d), so the recipe is built
     directly, as the negative control: distinct forms whose
     divisibilities all agree."""
-    gluings = tuple(Gluing(label, (1,)) for label in ("Tz", "Tx", "Ty", "Tw"))
+    gluings = tuple(Gluing(label, 1, 1) for label in ("Tz", "Tx", "Ty", "Tw"))
     return SumRecipe(build_t4(), gluings, "mcmullen-taubes")
 
 
@@ -38,21 +38,27 @@ def zero_pairing(dim: int) -> PairingMatrix:
 
 
 def flat_signs(recipe: SumRecipe) -> tuple[int, ...]:
-    """All per-copy signs in gluing order."""
-    return tuple(s for gluing in recipe.gluings for s in gluing.signs)
+    """All per-copy signs in gluing order, each gluing's plus signs first."""
+    return tuple(
+        s for g in recipe.gluings for s in (1,) * g.plus + (-1,) * (g.copies - g.plus)
+    )
 
 
 def with_signs(recipe: SumRecipe, signs_flat: Sequence[int]) -> SumRecipe:
-    """Copy of the recipe with the flat sign vector redistributed."""
+    """Copy of the recipe with the flat sign vector redistributed: each
+    gluing takes its copies' signs, and keeps their plus count."""
     signs = [int(s) for s in signs_flat]
     if len(signs) != recipe.total_copies:
         raise RecipeError(
             f"sign vector length {len(signs)} != total copies {recipe.total_copies}"
         )
+    if any(s not in (1, -1) for s in signs):
+        raise RecipeError("signs must be +1 or -1")
     gluings = []
     pos = 0
     for gluing in recipe.gluings:
-        gluings.append(Gluing(gluing.torus_label, signs[pos : pos + gluing.copies]))
+        block = signs[pos : pos + gluing.copies]
+        gluings.append(Gluing(gluing.torus_label, gluing.copies, block.count(1)))
         pos += gluing.copies
     return SumRecipe(recipe.base, tuple(gluings), recipe.name)
 
@@ -72,7 +78,7 @@ def perform_recipe(recipe: SumRecipe) -> tuple[FourManifold, FormClass]:
     report = divisibility_bounds(manifold.c1, manifold.pairing)
     form = FormClass(
         layout=tuple((g.torus_label, g.copies) for g in recipe.gluings),
-        profile=tuple(g.signs.count(1) for g in recipe.gluings),
+        profile=tuple(g.plus for g in recipe.gluings),
         c1=manifold.c1,
         divisibility=report,
     )

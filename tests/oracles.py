@@ -303,11 +303,14 @@ def brute_force_forms(recipe) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
     Every assignment of +1/-1 to the copies glued along Lagrangian tori
     is tried, plus before minus, the other copies keeping the recipe's
-    signs; each copy with sign e adds -e*[T] to the base c1.
+    signs (each gluing's plus signs first); each copy with sign e adds
+    -e*[T] to the base c1.
     """
     table = {t.label: t for t in recipe.base.tori}
     copies = [
-        (table[g.torus_label], sign) for g in recipe.gluings for sign in g.signs
+        (table[g.torus_label], sign)
+        for g in recipe.gluings
+        for sign in [1] * g.plus + [-1] * (g.copies - g.plus)
     ]
     flippable = [i for i, (torus, _) in enumerate(copies) if torus.kind == "lagrangian"]
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}

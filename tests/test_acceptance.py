@@ -193,12 +193,12 @@ def _random_recipe(rng, manifold, tori):
                 rng.choice((1, -1)) if torus.kind == LAGRANGIAN else 1
                 for _ in range(copies)
             )
-            gluings.append(Gluing(torus.label, signs))
+            gluings.append(Gluing(torus.label, copies, signs.count(1)))
     lagrangian_glued = any(
         g.copies for g in gluings if g.torus_label in ("Ty", "Tz")
     )
     if not lagrangian_glued:
-        gluings.append(Gluing(rng.choice(("Ty", "Tz")), (rng.choice((1, -1)),)))
+        gluings.append(Gluing(rng.choice(("Ty", "Tz")), 1, int(rng.choice((1, -1)) == 1)))
     rng.shuffle(gluings)
     return SumRecipe(manifold, tuple(gluings), name="random")
 

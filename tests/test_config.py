@@ -145,9 +145,19 @@ ERRORS = [
         T4 + "[task build]\nmanifold = T4\ntori =\nsum = Tw\nn = 3\n",
         "cfg:5: at least one torus is required",
     ),
+    # A gluing that breaks a recipe's rules is reported at its glue line;
+    # copies count per torus, so the fault is the line taking it past one.
     (
         T4 + "[recipe r]\nmanifold = T4\nglue = Tx -\n",
-        "cfg:3: recipe 'r' is invalid: gluing along Tx: orientation not flippable (symplectic torus)",
+        "cfg:5: recipe 'r' is invalid: gluing along Tx: orientation not flippable (symplectic torus)",
+    ),
+    (
+        M + TORUS_A + "[recipe r]\nmanifold = M\nglue = A + +\n" + SOLVE,
+        "cfg:17: recipe 'r' is invalid: gluing along A: 2 parallel copies requested but none declared available",
+    ),
+    (
+        M + TORUS_A + "[recipe r]\nmanifold = M\nglue = A +\nglue = A -\nglue = A +\n" + SOLVE,
+        "cfg:18: recipe 'r' is invalid: gluing along A: 3 parallel copies requested but none declared available",
     ),
 ]
 
@@ -268,6 +278,15 @@ def test_a_verify_task_on_a_torus_the_record_lacks_exits_2_at_its_tori_line(tmp_
     assert capsys.readouterr().err == f"error: {path}:5: unknown torus 'Tq' on manifold 'T4'\n"
 
 
+def test_a_glue_line_reads_plus_one_and_minus_one_as_its_signs():
+    recipes = [
+        parse_config_text(T4 + f"[recipe r]\nmanifold = T4\nglue = Tz {signs}\n[task enumerate]\nrecipe = r\n").recipes["r"]
+        for signs in ("+1 -1", "+ -", "- +1")
+    ]
+    assert recipes[0] == recipes[1] == recipes[2]
+    assert recipes[0].gluings == (Gluing("Tz", 2, 1),)
+
+
 @pytest.mark.parametrize(
     "path, checked",
     [(GOLDEN / "wide3.cfg", [("M", 3)]), (bundled_path("corollary15.cfg"), [("T4", 4)])],
@@ -298,7 +317,7 @@ def test_a_sum_through_the_api_is_the_record_that_enumerate_prints(tmp_path, cap
     text = T4 + "[recipe r]\nmanifold = T4\nglue = Tz +\nglue = Tw +\n[task enumerate]\nrecipe = r\n"
     code, _ = _run(tmp_path, text, "run", "--output", "machine")
     assert code == 0
-    summed = sum_invariants(SumRecipe(build_t4(), (Gluing("Tz", (1,)), Gluing("Tw", (1,))), "r"))
+    summed = sum_invariants(SumRecipe(build_t4(), (Gluing("Tz", 1, 1), Gluing("Tw", 1, 1)), "r"))
     assert json.loads(capsys.readouterr().out)["manifold"] == manifold_doc(summed)
 
 

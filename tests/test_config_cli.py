@@ -225,21 +225,39 @@ def test_build_task_reports_recipe_and_manifold():
     assert "e = 60" in rendered
 
 
+def test_a_build_of_many_copies_prints_each_gluing_as_one_count():
+    # n = 15015 glues Tw 15014 times: the table gives the count, not one
+    # sign per copy.
+    text = "[manifold T4]\nbuiltin = T4\n[task build]\nmanifold = T4\ntori = Tz Tx Ty\nsum = Tw\nn = 15015\n"
+    out = io.StringIO()
+    assert run(parse_config_text(text), {"build"}, stream=out) == 0
+    glue_lines = [line for line in out.getvalue().splitlines() if line.startswith("  glue ")]
+    assert glue_lines == ["  glue Tx +1", "  glue Ty +1", "  glue Tz +1", "  glue Tw +15014"]
+    out = io.StringIO()
+    assert run(parse_config_text("output = machine\n" + text), {"build"}, stream=out) == 0
+    (build,) = json.loads(out.getvalue())["tasks"]
+    assert build["total_copies"] == "15017"
+    assert build["gluings"][-1]["signs"] == ["1"] * 15014
+
+
 def test_recipe_round_trips_through_config_section():
     from fibresum.config import recipe_config_section
 
-    config = parse_config(bundled_path("corollary15.cfg"))
-    recipe = config.recipes["cor15"]
-    section = recipe_config_section(recipe, "T4")
-    text = (
-        "[manifold T4]\nbuiltin = T4\n\n"
-        + section
-        + "\n[task enumerate]\nrecipe = cor15\n"
-    )
-    reparsed = parse_config_text(text)
-    again = reparsed.recipes["cor15"]
-    assert again.gluings == recipe.gluings
-    assert again.base == recipe.base
+    # An all-plus recipe, and one with minus signs on two gluings.
+    cor15 = parse_config(bundled_path("corollary15.cfg")).recipes["cor15"]
+    mixed = parse_config(GOLDEN / "build.cfg").recipes["mixed"]
+    for recipe in (cor15, mixed):
+        section = recipe_config_section(recipe, "T4")
+        text = (
+            "[manifold T4]\nbuiltin = T4\n\n"
+            + section
+            + f"\n[task enumerate]\nrecipe = {recipe.name}\n"
+        )
+        reparsed = parse_config_text(text)
+        again = reparsed.recipes[recipe.name]
+        assert again.gluings == recipe.gluings
+        assert again.base == recipe.base
+    assert section.splitlines()[2:] == ["glue = Tz + + -", "glue = Tx +", "glue = Ty -", "glue = Tw + +"]
 
 
 def test_inconsistent_custom_record_trips_the_alarm():
@@ -769,8 +787,27 @@ def test_invalid_recipe_in_config_exits_2_with_its_message(tmp_path, capsys):
     )
     assert main(["run", "--config", str(tmp_path / "bad.cfg")]) == 2
     assert capsys.readouterr().err == (
-        f"error: {tmp_path / 'bad.cfg'}:4: recipe 'bad' is invalid: "
+        f"error: {tmp_path / 'bad.cfg'}:6: recipe 'bad' is invalid: "
         "gluing along Tx: orientation not flippable (symplectic torus)\n"
+    )
+
+
+def test_parallel_copies_split_across_glue_lines_exit_2_at_the_second(tmp_path, capsys):
+    # F declares no parallel copies, so a second single-copy line on it
+    # asks for two copies, as `glue = F + +` does.
+    (tmp_path / "split.cfg").write_text(
+        "[manifold K]\neuler = 12\nsignature = -8\nb1 = 0\nb2 = 10\nbasis = F S\n"
+        "c1 = 1 0\npairing_row = 0 1\npairing_row = 1 -1\nsimply_connected = true\n\n"
+        "[torus F]\nmanifold = K\nclass = 1 0\nkind = lagrangian\n\n"
+        "[recipe r]\nmanifold = K\nglue = F +\nglue = F +\n\n"
+        "[task enumerate]\nrecipe = r\n"
+    )
+    assert main(["run", "--config", str(tmp_path / "split.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {tmp_path / 'split.cfg'}:20: recipe 'r' is invalid: "
+        "gluing along F: 2 parallel copies requested but none declared available\n"
     )
 
 

@@ -194,7 +194,7 @@ def test_enumerate_forms_negative_control():
 
 
 def test_enumerate_forms_no_flippable_copies():
-    recipe = SumRecipe(build_t4(), (Gluing("Tx", (1,)), Gluing("Tw", (1,))))
+    recipe = SumRecipe(build_t4(), (Gluing("Tx", 1, 1), Gluing("Tw", 1, 1)))
     result = enumerate_forms(recipe)
     assert result.flippable_copies == 0
     assert len(result.forms) == 1
@@ -204,13 +204,13 @@ def test_enumerate_forms_no_flippable_copies():
 def test_enumerate_forms_cap_bounds_chern_classes():
     manifold = build_t4()
     # 2^8 assignments but only 9 sign sums, so 9 classes fit under 16.
-    recipe = SumRecipe(manifold, (Gluing("Tz", (1,) * 8),))
+    recipe = SumRecipe(manifold, (Gluing("Tz", 8, 8),))
     result = enumerate_forms(recipe, cap=16)
     assert len(result.forms) == 9
     assert result.flippable_copies == 8
     assert [f.profile for f in result.forms] == [(p,) for p in range(8, -1, -1)]
     # Two independent gluings of four copies give 5 * 5 classes.
-    recipe = SumRecipe(manifold, (Gluing("Ty", (1,) * 4), Gluing("Tz", (1,) * 4)))
+    recipe = SumRecipe(manifold, (Gluing("Ty", 4, 4), Gluing("Tz", 4, 4)))
     with pytest.raises(EnumerationCapError, match="enumeration too large"):
         enumerate_forms(recipe, cap=16)
     assert len(enumerate_forms(recipe, cap=25).forms) == 25
@@ -230,7 +230,7 @@ def _random_t4_recipe(rng):
             continue
         flippable += copies * flips
         signs = tuple(rng.choice((1, -1)) if flips else 1 for _ in range(copies))
-        gluings.append(Gluing(torus.label, signs))
+        gluings.append(Gluing(torus.label, copies, signs.count(1)))
     return SumRecipe(manifold, tuple(gluings))
 
 
@@ -268,7 +268,8 @@ def _random_hyperbolic_recipe(rng):
     gluings = []
     for torus in tori:
         copies = rng.randint(1, 2)
-        gluings.append(Gluing(torus.label, tuple(rng.choice((1, -1)) for _ in range(copies))))
+        signs = [rng.choice((1, -1)) for _ in range(copies)]
+        gluings.append(Gluing(torus.label, copies, signs.count(1)))
     return SumRecipe(manifold, tuple(gluings))
 
 
@@ -316,7 +317,7 @@ def _mixed_lagrangian_recipe(rng):
             rng.shuffle(signs)
         else:
             signs = [1] * copies
-        gluings.append(Gluing(label, tuple(signs)))
+        gluings.append(Gluing(label, copies, signs.count(1)))
     return SumRecipe(build_t4(), tuple(gluings))
 
 
@@ -345,7 +346,7 @@ def test_enumerate_forms_cap_bounds_one_large_gluing():
     # class would take over 70 MB, and one step per count about 0.7 MB.
     import tracemalloc
 
-    recipe = SumRecipe(build_t4(), (Gluing("Tz", (1,) * 3000),))
+    recipe = SumRecipe(build_t4(), (Gluing("Tz", 3000, 3000),))
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationCapError, match="more than 5 distinct Chern classes after gluing Tz"):
@@ -481,7 +482,7 @@ def test_positive_assignment_divisible_by_n_and_flip_breaks_it(n):
     assert form.divisibility.lower % n == 0
     # Flip the one Tz copy, wherever the builder glues it.
     signs = list(flat_signs(recipe))
-    labels = [g.torus_label for g in recipe.gluings for _ in g.signs]
+    labels = [g.torus_label for g in recipe.gluings for _ in range(g.copies)]
     signs[labels.index("Tz")] = -1
     _, flipped = perform_recipe(with_signs(recipe, signs))
     assert flipped.divisibility.exact
@@ -494,7 +495,7 @@ def test_build_theorem_recipe_glues_the_first_torus_copies_times(n, k):
     assert [(g.torus_label, g.copies) for g in recipe.gluings] == [
         ("Tx", 1), ("Ty", 1), ("Tz", k), ("Tw", n - 1)
     ]
-    assert all(s == 1 for g in recipe.gluings for s in g.signs)
+    assert all(g.plus == g.copies for g in recipe.gluings)
     assert recipe.name == f"T4-n{n}"
 
 
@@ -503,7 +504,7 @@ def test_a_gluing_along_a_zero_class_fits_any_cap():
     # first count reaches, so ten copies fit under a cap of 1.
     zero = EmbeddedTorus("Z", IntVector((0, 0)), LAGRANGIAN, None, True)
     manifold = FourManifold("M", 0, 0, 2, 2, ("a", "b"), zero_pairing(2), IntVector((0, 0)), False, False, (zero,))
-    recipe = SumRecipe(manifold, (Gluing("Z", (1, -1) * 5),))
+    recipe = SumRecipe(manifold, (Gluing("Z", 10, 5),))
     (form,) = enumerate_forms(recipe, cap=1).forms
     assert form.profile == (10,)
     assert [(form.signs_flat, form.c1.coords)] == brute_force_forms(recipe)

@@ -25,12 +25,12 @@ def t4_tables():
     return manifold, manifold.tori, manifold.torus_table
 
 
-def section_recipe(signs_tz=(1,), tw_copies=2):
+def section_recipe(tz_plus=1, tw_copies=2):
     gluings = (
-        Gluing("Tx", (1,)),
-        Gluing("Ty", (1,)),
-        Gluing("Tz", tuple(signs_tz)),
-        Gluing("Tw", (1,) * tw_copies),
+        Gluing("Tx", 1, 1),
+        Gluing("Ty", 1, 1),
+        Gluing("Tz", 1, tz_plus),
+        Gluing("Tw", tw_copies, tw_copies),
     )
     return SumRecipe(build_t4(), gluings, name="section")
 
@@ -42,7 +42,7 @@ def test_sum_c1_diagonal_recipe():
 
 
 def test_sum_c1_with_one_flip():
-    recipe = section_recipe(signs_tz=(-1,))
+    recipe = section_recipe(tz_plus=0)
     c1 = sum_c1(recipe)
     assert c1.coords == (-3, -3, -1, 0, 0, 0)
 
@@ -58,7 +58,7 @@ def test_sum_c1_empty_gluings_is_identity():
 def test_contribution_trace_keeps_two_step_form():
     manifold, _, table = t4_tables()
     # One record per gluing, from its sign sum: -1 along Tz, 1 along Ty.
-    records = c1_contributions(SumRecipe(manifold, (Gluing("Tz", (1, -1, -1)), Gluing("Ty", (1,)))))
+    records = c1_contributions(SumRecipe(manifold, (Gluing("Tz", 3, 1), Gluing("Ty", 1, 1))))
     assert [(r["torus"], r["sign_sum"]) for r in records] == [("Tz", -1), ("Ty", 1)]
     tz_record, ty_record = records
     tz, ty = table["Tz"].klass, table["Ty"].klass
@@ -76,7 +76,7 @@ def test_sum_invariants_five_copies():
 
 
 def test_sum_invariants_not_simply_connected_when_a_torus_is_missed():
-    summed = sum_invariants(SumRecipe(build_t4(), (Gluing("Tx", (1,)),)))
+    summed = sum_invariants(SumRecipe(build_t4(), (Gluing("Tx", 1, 1),)))
     assert not summed.simply_connected
     assert summed.euler == 12 and summed.signature == -8
 
@@ -97,7 +97,7 @@ def test_perform_recipe_zero_copies_returns_base():
     with pytest.raises(RecipeError, match="^no gluings$"):
         SumRecipe(build_t4(), (), name="empty")
     with pytest.raises(RecipeError, match="^gluing along Tz: copies must be positive$"):
-        Gluing("Tz", ())
+        Gluing("Tz", 0, 0)
 
 
 def test_sum_marks_dual_self_pairings_unknown():
@@ -112,7 +112,7 @@ def test_sum_marks_dual_self_pairings_unknown():
 
 
 def test_elliptic_surface_self_sum_gives_k3_record():
-    summed = sum_invariants(SumRecipe(build_e1(), (Gluing("F", (1,)),)))
+    summed = sum_invariants(SumRecipe(build_e1(), (Gluing("F", 1, 1),)))
     assert (summed.euler, summed.signature, summed.b2) == (24, -16, 22)
     assert summed.c1 == IntVector.zero(summed.rank)
     assert summed.simply_connected
@@ -122,10 +122,10 @@ def test_perform_recipe_theorem_shapes():
     manifold, _, table = t4_tables()
     for n in (3, 5, 7):
         gluings = (
-            Gluing("Tz", (1,)),
-            Gluing("Tx", (1,)),
-            Gluing("Ty", (1,)),
-            Gluing("Tw", (1,) * (n - 1)),
+            Gluing("Tz", 1, 1),
+            Gluing("Tx", 1, 1),
+            Gluing("Ty", 1, 1),
+            Gluing("Tw", n - 1, n - 1),
         )
         recipe = SumRecipe(manifold, gluings, name=f"n{n}")
         summed, form = perform_recipe(recipe)
@@ -160,28 +160,28 @@ _BAD_T4 = "manifold 'T4' is inconsistent: torus "
 @pytest.mark.parametrize(
     "tori, gluings, message",
     [
-        (_T4_TORI, (Gluing("nope", (1,)),), "gluing references undeclared torus nope"),
-        (_T4_TORI + _T4_TORI[:1], (Gluing("Tx", (1,)),), _BAD_T4 + "Tx: duplicate label"),
-        (_T4_TORI[:2] + (_SHORT_TZ,), (Gluing("Tx", (1,)),), _BAD_T4 + "Tz: class length 3 != rank 6"),
+        (_T4_TORI, (Gluing("nope", 1, 1),), "gluing references undeclared torus nope"),
+        (_T4_TORI + _T4_TORI[:1], (Gluing("Tx", 1, 1),), _BAD_T4 + "Tx: duplicate label"),
+        (_T4_TORI[:2] + (_SHORT_TZ,), (Gluing("Tx", 1, 1),), _BAD_T4 + "Tz: class length 3 != rank 6"),
         (
             _T4_TORI[:2] + (_SHORT_DUAL_TZ,),
-            (Gluing("Tx", (1,)),),
+            (Gluing("Tx", 1, 1),),
             _BAD_T4 + "Tz: dual length 5 != rank 6",
         ),
-        (_T4_TORI + (_SPIKY_TQ,), (Gluing("Tx", (1,)),), _BAD_T4 + "Tq: unknown kind 'spiky'"),
+        (_T4_TORI + (_SPIKY_TQ,), (Gluing("Tx", 1, 1),), _BAD_T4 + "Tq: unknown kind 'spiky'"),
         (
             _T4_TORI + (_SQUARE_TWO_TQ,),
-            (Gluing("Tx", (1,)),),
+            (Gluing("Tx", 1, 1),),
             _BAD_T4 + "Tq: not square-zero (self-pairing 2)",
         ),
         (
             _T4_TORI,
-            (Gluing("Tw", (-1,)),),
+            (Gluing("Tw", 1, 0),),
             "gluing along Tw: orientation not flippable (symplectic torus)",
         ),
         (
             _T4_TORI,
-            (Gluing("Tx", (-1,)), Gluing("nope", (1,))),
+            (Gluing("Tx", 1, 0), Gluing("nope", 1, 1)),
             "gluing along Tx: orientation not flippable (symplectic torus); "
             "gluing references undeclared torus nope",
         ),
@@ -222,19 +222,43 @@ def test_parallel_copies_need_declaration():
         )
         for t in tori
     )
+    # Copies count per torus over all its gluings; the fault is the gluing
+    # that takes the torus past one copy.
+    for gluings, at in (
+        ((Gluing("Tw", 2, 2),), 0),
+        ((Gluing("Tw", 1, 1), Gluing("Tx", 1, 1), Gluing("Tw", 1, 1)), 2),
+    ):
+        with pytest.raises(RecipeError) as caught:
+            SumRecipe(replace(manifold, tori=lonely), gluings)
+        assert str(caught.value) == (
+            "gluing along Tw: 2 parallel copies requested but none declared available"
+        )
+        assert caught.value.gluing == at
+    SumRecipe(replace(manifold, tori=lonely), (Gluing("Tw", 1, 1), Gluing("Tx", 2, 2)))
+
+
+def test_a_recipe_error_names_its_first_gluing_at_fault():
     with pytest.raises(RecipeError) as caught:
-        SumRecipe(replace(manifold, tori=lonely), (Gluing("Tw", (1, 1)),))
+        SumRecipe(build_t4(), (Gluing("Tz", 2, 1), Gluing("Tx", 1, 0), Gluing("Tw", 3, 1)))
     assert str(caught.value) == (
-        "gluing along Tw: 2 parallel copies requested but none declared available"
+        "gluing along Tx: orientation not flippable (symplectic torus); "
+        "gluing along Tw: orientation not flippable (symplectic torus)"
     )
+    assert caught.value.gluing == 1
+    with pytest.raises(RecipeError) as caught:
+        SumRecipe(build_t4(), ())
+    assert caught.value.gluing is None
 
 
 def test_gluing_constructor_validation():
-    with pytest.raises(RecipeError):
-        Gluing("Tx", ())
-    with pytest.raises(RecipeError):
-        Gluing("Tx", (2,))
-    assert Gluing("Tx", (1, -1)).copies == 2
+    with pytest.raises(RecipeError, match="^gluing along Tx: copies must be positive$"):
+        Gluing("Tx", 0, 0)
+    for plus in (-1, 3):
+        with pytest.raises(RecipeError, match=rf"^gluing along Tx: plus count {plus} is not in 0\.\.2$"):
+            Gluing("Tx", 2, plus)
+    gluing = Gluing("Tx", 2, 1)
+    assert (gluing.copies, gluing.plus) == (2, 1)
+    assert Gluing("Tx", 2, 0) != Gluing("Tx", 2, 2)
 
 
 def test_check_c1_identities_on_section_manifold():
@@ -286,7 +310,7 @@ def test_check_c1_identities_catches_corruption_on_full_pairing():
 
 def test_check_c1_identities_requires_simply_connected():
     # Only Tx is glued, so the sum is not certified simply connected.
-    summed, form = perform_recipe(SumRecipe(build_t4(), (Gluing("Tx", (1,)),)))
+    summed, form = perform_recipe(SumRecipe(build_t4(), (Gluing("Tx", 1, 1),)))
     assert not summed.simply_connected
     with pytest.raises(ValueError):
         check_c1_identities(summed, [form])
@@ -371,9 +395,9 @@ def test_euler_signature_affine_in_copy_count(a, b):
     total = a + b
     gluings = []
     if a:
-        gluings.append(Gluing("Tx", (1,) * a))
+        gluings.append(Gluing("Tx", a, a))
     if b:
-        gluings.append(Gluing("Tw", (1,) * b))
+        gluings.append(Gluing("Tw", b, b))
     if not gluings:
         with pytest.raises(RecipeError, match="^no gluings$"):
             SumRecipe(manifold, ())
@@ -393,9 +417,9 @@ def random_recipe(rng):
         signs = tuple(
             rng.choice((1, -1)) if torus.kind == LAGRANGIAN else 1 for _ in range(copies)
         )
-        gluings.append(Gluing(torus.label, signs))
+        gluings.append(Gluing(torus.label, copies, signs.count(1)))
     if not any(t.kind == LAGRANGIAN for t in tori for g in gluings if g.torus_label == t.label):
-        gluings.append(Gluing("Tz", (rng.choice((1, -1)),)))
+        gluings.append(Gluing("Tz", 1, int(rng.choice((1, -1)) == 1)))
     rng.shuffle(gluings)
     return SumRecipe(manifold, tuple(gluings), name="random")
 
@@ -435,7 +459,7 @@ def test_sign_locality_and_permutation_invariance():
 
 
 def test_form_class_recompute_bit_exact():
-    recipe = section_recipe(signs_tz=(-1,))
+    recipe = section_recipe(tz_plus=0)
     _, form = perform_recipe(recipe)
     again = sum_c1(with_signs(recipe, form.signs_flat))
     assert again == form.c1

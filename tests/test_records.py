@@ -44,8 +44,8 @@ RECORDS = {
     "DivisibilityReport": lambda: DivisibilityReport(3, 3),
     "EmbeddedTorus": lambda: EmbeddedTorus("Tz", IntVector((0, 0, 1, 0, 0, 0)), LAGRANGIAN, None, False),
     "FourManifold": build_t4,
-    "Gluing": lambda: Gluing("Tz", (1, -1)),
-    "SumRecipe": lambda: SumRecipe(T4, (Gluing("Tz", (1, -1)),), name="r"),
+    "Gluing": lambda: Gluing("Tz", 2, 1),
+    "SumRecipe": lambda: SumRecipe(T4, (Gluing("Tz", 2, 1),), name="r"),
     "FormClass": lambda: FormClass(
         (("Tz", 2),), (1,), IntVector((0, 0, 0)), DivisibilityReport(0, 0)
     ),
@@ -53,10 +53,10 @@ RECORDS = {
     "HypothesisReport": _hypothesis_report,
     "EnumerationResult": lambda: EnumerationResult(T4, (), 0),
     "SolveResult": lambda: SolveResult(
-        SumRecipe(T4, (Gluing("Tx", (1,)),)), 3, 1, (3,)
+        SumRecipe(T4, (Gluing("Tx", 1, 1),)), 1, (3, 5)
     ),
     "TheoremTask": lambda: TheoremTask("verify", "T4", T4, ("Tz", "Tx"), "Tw", 3),
-    "EnumerateTask": lambda: EnumerateTask(SumRecipe(T4, (Gluing("Tz", (1, -1)),), name="r")),
+    "EnumerateTask": lambda: EnumerateTask(SumRecipe(T4, (Gluing("Tz", 2, 1),), name="r")),
     "SolveTask": lambda: SolveTask((3, 5)),
     "LinkingTask": lambda: LinkingTask("borromean.lnk", None),
     "PolygonalCurve": lambda: PolygonalCurve(TRIANGLE),
@@ -131,7 +131,7 @@ def test_generic_constructor_rejects_bad_arguments(build, message):
 
 def test_records_differ_by_field_and_class():
     assert IntVector((1, 2)) != IntVector((1, 3))
-    assert Gluing("Tz", (1,)) != Gluing("Ty", (1,))
+    assert Gluing("Tz", 1, 1) != Gluing("Ty", 1, 1)
     assert EnumerateTask("r") != SolveTask("r")
     assert len({IntVector((1, 2)), IntVector((1, 2)), IntVector((2, 1))}) == 2
     # A record hashes its fields, so one holding a list does not hash.
@@ -153,7 +153,7 @@ def test_derived_state_stays_out_of_equality_and_repr():
 def test_reprs_have_dataclass_form():
     assert repr(IntVector((1, -2))) == "IntVector(coords=(1, -2))"
     assert repr(DivisibilityReport(3, 3)) == "DivisibilityReport(lower=3, upper=3)"
-    assert repr(Gluing("Tz", (1, -1))) == "Gluing(torus_label='Tz', signs=(1, -1))"
+    assert repr(Gluing("Tz", 2, 1)) == "Gluing(torus_label='Tz', copies=2, plus=1)"
     assert repr(PairingMatrix(((0, 1), (1, None)))) == "PairingMatrix(entries=((0, 1), (1, None)))"
     assert repr(LinkingTask("a", None)) == "LinkingTask(link='a', axis=None)"
     assert repr(EnumerateTask("r")) == "EnumerateTask(recipe='r')"
@@ -188,15 +188,15 @@ def test_replace_reruns_the_constructor_checks():
             ValueError,
             "undefined report must be all-zero, got upper bound 2",
         ),
-        (lambda: Gluing("Tx", ()), RecipeError, "gluing along Tx: copies must be positive"),
-        (lambda: Gluing("Tx", (2,)), RecipeError, r"gluing along Tx: signs must be \+1 or -1"),
+        (lambda: Gluing("Tx", 0, 0), RecipeError, "gluing along Tx: copies must be positive"),
+        (lambda: Gluing("Tx", 1, 2), RecipeError, r"gluing along Tx: plus count 2 is not in 0\.\.1"),
         (
-            lambda: SumRecipe(T4, (Gluing("Tx", (-1,)),)),
+            lambda: SumRecipe(T4, (Gluing("Tx", 1, 0),)),
             RecipeError,
             r"gluing along Tx: orientation not flippable \(symplectic torus\)",
         ),
         (
-            lambda: SumRecipe(T4, (Gluing("Tx", (1,)), Gluing("Tq", (1,)))),
+            lambda: SumRecipe(T4, (Gluing("Tx", 1, 1), Gluing("Tq", 1, 1))),
             RecipeError,
             "gluing references undeclared torus Tq",
         ),

@@ -237,7 +237,7 @@ def test_a_form_row_does_not_grow_with_the_copies():
     from fibresum.fourman import build_t4
     from fibresum.gompfsum import Gluing, SumRecipe
 
-    recipe = SumRecipe(build_t4(), (Gluing("Tx", (1,)), Gluing("Tz", (1, -1) * 1000), Gluing("Tw", (1,) * 4)))
+    recipe = SumRecipe(build_t4(), (Gluing("Tx", 1, 1), Gluing("Tz", 2000, 1000), Gluing("Tw", 4, 4)))
     rows = theoremreport._table_rows(enumerate_forms(recipe).forms)
     assert len(rows) == 2002
     assert rows[1].split("(")[0].split() == ["Tx", "+1", "Tz", "+2000", "Tw", "+4"]
